@@ -1,23 +1,3 @@
-import os
-
 from setuptools import setup
 
-ext_modules = []
-if not os.environ.get("DETRING_PURE_PYTHON"):
-    try:
-        from Cython.Build import cythonize
-
-        ext_modules = cythonize(
-            ["src/detring/_kernels_c.pyx"],
-            compiler_directives={
-                "language_level": "3",
-                "boundscheck": False,
-                "wraparound": False,
-                "cdivision": True,
-            },
-        )
-    except ImportError:
-        # no Cython: install runs with the pure-Python kernels only
-        ext_modules = []
-
-setup(ext_modules=ext_modules)
+setup()

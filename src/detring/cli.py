@@ -9,6 +9,7 @@ the theory guarantees comes out false.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -181,10 +182,15 @@ def _emit(payload, fmt):
         sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+@functools.cache
+def _parser():
+    """The parser, built on first use and shared by every later run."""
+    return build_parser()
+
+
 def run(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

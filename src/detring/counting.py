@@ -11,9 +11,8 @@ from itertools import combinations
 from math import comb
 
 from .errors import ParameterError
-from .generic_point import SubstitutionMap, phi
-from .linalg import det_bareiss, eliminate
-from .poly import Poly, drevlex_key
+from .generic_point import SubstitutionMap
+from .linalg import Eliminator, det_bareiss
 from .tableaux import enumerate_standard
 
 IDEALS = ("p", "q")
@@ -53,18 +52,24 @@ def mu_power(params, ideal, t):
     return det_bareiss(rows)
 
 
-def _chain_count(universe_size, r, length):
-    """Chains s1 <= s2 <= ... (componentwise) of r-subsets of 1..universe_size."""
+def _chain_ends(universe_size, r, length):
+    """Chains s1 <= ... <= s_length (componentwise, length >= 1) of r-subsets
+    of 1..universe_size, counted by their last subset."""
     subsets = list(combinations(range(1, universe_size + 1), r))
-    if length == 0:
-        return 1
     counts = {s: 1 for s in subsets}
     for _ in range(length - 1):
-        nxt = {}
-        for s in subsets:
-            nxt[s] = sum(c for s2, c in counts.items() if all(x <= y for x, y in zip(s2, s)))
-        counts = nxt
-    return sum(counts.values())
+        counts = {
+            s: sum(c for s2, c in counts.items() if all(x <= y for x, y in zip(s2, s)))
+            for s in subsets
+        }
+    return counts
+
+
+def _chain_count(universe_size, r, length):
+    """Chains s1 <= s2 <= ... (componentwise) of r-subsets of 1..universe_size."""
+    if length == 0:
+        return 1
+    return sum(_chain_ends(universe_size, r, length).values())
 
 
 def mu_power_direct(params, ideal, t):
@@ -110,12 +115,10 @@ def hilbert_function(params, d, method="bitableaux"):
         return len(lattice_points(params, "E", y_degree=d))
     if method == "rank":
         subst = SubstitutionMap(params)
-        xs = subst.x_space
-        rows = []
-        for exps in _monomials_of_degree(xs.nvars, d):
-            rows.append(phi(Poly._raw(xs, {exps: 1}), subst).terms)
-        rank, _ = eliminate(rows, drevlex_key)
-        return rank
+        elim = Eliminator()
+        for exps in _monomials_of_degree(subst.x_space.nvars, d):
+            elim.reduce(subst.monomial_image(exps))
+        return elim.rank
     raise ParameterError(f"method must be 'bitableaux', 'lattice', or 'rank', got {method!r}")
 
 

@@ -18,45 +18,46 @@ from .tableaux import Bitableau, Minor, is_standard
 
 
 class SubstitutionMap:
-    """Caches the entry polynomials of the product matrix for one format."""
+    """The images of the x variables on the y/z space, for one format."""
 
     def __init__(self, params):
         self.params = params
         self.x_space = XSpace(params.m, params.n)
         self.yz_space = YZSpace(params.m, params.r, params.n)
         yz = self.yz_space
-        self.entries = {}
+        # By x rank position, which is row-major.
+        self._images = []
         for i in range(1, params.m + 1):
             for j in range(1, params.n + 1):
-                terms = {}
+                terms = []
                 for k in range(1, params.r + 1):
                     e = [0] * yz.nvars
                     e[yz.y(i, k)] = 1
                     e[yz.z(k, j)] = 1
-                    terms[tuple(e)] = 1
-                self.entries[(i, j)] = Poly._raw(yz, terms)
+                    terms.append((e, 1))
+                self._images.append(Poly(yz, terms))
 
     def entry(self, i, j):
-        return self.entries[(i, j)]
+        return self._images[self.x_space.x(i, j)]
+
+    def monomial_image(self, exps):
+        """Packed term dict of the image of the x-monomial with exponents ``exps``."""
+        limit = self.yz_space.key_limit
+        prod = {0: 1}
+        for pos, e in enumerate(exps):
+            for _ in range(e):
+                prod = kernels.poly_mul(prod, self._images[pos].packed, limit)
+        return prod
 
 
 def phi(f, subst):
     """Image of an x-space polynomial under the substitution; exact."""
     if f.space != subst.x_space:
         raise SpaceMismatchError(f"polynomial on {f.space!r}, substitution for {subst.x_space!r}")
-    yz = subst.yz_space
     out = {}
-    one = {yz.zero_monomial: 1}
     for exps, coef in f.terms.items():
-        prod = one
-        for pos, e in enumerate(exps):
-            if e:
-                letter, i, j = subst.x_space.key(pos)
-                entry = subst.entries[(i, j)].terms
-                for _ in range(e):
-                    prod = kernels.poly_mul(prod, entry)
-        kernels.poly_addmul(out, coef, prod)
-    return Poly._raw(yz, out)
+        kernels.poly_addmul(out, coef, subst.monomial_image(exps))
+    return Poly._raw(subst.yz_space, out)
 
 
 def _det_expand(matrix, space):
@@ -64,6 +65,7 @@ def _det_expand(matrix, space):
     t = len(matrix)
     if t == 0:
         return Poly.constant(space, 1)
+    limit = space.key_limit
     acc = {}
     for perm in permutations(range(t)):
         sign = 1
@@ -72,9 +74,9 @@ def _det_expand(matrix, space):
             for j in range(i + 1, t):
                 if seen[i] > seen[j]:
                     sign = -sign
-        prod = matrix[0][perm[0]].terms
+        prod = matrix[0][perm[0]].packed
         for i in range(1, t):
-            prod = kernels.poly_mul(prod, matrix[i][perm[i]].terms)
+            prod = kernels.poly_mul(prod, matrix[i][perm[i]].packed, limit)
         kernels.poly_addmul(acc, sign, prod)
     return Poly._raw(space, acc)
 

@@ -15,6 +15,7 @@ from itertools import combinations
 
 from . import kernels
 from .cone import build_system, lattice_points, semigroup_vs_cone
+from .counting import _chain_ends, _monomials_of_degree
 from .errors import ParameterError
 from .generic_point import (
     SubstitutionMap,
@@ -22,8 +23,8 @@ from .generic_point import (
     initial_monomial_closed_form,
     minor_polynomial,
 )
-from .linalg import Eliminator, clear_denominators
-from .poly import Poly, YZSpace, drevlex_key
+from .linalg import Eliminator
+from .poly import Poly, YZSpace, format_monomial
 from .tableaux import all_minors, enumerate_standard, minor_leq
 
 
@@ -85,29 +86,6 @@ def _predicted_generator_leads(params):
     return leads
 
 
-def _minor_chain_count(universe, r, length, constraint):
-    """Componentwise-increasing chains of r-subsets of 1..universe.
-
-    The last subset must sit entrywise below ``constraint`` on the positions
-    constraint covers (None: unconstrained).
-    """
-    if length == 0:
-        return 1
-    subsets = list(combinations(range(1, universe + 1), r))
-    counts = {s: 1 for s in subsets}
-    for _ in range(length - 1):
-        counts = {
-            s: sum(c for s2, c in counts.items() if all(x <= y for x, y in zip(s2, s)))
-            for s in subsets
-        }
-    if constraint is None:
-        return sum(counts.values())
-    k = min(len(constraint), r)
-    return sum(
-        c for s, c in counts.items() if all(s[i] <= constraint[i] for i in range(k))
-    )
-
-
 def _tilde_basis_count(params, d1, d2):
     """Standard products of maximal factor minors with a standard bitableau.
 
@@ -119,17 +97,21 @@ def _tilde_basis_count(params, d1, d2):
     if (d1 - d2) % r != 0:
         return 0
     if d1 >= d2:
-        length = (d1 - d2) // r
-        total = 0
-        for bitab in enumerate_standard(params, d2):
-            constraint = bitab.factors[0].rows if bitab.factors else None
-            total += _minor_chain_count(params.m, r, length, constraint)
-        return total
-    length = (d2 - d1) // r
+        length, universe, degree, side = (d1 - d2) // r, params.m, d2, "rows"
+    else:
+        length, universe, degree, side = (d2 - d1) // r, params.n, d1, "cols"
+    basis = enumerate_standard(params, degree)
+    if length == 0:
+        return len(basis)
+    ends = _chain_ends(universe, r, length)
     total = 0
-    for bitab in enumerate_standard(params, d1):
-        constraint = bitab.factors[0].cols if bitab.factors else None
-        total += _minor_chain_count(params.n, r, length, constraint)
+    for bitab in basis:
+        if not bitab.factors:
+            total += sum(ends.values())
+            continue
+        bound = getattr(bitab.factors[0], side)
+        k = min(len(bound), r)
+        total += sum(c for s, c in ends.items() if all(s[i] <= bound[i] for i in range(k)))
     return total
 
 
@@ -298,18 +280,6 @@ class LadderReport:
         }
 
 
-def _x_monomials(space, degree):
-    def rec(k, d):
-        if k == 1:
-            yield (d,)
-            return
-        for first in range(d, -1, -1):
-            for rest in rec(k - 1, d - first):
-                yield (first,) + rest
-
-    return rec(space.nvars, degree)
-
-
 def verify_ladder(params, delta, d_max=3):
     """Compare the initial space of the ladder ideal with the variable ideal.
 
@@ -326,47 +296,34 @@ def verify_ladder(params, delta, d_max=3):
     vpos = set(vset)
     yz = subst.yz_space
     gammas = [g for g in all_minors(params) if not minor_leq(delta, g)]
-    gamma_images = [(g.size, minor_polynomial(g, params, "YZ", subst).terms) for g in gammas]
-    entry_terms = {
-        (i, j): subst.entry(i, j).terms
-        for i in range(1, params.m + 1)
-        for j in range(1, params.n + 1)
-    }
-
-    def x_monomial_image(exps):
-        prod = {yz.zero_monomial: 1}
-        for pos, e in enumerate(exps):
-            if e:
-                _, i, j = subst.x_space.key(pos)
-                for _ in range(e):
-                    prod = kernels.poly_mul(prod, entry_terms[(i, j)])
-        return prod
-
+    gamma_images = [(g.size, minor_polynomial(g, params, "YZ", subst).packed) for g in gammas]
+    nx = subst.x_space.nvars
+    x_images = [
+        [subst.monomial_image(exps) for exps in _monomials_of_degree(nx, k)]
+        for k in range(d_max)
+    ]
     rows = []
     mismatch = None
     for d in range(1, d_max + 1):
-        elim = Eliminator(drevlex_key)
+        elim = Eliminator()
         for size, image in gamma_images:
             if size > d:
                 continue
-            for exps in _x_monomials(subst.x_space, d - size):
-                row = kernels.poly_mul(image, x_monomial_image(exps))
-                elim.reduce(clear_denominators(row))
+            for x_image in x_images[d - size]:
+                elim.reduce(kernels.poly_mul(image, x_image, yz.key_limit))
         pivots = set(elim.pivots)
         divisible = set()
         for bitab in enumerate_standard(params, d):
             mono = initial_monomial_closed_form(bitab, params)
             if any(mono[p] for p in vpos):
-                divisible.add(mono)
+                divisible.add(kernels.pack(mono))
         ok = pivots == divisible
         if not ok and mismatch is None:
-            stray = sorted(pivots.symmetric_difference(divisible), key=drevlex_key)
-            from .poly import format_monomial
-
+            stray = min(pivots.symmetric_difference(divisible))
             mismatch = {
                 "degree": d,
-                "monomial": format_monomial(yz, stray[0]),
-                "side": "initial-space-only" if stray[0] in pivots else "divisible-only",
+                "monomial": format_monomial(yz, yz.unpack(stray)),
+                "side": "initial-space-only" if stray in pivots else "divisible-only",
             }
         rows.append((d, len(pivots), len(divisible), ok))
     prime_ok = True

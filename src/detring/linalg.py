@@ -1,15 +1,14 @@
 """Exact linear algebra helpers: integer determinants and sparse elimination.
 
-The elimination routine reduces sparse rows (dicts keyed by monomial) against
-pivots chosen as the largest key under a caller-supplied order.  That pivot
-choice is load-bearing: with the term order as key order, the surviving pivot
-keys are exactly the initial monomials of the row span, which the ladder
-verification consumes directly.
+The elimination routine reduces sparse rows (dicts keyed by packed monomial)
+against pivots chosen as the largest key.  That pivot choice is load-bearing:
+int order on packed keys is the term order, so the surviving pivot keys are
+exactly the initial monomials of the row span, which the ladder verification
+consumes directly.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 
 from . import kernels
@@ -42,18 +41,19 @@ def det_bareiss(rows):
 
 
 def clear_denominators(terms):
-    """Scale a monomial-keyed dict of rationals to coprime integers."""
-    if not terms:
-        return {}
-    scale = lcm(*(Fraction(c).denominator for c in terms.values()))
-    return {e: int(c * scale) for e, c in terms.items()}
+    """(scale, scaled): a monomial-keyed dict of rationals times the lcm of its
+    denominators, with int coefficients."""
+    scale = lcm(*(c.denominator for c in terms.values()))
+    return scale, {e: int(c * scale) for e, c in terms.items()}
 
 
 class Eliminator:
-    """Incremental sparse row reduction with a fixed pivot-key order."""
+    """Incremental sparse row reduction; a row's pivot is its largest key.
 
-    def __init__(self, key):
-        self._key = key
+    Rows are keyed by packed monomials, so the pivot is the leading monomial.
+    """
+
+    def __init__(self):
         self.pivots = {}
 
     def reduce(self, row):
@@ -62,10 +62,9 @@ class Eliminator:
         Returns the pivot key claimed by this row, or None if it reduced to
         zero (i.e. was dependent on rows seen so far).
         """
-        key = self._key
         row = dict(row)
         while row:
-            lead = max(row, key=key)
+            lead = max(row)
             pivot = self.pivots.get(lead)
             if pivot is None:
                 self.pivots[lead] = row
@@ -76,11 +75,3 @@ class Eliminator:
     @property
     def rank(self):
         return len(self.pivots)
-
-
-def eliminate(rows, key):
-    """Rank and sorted pivot keys of a family of sparse rational rows."""
-    elim = Eliminator(key)
-    for row in rows:
-        elim.reduce(clear_denominators(row))
-    return elim.rank, sorted(elim.pivots, key=key, reverse=True)

@@ -16,12 +16,16 @@ ranking is negative.  With rank-indexed tuples this collapses to the sort key
 On the x space the same degree-reverse-lexicographic recipe over the row-major
 ranking x[1,1] > x[1,2] > ... is used only to make printing canonical; no
 result depends on it.
+
+Inside a Poly every monomial is packed into one int (see ``kernels``), whose
+int order is this order; ``Poly.terms`` is the exponent-tuple view.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import itemgetter
 
 from . import kernels
 from .errors import ParseError, SpaceMismatchError
@@ -35,7 +39,7 @@ class VariableSpace:
         self._pos = {k: p for p, k in enumerate(self._keys)}
         self._signature = signature
         self.nvars = len(self._keys)
-        self.zero_monomial = (0,) * self.nvars
+        self.key_limit = kernels.key_limit(self.nvars)
 
     def __eq__(self, other):
         return isinstance(other, VariableSpace) and self._signature == other._signature
@@ -68,6 +72,9 @@ class VariableSpace:
         e = [0] * self.nvars
         e[pos] = 1
         return tuple(e)
+
+    def unpack(self, key):
+        return kernels.unpack(key, self.nvars)
 
 
 class XSpace(VariableSpace):
@@ -112,6 +119,10 @@ class YZSpace(VariableSpace):
         dz = sum(exps[self.y_count :])
         return dy, dz
 
+    def y_degree(self, key):
+        """y-degree of a packed monomial: the prefix sum over the y block."""
+        return kernels.prefix_sum(key, self.y_count - 1)
+
 
 def drevlex_key(exps):
     """Sort key realizing the order: bigger key means bigger monomial."""
@@ -134,12 +145,14 @@ def compare_monomials(space, a, b):
 
 
 class Poly:
-    """Sparse polynomial: dict from exponent tuple to nonzero Fraction/int.
+    """Sparse polynomial: dict from packed monomial to nonzero Fraction/int.
 
-    Treated as immutable by convention; arithmetic returns fresh objects.
+    ``packed`` is that dict; ``terms`` is the same polynomial keyed by
+    exponent tuples, built on first use.  Treated as immutable by convention;
+    arithmetic returns fresh objects.
     """
 
-    __slots__ = ("space", "terms")
+    __slots__ = ("space", "packed", "_terms")
 
     def __init__(self, space, terms=()):
         d = {}
@@ -149,22 +162,33 @@ class Poly:
                 raise SpaceMismatchError(
                     f"exponent tuple of length {len(e)} on a space with {space.nvars} variables"
                 )
-            cur = d.get(e)
+            key = kernels.pack(e)
+            cur = d.get(key)
             cur = c if cur is None else cur + c
             if cur:
-                d[e] = cur
+                d[key] = cur
             else:
-                d.pop(e, None)
+                d.pop(key, None)
         self.space = space
-        self.terms = d
+        self.packed = d
+        self._terms = None
 
     @classmethod
-    def _raw(cls, space, terms):
-        """Wrap an already-clean term dict without copying."""
+    def _raw(cls, space, packed):
+        """Wrap an already-clean packed term dict without copying."""
         p = object.__new__(cls)
         p.space = space
-        p.terms = terms
+        p.packed = packed
+        p._terms = None
         return p
+
+    @property
+    def terms(self):
+        """The terms keyed by exponent tuples; built on first read."""
+        if self._terms is None:
+            unpack = self.space.unpack
+            self._terms = {unpack(k): c for k, c in self.packed.items()}
+        return self._terms
 
     @classmethod
     def zero(cls, space):
@@ -172,20 +196,20 @@ class Poly:
 
     @classmethod
     def constant(cls, space, c):
-        return cls._raw(space, {space.zero_monomial: c} if c else {})
+        return cls._raw(space, {0: c} if c else {})
 
     @classmethod
     def variable(cls, space, pos):
-        return cls._raw(space, {space.unit(pos): 1})
+        return cls._raw(space, {kernels.pack(space.unit(pos)): 1})
 
     def is_zero(self):
-        return not self.terms
+        return not self.packed
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.packed)
 
     def __len__(self):
-        return len(self.terms)
+        return len(self.packed)
 
     def _check(self, other):
         if self.space != other.space:
@@ -194,13 +218,13 @@ class Poly:
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.space == other.space and self.terms == other.terms
+        return self.space == other.space and self.packed == other.packed
 
     def __add__(self, other):
         if isinstance(other, Poly):
             self._check(other)
-            out = dict(self.terms)
-            kernels.poly_addmul(out, 1, other.terms)
+            out = dict(self.packed)
+            kernels.poly_addmul(out, 1, other.packed)
             return Poly._raw(self.space, out)
         if isinstance(other, (int, Fraction)):
             return self + Poly.constant(self.space, other)
@@ -209,13 +233,13 @@ class Poly:
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly._raw(self.space, {e: -c for e, c in self.terms.items()})
+        return Poly._raw(self.space, {e: -c for e, c in self.packed.items()})
 
     def __sub__(self, other):
         if isinstance(other, Poly):
             self._check(other)
-            out = dict(self.terms)
-            kernels.poly_addmul(out, -1, other.terms)
+            out = dict(self.packed)
+            kernels.poly_addmul(out, -1, other.packed)
             return Poly._raw(self.space, out)
         if isinstance(other, (int, Fraction)):
             return self - Poly.constant(self.space, other)
@@ -227,11 +251,13 @@ class Poly:
     def __mul__(self, other):
         if isinstance(other, Poly):
             self._check(other)
-            return Poly._raw(self.space, kernels.poly_mul(self.terms, other.terms))
+            return Poly._raw(
+                self.space, kernels.poly_mul(self.packed, other.packed, self.space.key_limit)
+            )
         if isinstance(other, (int, Fraction)):
             if not other:
                 return Poly.zero(self.space)
-            return Poly._raw(self.space, {e: c * other for e, c in self.terms.items()})
+            return Poly._raw(self.space, {e: c * other for e, c in self.packed.items()})
         return NotImplemented
 
     __rmul__ = __mul__
@@ -246,20 +272,24 @@ class Poly:
 
     def degree(self):
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
+        if not self.packed:
             return -1
-        return max(sum(e) for e in self.terms)
+        return kernels.prefix_sum(max(self.packed), self.space.nvars - 1)
 
     def leading(self):
         """(exponent tuple, coefficient) of the largest term; ValueError on zero."""
-        if not self.terms:
+        if not self.packed:
             raise ValueError("the zero polynomial has no leading term")
-        e = kernels.leading_monomial(self.terms)
-        return e, self.terms[e]
+        key = kernels.leading_monomial(self.packed)
+        return self.space.unpack(key), self.packed[key]
 
     def sorted_terms(self):
         """Terms in descending order, largest first."""
-        return sorted(self.terms.items(), key=lambda item: drevlex_key(item[0]), reverse=True)
+        unpack = self.space.unpack
+        return [
+            (unpack(k), c)
+            for k, c in sorted(self.packed.items(), key=itemgetter(0), reverse=True)
+        ]
 
     def __str__(self):
         return format_poly(self)
@@ -293,7 +323,7 @@ def format_monomial(space, exps):
 
 def format_poly(f):
     """Canonical text: terms in descending order, grammar-compatible."""
-    if not f.terms:
+    if not f.packed:
         return "0"
     chunks = []
     for e, c in f.sorted_terms():

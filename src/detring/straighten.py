@@ -11,10 +11,12 @@ straighten to the empty combination.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import kernels
 from .errors import InternalCheckError, NotInSemigroupError
 from .generic_point import SubstitutionMap, decode_standard, eval_bitableau, phi
+from .linalg import clear_denominators
 from .poly import Poly
 
 
@@ -57,15 +59,19 @@ def straighten(f, params, subst=None):
     """Standard expansion of an x-space polynomial modulo the kernel.
 
     Returns a StandardCombination; iteration count per homogeneous component
-    is bounded by the number of standard bitableaux of that degree.
+    is bounded by the number of standard bitableaux of that degree.  The
+    substituted standard bitableaux are monic with integer coefficients, so
+    the loop runs over Z on f times the lcm of its denominators, and the
+    coefficients are divided by that scale at the end.
     """
     if subst is None:
         subst = SubstitutionMap(params)
-    g = phi(f, subst)
+    scale, scaled = clear_denominators(f.packed)
+    g = phi(Poly._raw(f.space, scaled), subst)
+    y_degree = subst.yz_space.y_degree
     components = {}
-    for exps, coef in g.terms.items():
-        d, _ = subst.yz_space.bidegree(exps)
-        components.setdefault(d, {})[exps] = coef
+    for key, coef in g.packed.items():
+        components.setdefault(y_degree(key), {})[key] = coef
     result = []
     for d in sorted(components, reverse=True):
         comp = components[d]
@@ -73,21 +79,22 @@ def straighten(f, params, subst=None):
             lead = kernels.leading_monomial(comp)
             lam = comp[lead]
             try:
-                bitab = decode_standard(lead, params)
+                bitab = decode_standard(subst.yz_space.unpack(lead), params)
             except NotInSemigroupError as exc:
                 raise InternalCheckError(
                     f"leading monomial of a substituted polynomial failed to decode: {exc}"
                 ) from exc
             image = eval_bitableau(bitab, params, "YZ", subst)
-            kernels.poly_addmul(comp, -lam, image.terms)
+            kernels.poly_addmul(comp, -lam, image.packed)
             if lead in comp:
                 raise InternalCheckError("leading term failed to cancel during straightening")
-            result.append((lam, bitab))
+            result.append((Fraction(lam, scale), bitab))
     return StandardCombination(params, tuple(result))
 
 
 def is_in_ideal(f, params, subst=None):
-    """Membership in the kernel of the substitution (the minor ideal)."""
+    """Membership in the kernel of the substitution (the minor ideal), over Z."""
     if subst is None:
         subst = SubstitutionMap(params)
-    return phi(f, subst).is_zero()
+    _, scaled = clear_denominators(f.packed)
+    return phi(Poly._raw(f.space, scaled), subst).is_zero()

@@ -1,10 +1,13 @@
 """Command-line driver: payloads, exit codes, and deterministic output."""
 
 import json
+import subprocess
+import sys
 
 import pytest
 
 from detring.cli import main, run
+from helpers import subprocess_env
 
 
 def capture(capsys, argv):
@@ -176,3 +179,24 @@ def test_output_is_byte_identical_across_runs(capsys):
         second = capture(capsys, argv)
         assert first == second
         assert first[0] == 0
+
+
+def test_one_process_answers_like_fresh_interpreters(capsys):
+    # The parser is built once per process and reused: no run may leak
+    # options, defaults or errors into the next one.
+    argvs = [
+        ["hilbert", "--m", "2", "--n", "3", "--r", "1", "--deg", "2", "--method", "rank"],
+        ["hilbert", "--m", "2", "--n", "3", "--r", "1", "--deg", "2"],
+        ["straighten", "--m", "2", "--n", "2", "--r", "2", "--poly", "x[1,2]*x[2,1]",
+         "--format", "table"],
+        ["mu", "--m", "3", "--n", "3", "--r", "2", "--t", "2"],
+        ["mu", "--m", "3", "--n", "3", "--r", "2", "--t", "2", "--ideal", "q"],
+    ]
+    codes = []
+    for argv in argvs:
+        codes.append(main(argv))
+        out = capsys.readouterr()
+        child = subprocess.run([sys.executable, "-m", "detring", *argv],
+                               capture_output=True, text=True, env=subprocess_env())
+        assert (codes[-1], out.out, out.err) == (child.returncode, child.stdout, child.stderr), argv
+    assert codes == [0, 0, 0, 1, 0]

@@ -1,135 +1,163 @@
-"""Parity between the compiled kernels and the pure-Python fallback."""
+"""Packed monomials against the exponent-tuple reference they encode."""
 
-import subprocess
-import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from detring import kernels
-from detring._kernels import (
-    leading_monomial as py_leading,
-    poly_mul as py_mul,
-    row_combine as py_row_combine,
-    system_holds as py_holds,
-)
+from detring.cli import run
 from detring.errors import ParameterError
-from helpers import seeded, subprocess_env
+from detring.generic_point import SubstitutionMap, phi
+from detring.poly import Poly, XSpace, YZSpace, drevlex_key
+from detring.straighten import straighten
+from detring.tableaux import Parameters
 
-cython_loaded = "cython" in kernels.available_backends()
-needs_cython = pytest.mark.skipif(not cython_loaded, reason="compiled backend not built")
-
-
-def random_terms(rng, nvars, nterms, max_exp=3):
-    out = {}
-    for _ in range(nterms):
-        e = tuple(rng.randint(0, max_exp) for _ in range(nvars))
-        c = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
-        if c:
-            out[e] = c
-    return out
+# Derandomized like the seeded tests elsewhere in the suite, so a run repeats.
+SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
 
-def test_python_backend_always_listed():
-    names = kernels.available_backends()
-    assert "python" in names
-    with pytest.raises(ParameterError):
-        kernels.use_backend("fortran")
+def _capped(exps, max_degree):
+    out, total = [], 0
+    for e in exps:
+        e = min(e, max_degree - total)
+        out.append(e)
+        total += e
+    return tuple(out)
 
 
-def test_backend_switch_rebinds_module_functions():
-    current = kernels.BACKEND
-    try:
-        kernels.use_backend("python")
-        assert kernels.BACKEND == "python"
-        assert kernels.poly_mul is py_mul
-    finally:
-        kernels.use_backend(current)
+def exponent_tuples(nvars, max_degree=kernels.MAX_DEGREE):
+    """Exponent tuples of length nvars and total degree at most max_degree."""
+    entries = st.lists(st.integers(0, max_degree), min_size=nvars, max_size=nvars)
+    return entries.map(lambda e: _capped(e, max_degree))
 
 
-@needs_cython
-def test_product_parity():
-    from detring import _kernels_c
-
-    rng = seeded(41)
-    for _ in range(40):
-        a = random_terms(rng, 6, rng.randint(1, 8))
-        b = random_terms(rng, 6, rng.randint(1, 8))
-        assert _kernels_c.poly_mul(a, b) == py_mul(a, b)
-
-
-@needs_cython
-def test_leading_monomial_parity():
-    from detring import _kernels_c
-
-    rng = seeded(43)
-    for _ in range(60):
-        t = random_terms(rng, 7, rng.randint(1, 12))
-        if not t:
-            continue
-        assert _kernels_c.leading_monomial(t) == py_leading(t)
-
-
-@needs_cython
-def test_linear_system_parity():
-    from detring import _kernels_c
-
-    rng = seeded(47)
-    for _ in range(60):
-        nv = 5
-        eqs = tuple(
-            tuple((rng.randrange(nv), rng.randint(-2, 2)) for _ in range(rng.randint(1, 3)))
-            for _ in range(rng.randint(0, 3))
-        )
-        ineqs = tuple(
-            tuple((rng.randrange(nv), rng.randint(-2, 2)) for _ in range(rng.randint(1, 3)))
-            for _ in range(rng.randint(0, 3))
-        )
-        v = tuple(rng.randint(-2, 2) for _ in range(nv))
-        assert _kernels_c.system_holds(eqs, ineqs, v) == py_holds(eqs, ineqs, v)
-
-
-@needs_cython
-def test_row_reduction_parity():
-    from detring import _kernels_c
-
-    rng = seeded(53)
-    for _ in range(40):
-        cols = [rng.randrange(50) for _ in range(6)]
-        row = {c: rng.randint(-9, 9) for c in cols if rng.randint(-9, 9)}
-        pivot = {c: rng.randint(-9, 9) for c in cols}
-        lead = max(pivot) if pivot else None
-        if not pivot or not pivot.get(lead):
-            continue
-        assert _kernels_c.row_combine(dict(row), pivot, lead) == py_row_combine(dict(row), pivot, lead)
-
-
-def test_environment_variable_selects_backend():
-    code = "import detring.kernels as k; print(k.BACKEND)"
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env=subprocess_env(DETRING_BACKEND="python"),
-        check=True,
+def tuple_pairs(max_degree):
+    return st.integers(1, 10).flatmap(
+        lambda n: st.tuples(exponent_tuples(n, max_degree), exponent_tuples(n, max_degree))
     )
-    assert out.stdout.strip() == "python"
 
 
-def test_straightening_agrees_across_backends():
-    from detring.poly import XSpace, parse_polynomial
-    from detring.straighten import straighten
-    from detring.tableaux import Parameters
+def term_dicts(nvars, max_degree=4):
+    coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool)
+    return st.dictionaries(exponent_tuples(nvars, max_degree), coeffs, max_size=5)
 
+
+def reference_product(a, b):
+    """Convolution of two exponent-tuple-keyed term dicts."""
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def packed(terms):
+    return {kernels.pack(e): c for e, c in terms.items()}
+
+
+@SETTINGS
+@given(st.integers(1, 40).flatmap(exponent_tuples))
+def test_pack_unpack_round_trip(exps):
+    key = kernels.pack(exps)
+    assert kernels.unpack(key, len(exps)) == exps
+    assert key < kernels.key_limit(len(exps))
+
+
+@SETTINGS
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4), st.data())
+def test_y_degree_and_degree_are_fields(m, r, n, data):
+    yz = YZSpace(m, r, n)
+    exps = data.draw(exponent_tuples(yz.nvars, 40))
+    key = kernels.pack(exps)
+    assert yz.y_degree(key) == yz.bidegree(exps)[0]
+    assert kernels.prefix_sum(key, yz.nvars - 1) == sum(exps)
+
+
+@SETTINGS
+@given(tuple_pairs(kernels.MAX_DEGREE))
+def test_packed_order_is_drevlex(pair):
+    a, b = pair
+    ka, kb = kernels.pack(a), kernels.pack(b)
+    assert (ka < kb) == (drevlex_key(a) < drevlex_key(b))
+    assert (ka == kb) == (a == b)
+
+
+@SETTINGS
+@given(tuple_pairs(kernels.MAX_DEGREE // 2))
+def test_packed_sum_is_the_monomial_product(pair):
+    a, b = pair
+    assert kernels.pack(a) + kernels.pack(b) == kernels.pack(tuple(x + y for x, y in zip(a, b)))
+
+
+@SETTINGS
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(term_dicts(n), term_dicts(n))))
+def test_poly_mul_matches_tuple_convolution(pair):
+    a, b = pair
+    nvars = len(next(iter(a), next(iter(b), (0,))))
+    got = kernels.poly_mul(packed(a), packed(b), kernels.key_limit(nvars))
+    assert got == packed(reference_product(a, b))
+    if got:
+        assert kernels.leading_monomial(got) == kernels.pack(
+            max(reference_product(a, b), key=drevlex_key)
+        )
+
+
+@SETTINGS
+@given(st.integers(1, 8), st.data())
+def test_overflow_guard_raises(nvars, data):
+    limit = kernels.key_limit(nvars)
+    a = data.draw(exponent_tuples(nvars).filter(any))
+    pos = data.draw(st.integers(0, nvars - 1))
+    k = data.draw(st.integers(kernels.MAX_DEGREE + 1 - sum(a), kernels.MAX_DEGREE))
+    b = tuple(k if i == pos else 0 for i in range(nvars))
+    with pytest.raises(ParameterError, match=f"degree {sum(a) + k} exceeds"):
+        kernels.poly_mul({kernels.pack(a): 1}, {kernels.pack(b): 1}, limit)
+    with pytest.raises(ParameterError):
+        kernels.pack(tuple(x + y for x, y in zip(a, b)))
+
+
+def test_oversized_input_exits_one(capsys):
+    # The image of x[1,1]^200 has degree 400 on the y/z side.
+    code = run(["member", "--m", "1", "--n", "1", "--r", "1", "--poly", "x[1,1]^200"])
+    assert code == 1
+    assert "packed-exponent limit" in capsys.readouterr().err
+
+
+def small_polys(params, max_degree=3):
+    xs = XSpace(params.m, params.n)
+    return term_dicts(xs.nvars, max_degree).map(lambda t: Poly(xs, t))
+
+
+formats = st.tuples(st.integers(1, 3), st.integers(1, 3)).flatmap(
+    lambda mn: st.builds(Parameters, st.just(mn[0]), st.just(mn[1]), st.integers(1, min(mn)))
+)
+
+
+@SETTINGS
+@given(formats.flatmap(lambda p: st.tuples(st.just(p), small_polys(p))))
+def test_straightening_evaluates_to_phi(case):
+    params, f = case
+    subst = SubstitutionMap(params)
+    assert straighten(f, params, subst).evaluate("YZ", subst) == phi(f, subst)
+
+
+@SETTINGS
+@given(formats.flatmap(lambda p: st.tuples(st.just(p), small_polys(p, 2), small_polys(p, 2))))
+def test_phi_is_multiplicative(case):
+    params, f, g = case
+    subst = SubstitutionMap(params)
+    assert phi(f * g, subst) == phi(f, subst) * phi(g, subst)
+    assert phi(f + g, subst) == phi(f, subst) + phi(g, subst)
+
+
+def test_straightening_scales_denominators_back():
     params = Parameters(2, 2, 2)
-    f = parse_polynomial("x[1,2]*x[2,1] + 2*x[1,1]^2", XSpace(2, 2))
-    current = kernels.BACKEND
-    results = {}
-    try:
-        for name in kernels.available_backends():
-            kernels.use_backend(name)
-            results[name] = [(c, str(b)) for c, b in straighten(f, params).terms]
-    finally:
-        kernels.use_backend(current)
-    vals = list(results.values())
-    assert all(v == vals[0] for v in vals)
+    f = Poly(XSpace(2, 2), {(0, 1, 1, 0): Fraction(2, 3), (2, 0, 0, 0): Fraction(1, 4)})
+    got = [(c, str(b)) for c, b in straighten(f, params).terms]
+    assert got == [
+        (Fraction(2, 3), "[1|1][2|2]"),
+        (Fraction(1, 4), "[1|1][1|1]"),
+        (Fraction(-2, 3), "[1 2|1 2]"),
+    ]

@@ -18,7 +18,9 @@ out by five families:
       every s_j = 0.
 
 The "Etilde" variant drops exactly the last coupling equation, so its
-defects are merely constant across columns.  Integer points of the
+defects are merely constant across columns.  Once column j-1 is fixed, (2)
+caps the prefix sums of column j, so integer points are generated column by
+column (``_blocks``) and never filtered.  Integer points of the
 cone match the semigroup generated by the closed-form generator monomials;
 ``semigroup_vs_cone`` verifies that up to a degree bound, and
 ``conic_equality_check`` runs the shifted-cone comparison that certifies
@@ -27,14 +29,16 @@ Cohen-Macaulayness of symbolic powers.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
-from math import ceil, lcm
+from itertools import accumulate, combinations
+from math import ceil, floor
 
 from . import kernels
+from .counting import _monomials_of_degree
 from .errors import ParameterError
-from .poly import YZSpace
+from .generic_point import _diagonal_monomial
 
 VARIANTS = ("E", "Etilde")
 
@@ -67,14 +71,13 @@ class ConeSystem:
         return self.alpha_inequalities + self.beta_inequalities + nonneg
 
     def space(self):
-        p = self.params
-        return YZSpace(p.m, p.r, p.n)
+        return self.params.yz_space
 
 
 def build_system(params, variant="E"):
     _check_variant(variant)
     m, n, r = params.m, params.n, params.r
-    yz = YZSpace(m, r, n)
+    yz = params.yz_space
     zero = []
     for i in range(1, m + 1):
         for j in range(i + 1, r + 1):
@@ -135,7 +138,7 @@ def cone_membership(v, system):
 
 def exponent_arrays(params, vec):
     """Render a y/z vector as nested alpha (m x r) and beta (r x n) lists."""
-    yz = YZSpace(params.m, params.r, params.n)
+    yz = params.yz_space
 
     def show(x):
         f = Fraction(x)
@@ -156,28 +159,16 @@ def generators_semigroup(params, variant="E"):
     """
     _check_variant(variant)
     m, n, r = params.m, params.n, params.r
-    yz = YZSpace(m, r, n)
+    yz = params.yz_space
     gens = []
     top = r if variant == "E" else r - 1
     for t in range(1, top + 1):
         for rows in combinations(range(1, m + 1), t):
             for cols in combinations(range(1, n + 1), t):
-                e = [0] * yz.nvars
-                for j, (a, b) in enumerate(zip(rows, cols), start=1):
-                    e[yz.y(a, j)] += 1
-                    e[yz.z(j, b)] += 1
-                gens.append(tuple(e))
+                gens.append(_diagonal_monomial(yz, [(rows, cols)]))
     if variant == "Etilde":
-        for rows in combinations(range(1, m + 1), r):
-            e = [0] * yz.nvars
-            for j, a in enumerate(rows, start=1):
-                e[yz.y(a, j)] += 1
-            gens.append(tuple(e))
-        for cols in combinations(range(1, n + 1), r):
-            e = [0] * yz.nvars
-            for j, b in enumerate(cols, start=1):
-                e[yz.z(j, b)] += 1
-            gens.append(tuple(e))
+        gens += [_diagonal_monomial(yz, [(rows, ())]) for rows in combinations(range(1, m + 1), r)]
+        gens += [_diagonal_monomial(yz, [((), cols)]) for cols in combinations(range(1, n + 1), r)]
     return gens
 
 
@@ -187,117 +178,146 @@ def generators_D(params):
 
 
 def semigroup_points(gens, bound):
-    """All sums of generators with total degree <= bound (the zero included)."""
+    """All sums of generators with total degree <= bound (the zero included).
+
+    Points are packed ints (``kernels.pack``) while they are built, so one int
+    ``+`` adds a generator; degree layer d is the union of layer d - deg(g)
+    plus g over the generators g.  The points are unpacked once at the end.
+    """
     if bound < 0:
         raise ParameterError(f"degree bound must be nonnegative, got {bound}")
+    if bound > kernels.MAX_DEGREE:
+        raise ParameterError(
+            f"degree bound {bound} exceeds the packed-exponent limit {kernels.MAX_DEGREE}"
+        )
     if not gens:
         raise ParameterError("at least one generator is required")
-    zero = (0,) * len(gens[0])
-    seen = {zero}
-    stack = [zero]
-    degs = [sum(g) for g in gens]
-    while stack:
-        p = stack.pop()
-        dp = sum(p)
-        for g, dg in zip(gens, degs):
-            if dp + dg > bound:
-                continue
-            q = tuple(x + y for x, y in zip(p, g))
-            if q not in seen:
-                seen.add(q)
-                stack.append(q)
-    return seen
+    nvars = len(gens[0])
+    steps = [(kernels.pack(g), sum(g)) for g in gens if any(g)]
+    layers = [{0}]
+    for d in range(1, bound + 1):
+        layers.append({p + g for g, dg in steps if dg <= d for p in layers[d - dg]})
+    return {kernels.unpack(p, nvars) for layer in layers for p in layer}
 
 
-def _bounded_assignments(k, bound):
-    """All k-tuples of nonnegative integers with sum <= bound."""
-    if k == 0:
-        yield ()
-        return
-    for v in range(bound + 1):
-        for rest in _bounded_assignments(k - 1, bound - v):
-            yield (v,) + rest
+def _fills(lows, caps, total):
+    """Integer tuples x >= lows with sum(x) == total and x[0] + ... + x[t] <= caps[t].
 
-
-def _half_points(params, side, max_total, exact_total=None):
-    """Nonnegative one-sided cone points with their coupling signature.
-
-    side 'alpha': vectors supported on the lower y triangle satisfying the
-    alpha inequalities, signature = column sums.  side 'beta': mirror on z,
-    signature = row sums.  Returned vectors are full-length tuples.
+    ``caps`` None means no prefix caps.  Each cap is first tightened by what
+    the later lower bounds still have to add, so every partial tuple extends
+    to a full one and nothing is generated only to be thrown away.
     """
-    m, n, r = params.m, params.n, params.r
-    yz = YZSpace(m, r, n)
-    sysE = build_system(params, "E")
-    if side == "alpha":
-        free = [(yz.y(i, j), j) for j in range(1, r + 1) for i in range(j, m + 1)]
-        ineqs = sysE.alpha_inequalities
-    elif side == "beta":
-        free = [(yz.z(u, v), u) for u in range(1, r + 1) for v in range(u, n + 1)]
-        ineqs = sysE.beta_inequalities
+    k = len(lows)
+    hi = [0] * k
+    top = total
+    for t in range(k - 1, -1, -1):
+        if caps is not None and caps[t] < top:
+            top = caps[t]
+        hi[t] = top
+        top -= lows[t]
+    if top < 0 or hi[-1] < total:
+        return
+
+    def tail(t, p):
+        if t == k - 1:
+            yield (total - p,)
+            return
+        for q in range(p + lows[t], hi[t] + 1):
+            for rest in tail(t + 1, q):
+                yield (q - p,) + rest
+
+    yield from tail(0, 0)
+
+
+def _blocks(size, r, sums, shift=None):
+    """One side's cone points with column sums ``sums``, as blocks in rank order.
+
+    The alpha block (size = m) holds column j = 1..r in rows j..size, laid out
+    as the y ranking reads it: column by column, rows size..1, zero above the
+    diagonal (1).  The beta block is the same call with size = n, reading beta
+    row u as column u, since (1), (3) and (4) on beta mirror (1), (2) and (4)
+    on alpha, and the z ranking reads row u from the right.  Columns are
+    fixed in order: (2) caps the prefix sums of column j by those of column
+    j-1, and (4) bounds its entries below.  (4) names only the entries below
+    the diagonal and [r,r]; the rest of the diagonal is implied, because (2)
+    at k = j chains a[j,j] >= a[j+1,j+1] >= ... >= a[r,r] >= 0.  So every
+    block is a cone point and nothing is filtered.
+
+    ``shift`` (column j as the values at rows j..size) yields instead the
+    integer points v with v - shift in the cone: lower bounds ceil(shift),
+    prefix caps rounded down.
+    """
+    if shift is None:
+        lows = [(0,) * (size - j) for j in range(r)]
     else:
-        raise ParameterError(f"side must be 'alpha' or 'beta', got {side!r}")
-    out = []
-    for values in _bounded_assignments(len(free), max_total):
-        if exact_total is not None and sum(values) != exact_total:
-            continue
-        vec = [0] * yz.nvars
-        sig = [0] * r
-        for (pos, grp), val in zip(free, values):
-            vec[pos] = val
-            sig[grp - 1] += val
-        if kernels.system_holds((), ineqs, vec):
-            out.append((tuple(vec), tuple(sig)))
-    return out
+        lows = [tuple(map(ceil, col)) for col in shift]
+        sums_w = [list(accumulate(col)) for col in shift]
+        offsets = [None] + [[a - b for a, b in zip(sums_w[j], sums_w[j - 1])]
+                            for j in range(1, r)]
+    pads = [(0,) * j for j in range(r)]
+
+    def walk(j, prev):
+        caps = None
+        if j:
+            caps = list(accumulate(prev))
+            if shift is not None:
+                caps = [floor(c + o) for c, o in zip(caps, offsets[j])]
+        for col in _fills(lows[j], caps, sums[j]):
+            head = col[::-1] + pads[j]
+            if j + 1 == r:
+                yield head
+            else:
+                for rest in walk(j + 1, col):
+                    yield head + rest
+
+    return walk(0, None)
+
+
+def _equal_join(params, degrees, shift=None):
+    """Cone points whose alpha and beta blocks share a signature of degree in ``degrees``."""
+    m, n, r = params.m, params.n, params.r
+    for d in degrees:
+        for sig in _monomials_of_degree(r, d):
+            betas = list(_blocks(n, r, sig))
+            if betas:
+                for a in _blocks(m, r, sig, shift):
+                    for b in betas:
+                        yield a + b
 
 
 def lattice_points(params, variant="E", bound=None, y_degree=None):
     """Integer cone points, sorted: total degree <= bound, or exact y-degree.
 
-    The two halves are enumerated independently and joined on the coupling
-    signature; variant E requires equal signatures, Etilde only that they
-    decrease in the same steps (a common shift remains free).
+    Each point is an alpha block joined to a beta block.  The coupling
+    family (5) ties their signatures, the alpha column sums sa and the beta
+    row sums sb: variant E requires sb = sa, Etilde only sb = sa - c for a
+    common shift c.
     """
     _check_variant(variant)
-    yc = YZSpace(params.m, params.r, params.n).y_count
-    results = []
     if variant == "E":
         if y_degree is not None:
-            half_bound = y_degree
-            exact = y_degree
-        elif bound is not None:
-            half_bound = bound // 2
-            exact = None
-        else:
-            raise ParameterError("either bound or y_degree is required")
-        alphas = _half_points(params, "alpha", half_bound, exact)
-        betas = _half_points(params, "beta", half_bound, exact)
-        by_sig = {}
-        for vec, sig in betas:
-            by_sig.setdefault(sig, []).append(vec)
-        for avec, asig in alphas:
-            for bvec in by_sig.get(asig, ()):
-                results.append(avec[:yc] + bvec[yc:])
-    else:
+            return sorted(_equal_join(params, (y_degree,)))
         if bound is None:
-            raise ParameterError("a degree bound is required for the Etilde variant")
-        if y_degree is not None:
-            raise ParameterError("y_degree slicing is only supported for variant E")
-        r = params.r
-        alphas = _half_points(params, "alpha", bound)
-        betas = _half_points(params, "beta", bound)
-
-        def steps(sig):
-            return tuple(sig[i] - sig[i + 1] for i in range(r - 1))
-
-        by_steps = {}
-        for vec, sig in betas:
-            by_steps.setdefault(steps(sig), []).append(vec)
-        for avec, asig in alphas:
-            da = sum(avec)
-            for bvec in by_steps.get(steps(asig), ()):
-                if da + sum(bvec) <= bound:
-                    results.append(avec[:yc] + bvec[yc:])
+            raise ParameterError("either bound or y_degree is required")
+        return sorted(_equal_join(params, range(bound // 2 + 1)))
+    if bound is None:
+        raise ParameterError("a degree bound is required for the Etilde variant")
+    if y_degree is not None:
+        raise ParameterError("y_degree slicing is only supported for variant E")
+    m, n, r = params.m, params.n, params.r
+    results = []
+    betas = {}
+    for d in range(bound + 1):
+        for sa in _monomials_of_degree(r, d):
+            alphas = list(_blocks(m, r, sa))
+            if not alphas:
+                continue
+            # |sa| + |sb| = 2d - rc <= bound, and sb >= 0.
+            for c in range(-((bound - 2 * d) // r), min(sa) + 1):
+                sb = tuple(s - c for s in sa)
+                if sb not in betas:
+                    betas[sb] = list(_blocks(n, r, sb))
+                results += [a + b for a in alphas for b in betas[sb]]
     results.sort()
     return results
 
@@ -343,29 +363,17 @@ def semigroup_vs_cone(params, variant="E", bound=6):
     _check_variant(variant)
     gens = generators_semigroup(params, variant)
     sg = semigroup_points(gens, bound)
-    lat = lattice_points(params, variant, bound=bound)
-    latset = set(lat)
-    counts = []
-    for d in range(bound + 1):
-        counts.append(
-            (d, sum(1 for v in sg if sum(v) == d), sum(1 for v in latset if sum(v) == d))
-        )
+    latset = set(lattice_points(params, variant, bound=bound))
+    sg_counts = Counter(map(sum, sg))
+    lat_counts = Counter(map(sum, latset))
+    counts = [(d, sg_counts[d], lat_counts[d]) for d in range(bound + 1)]
     equal = sg == latset
-    power_ok = True
-    for u in sorted(sg):
-        for k in (2, 3):
-            if any(e % k for e in u):
-                continue
-            root = tuple(e // k for e in u)
-            if root not in sg:
-                power_ok = False
-                break
-        if not power_ok:
-            break
+    power_ok = all(
+        tuple(e // k for e in u) in sg for u in sg for k in (2, 3) if not any(e % k for e in u)
+    )
     first = None
     if not equal:
-        diff = sorted(sg.symmetric_difference(latset))
-        v = diff[0]
+        v = min(sg.symmetric_difference(latset))
         first = {
             "vector": exponent_arrays(params, v),
             "side": "semigroup-only" if v in sg else "lattice-only",
@@ -382,7 +390,7 @@ def witness_vector(params, t, eps):
     if not isinstance(t, int) or t < 1:
         raise ParameterError(f"t must be a positive integer, got {t!r}")
     m, r = params.m, params.r
-    yz = YZSpace(m, r, params.n)
+    yz = params.yz_space
     val = t - eps
     neg = -val / (m - r)
     vec = [Fraction(0)] * yz.nvars
@@ -393,40 +401,15 @@ def witness_vector(params, t, eps):
     return tuple(vec)
 
 
-def _conic_candidates(params, t, eps, bound, w):
-    """Finite superset of the shifted-side points of total degree <= bound."""
-    m, r = params.m, params.r
-    yz = YZSpace(m, r, params.n)
-    yc = yz.y_count
-    betas = _half_points(params, "beta", bound // 2)
-    col_free = {j: list(range(j, m + 1)) for j in range(1, r + 1)}
-    lows = {
-        j: [0 if i == j else ceil(w[yz.y(i, j)]) for i in col_free[j]] for j in col_free
-    }
-    for bvec, sig in betas:
-        per_column = []
-        feasible = True
-        for j in range(1, r + 1):
-            s = sig[j - 1]
-            lo = lows[j]
-            slack = s - sum(lo)
-            if slack < 0:
-                feasible = False
-                break
-            choices = []
-            for extra in _bounded_assignments(len(lo), slack):
-                if sum(extra) != slack:
-                    continue
-                choices.append(tuple(l + x for l, x in zip(lo, extra)))
-            per_column.append(choices)
-        if not feasible:
-            continue
-        for combo in product(*per_column):
-            yvec = [0] * yc
-            for j, column in enumerate(combo, start=1):
-                for i, val in zip(col_free[j], column):
-                    yvec[yz.y(i, j)] = val
-            yield tuple(yvec) + bvec[yc:]
+def _shifted_points(params, w, bound):
+    """Integer solutions v of the cone's equations with v - w in the cone, degree <= bound.
+
+    w vanishes on the beta block, so the beta blocks are plain cone blocks and
+    the alpha blocks are shifted by w; (5) makes their signatures equal.
+    """
+    yz = params.yz_space
+    shift = [[w[yz.y(i, j)] for i in range(j, params.m + 1)] for j in range(1, params.r + 1)]
+    return set(_equal_join(params, range(bound // 2 + 1), shift))
 
 
 @dataclass(frozen=True)
@@ -477,24 +460,14 @@ def conic_equality_check(params, t, eps=Fraction(1, 2), bound=6):
     params.require_proper_rank()
     eps = Fraction(eps)
     w = witness_vector(params, t, eps)
-    sysE = build_system(params, "E")
-    yz = sysE.space()
-    rr = yz.y(params.r, params.r)
-    side_a = {v for v in lattice_points(params, "E", bound=bound) if v[rr] >= t}
-    scale = lcm(*(Fraction(x).denominator for x in w))
-    w_scaled = tuple(int(Fraction(x) * scale) for x in w)
-    ineqs = sysE.inequalities
-    side_b = set()
-    for v in _conic_candidates(params, t, eps, bound, w):
-        diff = tuple(scale * a - b for a, b in zip(v, w_scaled))
-        if kernels.system_holds((), ineqs, diff):
-            side_b.add(v)
+    rr = params.yz_space.y(params.r, params.r)
+    side_a = {v for v in _equal_join(params, range(bound // 2 + 1)) if v[rr] >= t}
+    side_b = _shifted_points(params, w, bound)
     equal = side_a == side_b
     expected = t <= params.m - params.r
     first = None
     if not equal:
-        diff = sorted(side_a.symmetric_difference(side_b))
-        v = diff[0]
+        v = min(side_a.symmetric_difference(side_b))
         first = {
             "vector": exponent_arrays(params, v),
             "side": "ideal-only" if v in side_a else "shifted-only",

@@ -13,7 +13,7 @@ from itertools import permutations
 
 from . import kernels
 from .errors import NotInSemigroupError, NotStandardError, SpaceMismatchError
-from .poly import Poly, XSpace, YZSpace
+from .poly import Poly, XSpace
 from .tableaux import Bitableau, Minor, is_standard
 
 
@@ -23,7 +23,7 @@ class SubstitutionMap:
     def __init__(self, params):
         self.params = params
         self.x_space = XSpace(params.m, params.n)
-        self.yz_space = YZSpace(params.m, params.r, params.n)
+        self.yz_space = params.yz_space
         yz = self.yz_space
         # By x rank position, which is row-major.
         self._images = []
@@ -127,11 +127,17 @@ def initial_monomial_closed_form(bitab, params):
         raise NotStandardError(
             f"{bitab} has a factor of size {bitab.factors[0].size} > r = {params.r}"
         )
-    yz = YZSpace(params.m, params.r, params.n)
+    return _diagonal_monomial(params.yz_space, [(f.rows, f.cols) for f in bitab.factors])
+
+
+def _diagonal_monomial(yz, pairs):
+    """Exponents of the product, over (rows, cols) in ``pairs``, of
+    prod_j y[rows_j, j] * prod_j z[j, cols_j]; an empty tuple leaves out its half."""
     e = [0] * yz.nvars
-    for f in bitab.factors:
-        for j, (a, b) in enumerate(zip(f.rows, f.cols), start=1):
+    for rows, cols in pairs:
+        for j, a in enumerate(rows, start=1):
             e[yz.y(a, j)] += 1
+        for j, b in enumerate(cols, start=1):
             e[yz.z(j, b)] += 1
     return tuple(e)
 
@@ -143,7 +149,7 @@ def decode_standard(exps, params):
     (sorted, with multiplicity) and symmetrically for z; repairs rows.  Raises
     NotInSemigroupError when no standard preimage exists.
     """
-    yz = YZSpace(params.m, params.r, params.n)
+    yz = params.yz_space
     if len(exps) != yz.nvars:
         raise SpaceMismatchError(
             f"exponent tuple of length {len(exps)} on a space with {yz.nvars} variables"

@@ -20,11 +20,12 @@ from .errors import ParameterError
 from .generic_point import (
     SubstitutionMap,
     _det_expand,
+    _diagonal_monomial,
     initial_monomial_closed_form,
     minor_polynomial,
 )
 from .linalg import Eliminator
-from .poly import Poly, YZSpace, format_monomial
+from .poly import Poly, format_monomial
 from .tableaux import all_minors, enumerate_standard, minor_leq
 
 
@@ -65,24 +66,13 @@ def _predicted_generator_leads(params):
     Entry (i, j) leads with y[i,1]*z[1,j]; a maximal minor of either factor
     leads with its main diagonal product.
     """
-    yz = YZSpace(params.m, params.r, params.n)
-    leads = []
-    for i in range(1, params.m + 1):
-        for j in range(1, params.n + 1):
-            e = [0] * yz.nvars
-            e[yz.y(i, 1)] += 1
-            e[yz.z(1, j)] += 1
-            leads.append(tuple(e))
-    for rows in combinations(range(1, params.m + 1), params.r):
-        e = [0] * yz.nvars
-        for k, a in enumerate(rows, start=1):
-            e[yz.y(a, k)] += 1
-        leads.append(tuple(e))
-    for cols in combinations(range(1, params.n + 1), params.r):
-        e = [0] * yz.nvars
-        for k, b in enumerate(cols, start=1):
-            e[yz.z(k, b)] += 1
-        leads.append(tuple(e))
+    yz = params.yz_space
+    m, n, r = params.m, params.n, params.r
+    leads = [
+        _diagonal_monomial(yz, [((i,), (j,))]) for i in range(1, m + 1) for j in range(1, n + 1)
+    ]
+    leads += [_diagonal_monomial(yz, [(rows, ())]) for rows in combinations(range(1, m + 1), r)]
+    leads += [_diagonal_monomial(yz, [((), cols)]) for cols in combinations(range(1, n + 1), r)]
     return leads
 
 
@@ -228,7 +218,7 @@ def ladder_variable_set(params, delta):
     """
     _require_full_rank(params)
     delta.check_bounds(params)
-    yz = YZSpace(params.m, params.r, params.n)
+    yz = params.yz_space
     t = delta.size
     out = set()
     for i, (a, b) in enumerate(zip(delta.rows, delta.cols), start=1):

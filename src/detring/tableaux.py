@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from .errors import ParameterError, ParseError
+from .poly import YZSpace
 
 
 @dataclass(frozen=True)
@@ -32,6 +34,11 @@ class Parameters:
                 raise ParameterError(f"{name} must be a positive integer, got {v!r}")
         if self.r > min(self.m, self.n):
             raise ParameterError(f"rank bound r={self.r} exceeds min(m, n)={min(self.m, self.n)}")
+
+    @cached_property
+    def yz_space(self):
+        """The y/z variable space of this format, built on first use."""
+        return YZSpace(self.m, self.r, self.n)
 
     @property
     def max_minor_size(self):

@@ -149,6 +149,14 @@ def test_validation_failures_exit_one(capsys):
         assert err.startswith("error:")
 
 
+def test_cone_check_past_the_packed_limit_exits_one(capsys):
+    code, out, err = capture(
+        capsys, ["cone-check", "--m", "2", "--n", "2", "--r", "1", "--deg-bound", "256"]
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "255" in err
+
+
 def test_unknown_flags_and_commands_exit_one(capsys):
     assert run(["mu", "--m", "3", "--n", "3", "--r", "2", "--t", "1", "--ideal", "p", "--frob", "1"]) == 1
     capsys.readouterr()

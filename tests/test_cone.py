@@ -1,12 +1,15 @@
 """The exponent-vector semigroup, its linear description, and the shifted-set
 comparison behind the power classification."""
 
+import random
 from fractions import Fraction
+from math import ceil
 
 import pytest
 
 from detring import kernels
 from detring.cone import (
+    _shifted_points,
     build_system,
     cone_membership,
     conic_equality_check,
@@ -18,6 +21,7 @@ from detring.cone import (
     semigroup_vs_cone,
     witness_vector,
 )
+from detring.counting import _monomials_of_degree
 from detring.errors import ParameterError
 from detring.poly import YZSpace
 from detring.tableaux import Parameters, enumerate_standard
@@ -192,3 +196,85 @@ def test_transposed_parameters_cover_the_other_ideal():
         assert rep.equal and rep.consistent
     rep = conic_equality_check(flipped, 4)
     assert not rep.equal and rep.consistent
+
+
+def test_semigroup_points_refuses_bounds_past_the_packed_limit():
+    gens = generators_D(Parameters(2, 2, 1))
+    with pytest.raises(ParameterError):
+        semigroup_points(gens, kernels.MAX_DEGREE + 1)
+    pts = semigroup_points([(1,)], kernels.MAX_DEGREE)
+    assert pts == {(d,) for d in range(kernels.MAX_DEGREE + 1)}
+
+
+def _box(params, offsets, total):
+    """Vectors off the zero positions of (1), offset entrywise, with entry sum <= total."""
+    yz = params.yz_space
+    zero = set(build_system(params, "E").zero_positions)
+    free = [p for p in range(yz.nvars) if p not in zero]
+    for d in range(total + 1):
+        for values in _monomials_of_degree(len(free), d):
+            v = list(offsets)
+            for p, x in zip(free, values):
+                v[p] += x
+            yield tuple(v)
+
+
+def test_lattice_points_match_brute_force_membership():
+    # Every free entry of a cone point is nonnegative, so the box holds all of them.
+    bound = 4
+    for (m, n, r) in parameter_triples(3, 3):
+        params = Parameters(m, n, r)
+        zeros = (0,) * params.yz_space.nvars
+        for variant in ("E", "Etilde"):
+            system = build_system(params, variant)
+            brute = sorted(v for v in _box(params, zeros, bound) if cone_membership(v, system))
+            for b in range(bound + 1):
+                expect = [v for v in brute if sum(v) <= b]
+                assert lattice_points(params, variant, bound=b) == expect, (params, variant, b)
+        yc = params.yz_space.y_count
+        system = build_system(params, "E")
+        for d in range(bound // 2 + 1):
+            expect = sorted(
+                v for v in _box(params, zeros, 2 * d)
+                if sum(v[:yc]) == d and cone_membership(v, system)
+            )
+            assert lattice_points(params, "E", y_degree=d) == expect, (params, d)
+
+
+def _random_shift(params, rng):
+    """A rational vector on the free alpha entries (rows i >= j), zero elsewhere."""
+    yz = params.yz_space
+    w = [Fraction(0)] * yz.nvars
+    for j in range(1, params.r + 1):
+        for i in range(j, params.m + 1):
+            w[yz.y(i, j)] = Fraction(rng.randint(-2, 4), 3)
+    return tuple(w)
+
+
+def test_shifted_points_match_brute_force():
+    # The witness columns share their prefix sums, so random shifts are added
+    # to exercise prefix caps that are not integers.
+    rng = random.Random(7)
+    cases = []
+    for (m, n, r) in parameter_triples(3, 3, proper=True):
+        params = Parameters(m, n, r)
+        for t in (1, 2, 3):
+            for eps in (Fraction(1, 2), Fraction(1, 3), Fraction(3, 4)):
+                cases.append((params, witness_vector(params, t, eps)))
+        cases += [(params, _random_shift(params, rng)) for _ in range(3)]
+    assert (Parameters(2, 3, 1), witness_vector(Parameters(2, 3, 1), 2, Fraction(1, 2))) in cases
+    top = 8
+    negative = 0
+    for params, w in cases:
+        system = build_system(params, "E")
+        lows = tuple(ceil(x) for x in w)
+        brute = [
+            v for v in _box(params, lows, top - sum(lows))
+            if kernels.system_holds(system.equations, (), v)
+            and kernels.system_holds((), system.inequalities, [a - b for a, b in zip(v, w)])
+        ]
+        for bound in range(top + 1):
+            expect = {v for v in brute if sum(v) <= bound}
+            assert _shifted_points(params, w, bound) == expect, (params, w, bound)
+        negative += sum(1 for v in brute if min(v) < 0)
+    assert negative > 0

@@ -39,6 +39,7 @@ from . import kernels
 from .counting import _monomials_of_degree
 from .errors import ParameterError
 from .generic_point import _diagonal_monomial
+from .tableaux import all_minors
 
 VARIANTS = ("E", "Etilde")
 
@@ -160,12 +161,8 @@ def generators_semigroup(params, variant="E"):
     _check_variant(variant)
     m, n, r = params.m, params.n, params.r
     yz = params.yz_space
-    gens = []
     top = r if variant == "E" else r - 1
-    for t in range(1, top + 1):
-        for rows in combinations(range(1, m + 1), t):
-            for cols in combinations(range(1, n + 1), t):
-                gens.append(_diagonal_monomial(yz, [(rows, cols)]))
+    gens = [_diagonal_monomial(yz, [(d.rows, d.cols)]) for d in all_minors(params, top)]
     if variant == "Etilde":
         gens += [_diagonal_monomial(yz, [(rows, ())]) for rows in combinations(range(1, m + 1), r)]
         gens += [_diagonal_monomial(yz, [((), cols)]) for cols in combinations(range(1, n + 1), r)]

@@ -349,20 +349,22 @@ _TOKEN = re.compile(r"\d+|[xyz]|\[|\]|\^|\*|,|\+|-|/|\S")
 
 class _Scanner:
     def __init__(self, text):
-        self.text = text
+        # The end sentinel (None, len(text)) is never stepped past: next()
+        # raises on it and expect() is never asked for None.
         self.toks = [(m.group(), m.start()) for m in _TOKEN.finditer(text)]
+        self.toks.append((None, len(text)))
         self.i = 0
 
     def peek(self):
-        return self.toks[self.i][0] if self.i < len(self.toks) else None
+        return self.toks[self.i][0]
 
     def pos(self):
-        return self.toks[self.i][1] if self.i < len(self.toks) else len(self.text)
+        return self.toks[self.i][1]
 
     def next(self):
-        tok = self.peek()
+        tok, where = self.toks[self.i]
         if tok is None:
-            raise ParseError("unexpected end of input", len(self.text))
+            raise ParseError("unexpected end of input", where)
         self.i += 1
         return tok
 

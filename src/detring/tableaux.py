@@ -40,6 +40,13 @@ class Parameters:
         """The y/z variable space of this format, built on first use."""
         return YZSpace(self.m, self.r, self.n)
 
+    @cached_property
+    def minor_table(self):
+        """``(prev, t)`` -> the minors of size t <= r that prev grows into, by rows
+        then columns; ``(None, t)`` holds all of them, other keys fill on demand."""
+        minors = all_minors(self, self.r)
+        return {(None, t): [d for d in minors if d.size == t] for t in range(1, self.r + 1)}
+
     @property
     def max_minor_size(self):
         return min(self.m, self.n)
@@ -140,16 +147,19 @@ def is_standard(bitab):
 _MINOR_RE = re.compile(r"\[([\d\s]*)\|([\d\s]*)\]")
 
 
+def _minor_from_groups(rows, cols):
+    """The minor of one ``_MINOR_RE`` match's row and column groups."""
+    try:
+        return Minor(tuple(int(s) for s in rows.split()), tuple(int(s) for s in cols.split()))
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
+
+
 def parse_minor(text):
     m = _MINOR_RE.fullmatch(text.strip())
     if not m:
         raise ParseError(f"malformed minor {text!r}; expected like '[1 2|1 3]'")
-    rows = tuple(int(s) for s in m.group(1).split())
-    cols = tuple(int(s) for s in m.group(2).split())
-    try:
-        return Minor(rows, cols)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+    return _minor_from_groups(*m.groups())
 
 
 def parse_bitableau(text):
@@ -161,7 +171,7 @@ def parse_bitableau(text):
         raise ParseError(f"malformed bitableau {text!r}")
     factors = []
     for rs, cs in parts:
-        factors.append(parse_minor(f"[{rs}|{cs}]"))
+        factors.append(_minor_from_groups(rs, cs))
         if factors[-1].size == 0:
             raise ParseError("empty factors are only allowed as the whole bitableau")
     try:
@@ -181,56 +191,30 @@ def all_minors(params, max_size=None):
     return out
 
 
-def _partitions(d, max_part):
-    """Weakly decreasing part lists summing to d, parts at most max_part."""
-    if d == 0:
-        yield ()
-        return
-    for p in range(min(max_part, d), 0, -1):
-        for rest in _partitions(d - p, p):
-            yield (p,) + rest
-
-
-def _extensions(params, t, prev):
-    """Minors of size t that prev grows into (prev None: all of size t)."""
-    for rows in combinations(range(1, params.m + 1), t):
-        if prev is not None and any(prev.rows[i] > rows[i] for i in range(t)):
-            continue
-        for cols in combinations(range(1, params.n + 1), t):
-            if prev is not None and any(prev.cols[i] > cols[i] for i in range(t)):
-                continue
-            yield Minor(rows, cols)
-
-
-def _canonical_key(bitab):
-    return tuple((-f.size, f.rows, f.cols) for f in bitab.factors)
-
-
 def enumerate_standard(params, degree):
     """All standard bitableaux of the given degree with factor sizes <= r.
 
-    Deterministic order: sorted by the flattened factor list (sizes
-    descending, then rows, then columns, factor by factor).
+    Sorted factor by factor: larger factors first, then rows, then columns.
+    Depth first through ``params.minor_table`` is that order: no two bitableaux
+    of one degree have one factor list a prefix of the other.
     """
     if degree < 0:
         raise ParameterError(f"degree must be nonnegative, got {degree}")
-    if degree == 0:
-        return [Bitableau(())]
+    table = params.minor_table
     out = []
 
-    def extend(prefix, shape_rest):
-        if not shape_rest:
-            out.append(Bitableau(tuple(prefix)))
+    def extend(prefix, top, left):
+        if not left:
+            out.append(Bitableau(prefix))
             return
         prev = prefix[-1] if prefix else None
-        for minor in _extensions(params, shape_rest[0], prev):
-            prefix.append(minor)
-            extend(prefix, shape_rest[1:])
-            prefix.pop()
+        for t in range(min(top, left), 0, -1):
+            if (prev, t) not in table:
+                table[prev, t] = [d for d in table[None, t] if minor_leq(prev, d)]
+            for d in table[prev, t]:
+                extend(prefix + (d,), t, left - t)
 
-    for shape in _partitions(degree, params.r):
-        extend([], shape)
-    out.sort(key=_canonical_key)
+    extend((), params.r, degree)
     return out
 
 

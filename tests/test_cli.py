@@ -1,8 +1,11 @@
 """Command-line driver: payloads, exit codes, and deterministic output."""
 
 import json
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -208,3 +211,18 @@ def test_one_process_answers_like_fresh_interpreters(capsys):
                                capture_output=True, text=True, env=subprocess_env())
         assert (codes[-1], out.out, out.err) == (child.returncode, child.stdout, child.stderr), argv
     assert codes == [0, 0, 0, 1, 0]
+
+
+def test_reference_examples_print_what_the_docs_show(capsys):
+    # Every ``$ detring ...`` example in docs/cli.md whose payload is shown in
+    # full (no "...") must be the command's stdout byte for byte.
+    docs = Path(__file__).resolve().parent.parent / "docs" / "cli.md"
+    blocks = re.findall(r"^```\n\$ detring ([^\n]*)\n(.*?)\n```$", docs.read_text(), re.M | re.S)
+    checked = 0
+    for command, payload in blocks:
+        if "..." in payload:
+            continue
+        code, out, _ = capture(capsys, shlex.split(command))
+        assert (code, out) == (0, payload + "\n"), command
+        checked += 1
+    assert checked >= 9

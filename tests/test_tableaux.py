@@ -146,6 +146,33 @@ def test_enumerate_is_deterministic_and_standard():
                 assert s.degree == d
 
 
+def _brute_force_standard(params, degree):
+    """Every minor sequence of the degree with weakly decreasing sizes <= r,
+    kept when standard, sorted by (-size, rows, cols) factor by factor."""
+    minors = all_minors(params, params.r)
+
+    def sequences(left, top):
+        if not left:
+            yield ()
+            return
+        for d in minors:
+            if d.size <= min(left, top):
+                for rest in sequences(left - d.size, d.size):
+                    yield (d,) + rest
+
+    found = [Bitableau(s) for s in sequences(degree, params.r) if is_standard(Bitableau(s))]
+    return sorted(found, key=lambda b: [(-f.size, f.rows, f.cols) for f in b.factors])
+
+
+def test_enumerate_matches_brute_force_in_order():
+    formats = [(m, n) for m in range(1, 4) for n in range(1, 4)] + [(2, 4), (4, 2)]
+    for m, n in formats:
+        for r in range(1, min(m, n) + 1):
+            params = Parameters(m, n, r)
+            for d in range(5):
+                assert enumerate_standard(params, d) == _brute_force_standard(params, d), (m, n, r, d)
+
+
 def test_row_generator_family():
     got = {str(d) for d in generators_gamma(Parameters(3, 3, 2), "rows")}
     assert got == {"[1 2|1 2]", "[1 2|1 3]", "[1 2|2 3]"}

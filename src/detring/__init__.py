@@ -12,9 +12,7 @@ from .classify import CertifiedVerdict, Verdict, certify, classify, rank1_mcm_cl
 from .cone import (
     ConeSystem,
     build_system,
-    cone_membership,
     conic_equality_check,
-    generators_D,
     generators_semigroup,
     lattice_points,
     semigroup_points,
@@ -56,11 +54,8 @@ from .poly import (
     Poly,
     XSpace,
     YZSpace,
-    compare_monomials,
-    drevlex_key,
     format_monomial,
     format_poly,
-    leading_term,
     parse_polynomial,
 )
 from .straighten import StandardCombination, is_in_ideal, straighten

@@ -19,7 +19,7 @@ from .cone import conic_equality_check, semigroup_vs_cone
 from .counting import hilbert_function, multiplicity, mu_power
 from .errors import DetringError, InternalCheckError
 from .invariants import verify_D_tilde, verify_ladder
-from .poly import XSpace, parse_polynomial
+from .poly import parse_polynomial
 from .straighten import is_in_ideal, straighten
 from .tableaux import Parameters, enumerate_standard, parse_minor
 
@@ -54,14 +54,14 @@ def _cmd_basis(args):
 
 def _cmd_straighten(args):
     params = _params(args)
-    f = parse_polynomial(args.poly, XSpace(params.m, params.n))
+    f = parse_polynomial(args.poly, params.x_space)
     combo = straighten(f, params)
     return {"terms": combo.as_pairs()}, 0
 
 
 def _cmd_member(args):
     params = _params(args)
-    f = parse_polynomial(args.poly, XSpace(params.m, params.n))
+    f = parse_polynomial(args.poly, params.x_space)
     return {"in_ideal": is_in_ideal(f, params)}, 0
 
 

@@ -71,9 +71,6 @@ class ConeSystem:
         nonneg = tuple(((p, 1),) for p in self.nonneg_positions)
         return self.alpha_inequalities + self.beta_inequalities + nonneg
 
-    def space(self):
-        return self.params.yz_space
-
 
 def build_system(params, variant="E"):
     _check_variant(variant)
@@ -129,14 +126,6 @@ def build_system(params, variant="E"):
     )
 
 
-def cone_membership(v, system):
-    """Exact membership of a rational vector in the cone."""
-    yz = system.space()
-    if len(v) != yz.nvars:
-        raise ParameterError(f"vector of length {len(v)} on a space with {yz.nvars} variables")
-    return kernels.system_holds(system.equations, system.inequalities, v)
-
-
 def exponent_arrays(params, vec):
     """Render a y/z vector as nested alpha (m x r) and beta (r x n) lists."""
     yz = params.yz_space
@@ -167,11 +156,6 @@ def generators_semigroup(params, variant="E"):
         gens += [_diagonal_monomial(yz, [(rows, ())]) for rows in combinations(range(1, m + 1), r)]
         gens += [_diagonal_monomial(yz, [((), cols)]) for cols in combinations(range(1, n + 1), r)]
     return gens
-
-
-def generators_D(params):
-    """Generators of the initial algebra's monomial semigroup (variant E)."""
-    return generators_semigroup(params, "E")
 
 
 def semigroup_points(gens, bound):
@@ -358,9 +342,17 @@ def semigroup_vs_cone(params, variant="E", bound=6):
     are divisible by k in {2, 3} must have its k-th root in the semigroup.
     """
     _check_variant(variant)
-    gens = generators_semigroup(params, variant)
-    sg = semigroup_points(gens, bound)
+    sg = semigroup_points(generators_semigroup(params, variant), bound)
     latset = set(lattice_points(params, variant, bound=bound))
+    return _semigroup_report(params, variant, bound, sg, latset)
+
+
+def _semigroup_report(params, variant, bound, sg, latset):
+    """The report comparing semigroup points ``sg`` with lattice points ``latset``.
+
+    Callers build ``sg`` first, so its packed layers, the largest transient of
+    the two, are freed before ``latset`` exists; the other order raises the peak.
+    """
     sg_counts = Counter(map(sum, sg))
     lat_counts = Counter(map(sum, latset))
     counts = [(d, sg_counts[d], lat_counts[d]) for d in range(bound + 1)]

@@ -65,20 +65,15 @@ def _chain_ends(universe_size, r, length):
     return counts
 
 
-def _chain_count(universe_size, r, length):
-    """Chains s1 <= s2 <= ... (componentwise) of r-subsets of 1..universe_size."""
-    if length == 0:
-        return 1
-    return sum(_chain_ends(universe_size, r, length).values())
-
-
 def mu_power_direct(params, ideal, t):
     """Same count by direct enumeration of standard products of t generators."""
     params.require_proper_rank()
     _check_ideal(ideal)
     _check_t(t)
+    if t == 0:
+        return 1
     size = params.n if ideal == "p" else params.m
-    return _chain_count(size, params.r, t)
+    return sum(_chain_ends(size, params.r, t).values())
 
 
 def multiplicity(params):

@@ -13,7 +13,7 @@ from itertools import permutations
 
 from . import kernels
 from .errors import NotInSemigroupError, NotStandardError, SpaceMismatchError
-from .poly import Poly, XSpace
+from .poly import Poly
 from .tableaux import Bitableau, Minor, is_standard
 
 
@@ -22,7 +22,7 @@ class SubstitutionMap:
 
     def __init__(self, params):
         self.params = params
-        self.x_space = XSpace(params.m, params.n)
+        self.x_space = params.x_space
         self.yz_space = params.yz_space
         yz = self.yz_space
         # By x rank position, which is row-major.
@@ -55,8 +55,9 @@ def phi(f, subst):
     if f.space != subst.x_space:
         raise SpaceMismatchError(f"polynomial on {f.space!r}, substitution for {subst.x_space!r}")
     out = {}
-    for exps, coef in f.terms.items():
-        kernels.poly_addmul(out, coef, subst.monomial_image(exps))
+    unpack = f.space.unpack
+    for key, coef in f.packed.items():
+        kernels.poly_addmul(out, coef, subst.monomial_image(unpack(key)))
     return Poly._raw(subst.yz_space, out)
 
 
@@ -85,7 +86,7 @@ def minor_polynomial(minor, params, side, subst=None):
     """The minor as a polynomial: on the x variables, or through the substitution."""
     minor.check_bounds(params)
     if side == "X":
-        space = XSpace(params.m, params.n) if subst is None else subst.x_space
+        space = params.x_space
         matrix = [
             [Poly.variable(space, space.x(i, j)) for j in minor.cols] for i in minor.rows
         ]
@@ -103,11 +104,7 @@ def eval_bitableau(bitab, params, side, subst=None):
     bitab.check_bounds(params)
     if side == "YZ" and subst is None:
         subst = SubstitutionMap(params)
-    space = (
-        subst.yz_space
-        if side == "YZ"
-        else (subst.x_space if subst is not None else XSpace(params.m, params.n))
-    )
+    space = subst.yz_space if side == "YZ" else params.x_space
     acc = Poly.constant(space, 1)
     for f in bitab.factors:
         acc = acc * minor_polynomial(f, params, side, subst)

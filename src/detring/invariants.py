@@ -14,7 +14,13 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import kernels
-from .cone import build_system, lattice_points, semigroup_vs_cone
+from .cone import (
+    _semigroup_report,
+    build_system,
+    generators_semigroup,
+    lattice_points,
+    semigroup_points,
+)
 from .counting import _chain_ends, _monomials_of_degree
 from .errors import ParameterError
 from .generic_point import (
@@ -171,8 +177,9 @@ def verify_D_tilde(params, bound=6):
     leads_ok = len(gens) == len(predicted) and all(
         g.leading() == (e, 1) for g, e in zip(gens, predicted)
     )
-    cone_report = semigroup_vs_cone(params, "Etilde", bound)
-    points = lattice_points(params, "Etilde", bound=bound)
+    sg = semigroup_points(generators_semigroup(params, "Etilde"), bound)
+    points = set(lattice_points(params, "Etilde", bound=bound))
+    cone_report = _semigroup_report(params, "Etilde", bound, sg, points)
     yz = subst.yz_space
     by_bidegree = {}
     for v in points:

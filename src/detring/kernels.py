@@ -7,11 +7,11 @@ bytes, hold the prefix sums of the rank-indexed exponent tuple: field i, at
 bit FIELD_BITS * i, holds e[0] + ... + e[i], so the top field is the total
 degree.  Reading the fields from the top down gives (d, d - e[N-1],
 d - e[N-1] - e[N-2], ...), and lex order on that list is the
-degree-reverse-lexicographic order of ``poly.drevlex_key``.  Hence one int
-``+`` multiplies two monomials, one ``<`` compares them and ``max`` finds the
-leading one.  No field exceeds the top one, so a monomial packs exactly when
-its total degree is at most MAX_DEGREE; products are checked before they are
-formed and never wrap.
+degree-reverse-lexicographic order of ``poly``, whose tuple reference is
+``tests/helpers.drevlex_key``.  Hence one int ``+`` multiplies two monomials,
+one ``<`` compares them and ``max`` finds the leading one.  No field exceeds
+the top one, so a monomial packs exactly when its total degree is at most
+MAX_DEGREE; products are checked before they are formed and never wrap.
 
 Term dicts map packed monomials to nonzero int or Fraction coefficients.
 Linear functionals are tuples of (position, coefficient) pairs.
@@ -118,7 +118,8 @@ def system_holds(equations, inequalities, v):
     """Check a vector against homogeneous integer functionals.
 
     equations must evaluate to 0, inequalities to >= 0.  Works for any
-    coefficient type with exact comparison (int, Fraction).
+    coefficient type with exact comparison (int, Fraction).  Only tests call
+    it; it stays because the benchmark tracer wraps it by name.
     """
     for f in equations:
         s = 0

@@ -18,7 +18,7 @@ ranking x[1,1] > x[1,2] > ... is used only to make printing canonical; no
 result depends on it.
 
 Inside a Poly every monomial is packed into one int (see ``kernels``), whose
-int order is this order; ``Poly.terms`` is the exponent-tuple view.
+int order is this order; tuples appear only where a Poly is built or read out.
 """
 
 from __future__ import annotations
@@ -124,35 +124,14 @@ class YZSpace(VariableSpace):
         return kernels.prefix_sum(key, self.y_count - 1)
 
 
-def drevlex_key(exps):
-    """Sort key realizing the order: bigger key means bigger monomial."""
-    return (sum(exps), tuple(-e for e in reversed(exps)))
-
-
-def compare_monomials(space, a, b):
-    """-1, 0, or 1 as a <, =, > b in the space's order."""
-    if len(a) != space.nvars or len(b) != space.nvars:
-        raise SpaceMismatchError(
-            f"exponent tuples of length {len(a)}, {len(b)} on a space with {space.nvars} variables"
-        )
-    ka = drevlex_key(a)
-    kb = drevlex_key(b)
-    if ka < kb:
-        return -1
-    if ka > kb:
-        return 1
-    return 0
-
-
 class Poly:
     """Sparse polynomial: dict from packed monomial to nonzero Fraction/int.
 
-    ``packed`` is that dict; ``terms`` is the same polynomial keyed by
-    exponent tuples, built on first use.  Treated as immutable by convention;
-    arithmetic returns fresh objects.
+    ``packed`` is that dict.  Treated as immutable by convention; arithmetic
+    returns fresh objects.
     """
 
-    __slots__ = ("space", "packed", "_terms")
+    __slots__ = ("space", "packed")
 
     def __init__(self, space, terms=()):
         d = {}
@@ -171,7 +150,6 @@ class Poly:
                 d.pop(key, None)
         self.space = space
         self.packed = d
-        self._terms = None
 
     @classmethod
     def _raw(cls, space, packed):
@@ -179,16 +157,15 @@ class Poly:
         p = object.__new__(cls)
         p.space = space
         p.packed = packed
-        p._terms = None
         return p
 
     @property
     def terms(self):
-        """The terms keyed by exponent tuples; built on first read."""
-        if self._terms is None:
-            unpack = self.space.unpack
-            self._terms = {unpack(k): c for k, c in self.packed.items()}
-        return self._terms
+        """The terms keyed by exponent tuples, rebuilt on every read.
+
+        Only tests and the benchmark tracer (``len(result.terms)``) read it."""
+        unpack = self.space.unpack
+        return {unpack(k): c for k, c in self.packed.items()}
 
     @classmethod
     def zero(cls, space):
@@ -296,11 +273,6 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self.space!r}, {format_poly(self)!r})"
-
-
-def leading_term(f):
-    """(exponent tuple, coefficient) of the largest term of a nonzero Poly."""
-    return f.leading()
 
 
 def format_coefficient(c):

@@ -16,7 +16,7 @@ from functools import cached_property
 from itertools import combinations
 
 from .errors import ParameterError, ParseError
-from .poly import YZSpace
+from .poly import XSpace, YZSpace
 
 
 @dataclass(frozen=True)
@@ -34,6 +34,11 @@ class Parameters:
                 raise ParameterError(f"{name} must be a positive integer, got {v!r}")
         if self.r > min(self.m, self.n):
             raise ParameterError(f"rank bound r={self.r} exceeds min(m, n)={min(self.m, self.n)}")
+
+    @cached_property
+    def x_space(self):
+        """The x variable space of this format, built on first use."""
+        return XSpace(self.m, self.n)
 
     @cached_property
     def yz_space(self):

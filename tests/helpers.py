@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import detring
+from detring import kernels
+from detring.errors import ParameterError, SpaceMismatchError
 from detring.poly import Poly
 
 
@@ -55,6 +57,30 @@ def random_homogeneous(space, rng, degree, max_terms=4):
         f = Poly(space, terms)
         if f.terms:
             return f
+
+
+def drevlex_key(exps):
+    """Tuple reference for the packed term order: bigger key, bigger monomial."""
+    return (sum(exps), tuple(-e for e in reversed(exps)))
+
+
+def compare_monomials(space, a, b):
+    """-1, 0, or 1 as exponent tuples a <, =, > b in the space's order."""
+    if len(a) != space.nvars or len(b) != space.nvars:
+        raise SpaceMismatchError(
+            f"exponent tuples of length {len(a)}, {len(b)} on a space with {space.nvars} variables"
+        )
+    ka = drevlex_key(a)
+    kb = drevlex_key(b)
+    return (ka > kb) - (ka < kb)
+
+
+def cone_membership(v, system):
+    """Brute-force reference: does the rational vector v satisfy every cone functional?"""
+    yz = system.params.yz_space
+    if len(v) != yz.nvars:
+        raise ParameterError(f"vector of length {len(v)} on a space with {yz.nvars} variables")
+    return kernels.system_holds(system.equations, system.inequalities, v)
 
 
 def seeded(seed):

@@ -23,7 +23,6 @@ from detring.generic_point import (
     phi,
 )
 from detring.invariants import verify_D_tilde, verify_ladder
-from detring.poly import leading_term
 from detring.straighten import straighten
 from detring.tableaux import Parameters, all_minors, enumerate_standard
 
@@ -52,7 +51,7 @@ def test_standard_product_leading_monomials_follow_closed_form():
             subst = SubstitutionMap(params)
             for d in range(1, 5):
                 for bitab in enumerate_standard(params, d):
-                    e, c = leading_term(eval_bitableau(bitab, params, "YZ", subst))
+                    e, c = eval_bitableau(bitab, params, "YZ", subst).leading()
                     assert c == 1, (m, n, r, str(bitab))
                     assert e == initial_monomial_closed_form(bitab, params)
 

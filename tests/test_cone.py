@@ -11,10 +11,8 @@ from detring import kernels
 from detring.cone import (
     _shifted_points,
     build_system,
-    cone_membership,
     conic_equality_check,
     exponent_arrays,
-    generators_D,
     generators_semigroup,
     lattice_points,
     semigroup_points,
@@ -25,7 +23,7 @@ from detring.counting import _monomials_of_degree
 from detring.errors import ParameterError
 from detring.poly import YZSpace
 from detring.tableaux import Parameters, enumerate_standard
-from helpers import parameter_triples
+from helpers import cone_membership, parameter_triples
 
 
 def vector_of(params, pairs):
@@ -77,13 +75,13 @@ def test_membership_accepts_rationals():
 
 
 def test_generator_counts():
-    assert len(generators_D(Parameters(2, 2, 1))) == 4
-    assert len(generators_D(Parameters(2, 2, 2))) == 5
+    assert len(generators_semigroup(Parameters(2, 2, 1), "E")) == 4
+    assert len(generators_semigroup(Parameters(2, 2, 2), "E")) == 5
     for (m, n, r) in parameter_triples(4, 4):
         from math import comb
 
         expect = sum(comb(m, t) * comb(n, t) for t in range(1, r + 1))
-        assert len(generators_D(Parameters(m, n, r))) == expect
+        assert len(generators_semigroup(Parameters(m, n, r), "E")) == expect
 
 
 def test_generators_lie_in_their_cone():
@@ -199,7 +197,7 @@ def test_transposed_parameters_cover_the_other_ideal():
 
 
 def test_semigroup_points_refuses_bounds_past_the_packed_limit():
-    gens = generators_D(Parameters(2, 2, 1))
+    gens = generators_semigroup(Parameters(2, 2, 1), "E")
     with pytest.raises(ParameterError):
         semigroup_points(gens, kernels.MAX_DEGREE + 1)
     pts = semigroup_points([(1,)], kernels.MAX_DEGREE)

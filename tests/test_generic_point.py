@@ -12,7 +12,7 @@ from detring.generic_point import (
     minor_polynomial,
     phi,
 )
-from detring.poly import Poly, XSpace, YZSpace, leading_term, parse_polynomial
+from detring.poly import Poly, XSpace, YZSpace, parse_polynomial
 from detring.tableaux import Minor, Parameters, all_minors, enumerate_standard, parse_bitableau
 from helpers import parameter_triples, random_homogeneous, seeded
 
@@ -45,7 +45,7 @@ def test_full_determinant_dies_at_low_rank_and_survives_at_full_rank():
     assert phi(det, SubstitutionMap(Parameters(2, 2, 1))).terms == {}
     img = phi(det, SubstitutionMap(Parameters(2, 2, 2)))
     yz = YZSpace(2, 2, 2)
-    e, c = leading_term(img)
+    e, c = img.leading()
     assert c == 1
     expect = [0] * yz.nvars
     for pos in (yz.y(1, 1), yz.y(2, 2), yz.z(1, 1), yz.z(2, 2)):
@@ -89,6 +89,21 @@ def test_eval_on_x_side():
     assert eval_bitableau(s, params, "X") == Poly.variable(xs, xs.x(1, 1)) * Poly.variable(
         xs, xs.x(2, 2)
     )
+
+
+def test_x_side_lands_on_the_format_x_space_with_or_without_a_map():
+    params = Parameters(2, 3, 2)
+    subst = SubstitutionMap(params)
+    assert subst.x_space is params.x_space
+    minor = Minor((1, 2), (1, 3))
+    bitab = parse_bitableau("[1 2|1 3][2|2]")
+    for build in (
+        lambda s: minor_polynomial(minor, params, "X", s),
+        lambda s: eval_bitableau(bitab, params, "X", s),
+    ):
+        plain, mapped = build(None), build(subst)
+        assert plain.space is mapped.space is params.x_space
+        assert plain == mapped
 
 
 def test_eval_empty_product_is_one():
@@ -147,7 +162,7 @@ def test_closed_form_matches_leading_term_small_sweep():
         subst = SubstitutionMap(params)
         for d in range(4):
             for s in enumerate_standard(params, d):
-                e, c = leading_term(eval_bitableau(s, params, "YZ", subst))
+                e, c = eval_bitableau(s, params, "YZ", subst).leading()
                 assert c == 1
                 assert e == initial_monomial_closed_form(s, params)
 

@@ -3,7 +3,8 @@ ladder initial ideals checked by exact elimination."""
 
 import pytest
 
-from detring.cone import lattice_points
+from detring import cone, invariants
+from detring.cone import lattice_points, semigroup_vs_cone
 from detring.errors import ParameterError
 from detring.invariants import (
     generators_R_tilde,
@@ -12,7 +13,7 @@ from detring.invariants import (
     verify_D_tilde,
     verify_ladder,
 )
-from detring.poly import YZSpace, leading_term
+from detring.poly import YZSpace
 from detring.tableaux import Minor, Parameters, all_minors, parse_minor
 from helpers import parameter_triples
 
@@ -53,7 +54,7 @@ def test_generator_leading_monomials_are_the_three_families():
         params = Parameters(m, n, r)
         got = set()
         for g in generators_R_tilde(params):
-            e, c = leading_term(g)
+            e, c = g.leading()
             assert c == 1
             got.add(e)
         assert got == predicted_leads(params)
@@ -82,6 +83,23 @@ def test_invariant_semigroup_diagonal_matches_plain_lattice():
     for d in (1, 2):
         expect = len(lattice_points(params, "E", y_degree=d))
         assert rows[(d, d)] == (expect, expect)
+
+
+def test_invariant_semigroup_verification_builds_the_lattice_points_once(monkeypatch):
+    calls = []
+    real = cone.lattice_points
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in (cone, invariants):
+        monkeypatch.setattr(module, "lattice_points", counted)
+    params = Parameters(2, 3, 2)
+    rep = verify_D_tilde(params, 4)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert rep.cone_report == semigroup_vs_cone(params, "Etilde", 4)
 
 
 def test_invariant_semigroup_verification_rank_two():

@@ -5,10 +5,10 @@ from fractions import Fraction
 import pytest
 
 from detring.generic_point import SubstitutionMap, eval_bitableau, initial_monomial_closed_form, phi
-from detring.poly import Poly, XSpace, compare_monomials, YZSpace, parse_polynomial
+from detring.poly import Poly, XSpace, YZSpace, parse_polynomial
 from detring.straighten import StandardCombination, is_in_ideal, straighten
 from detring.tableaux import Parameters, all_minors, enumerate_standard, parse_bitableau
-from helpers import parameter_triples, random_poly, seeded
+from helpers import compare_monomials, parameter_triples, random_poly, seeded
 
 
 def expand(comb, params, subst):

@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from .classify import certify, classify, rank1_mcm_classes
-from .cone import conic_equality_check, semigroup_vs_cone
+from .cone import semigroup_vs_cone
 from .counting import hilbert_function, multiplicity, mu_power
 from .errors import DetringError, InternalCheckError
 from .invariants import verify_D_tilde, verify_ladder

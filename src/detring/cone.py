@@ -254,20 +254,39 @@ def _blocks(size, r, sums, shift=None):
     return walk(0, None)
 
 
-def _equal_join(params, degrees, shift=None):
-    """Cone points whose alpha and beta blocks share a signature of degree in ``degrees``."""
+def _join(params, pairs, shift=None):
+    """Cone points joining alpha blocks of column sums sa to beta blocks of row sums sb.
+
+    ``pairs`` yields the (sa, sb) signatures the coupling family (5) allows;
+    beta blocks are built once per sb.  ``shift`` is passed to the alpha blocks.
+    """
     m, n, r = params.m, params.n, params.r
-    for d in degrees:
-        for sig in _monomials_of_degree(r, d):
-            betas = list(_blocks(n, r, sig))
-            if betas:
-                for a in _blocks(m, r, sig, shift):
-                    for b in betas:
-                        yield a + b
+    betas = {}
+    for sa, sb in pairs:
+        if sb not in betas:
+            betas[sb] = list(_blocks(n, r, sb))
+        if betas[sb]:
+            for a in _blocks(m, r, sa, shift):
+                for b in betas[sb]:
+                    yield a + b
+
+
+def _equal_pairs(r, degrees):
+    """Variant E's signature pairs (s, s), s of degree in ``degrees``."""
+    return ((s, s) for d in degrees for s in _monomials_of_degree(r, d))
+
+
+def _tilde_pairs(r, bound):
+    """Variant Etilde's signature pairs (sa, sa - c) of total degree <= bound."""
+    for d in range(bound + 1):
+        for sa in _monomials_of_degree(r, d):
+            # |sa| + |sb| = 2d - rc <= bound, and sb >= 0.
+            for c in range(-((bound - 2 * d) // r), min(sa) + 1):
+                yield sa, tuple(s - c for s in sa)
 
 
 def lattice_points(params, variant="E", bound=None, y_degree=None):
-    """Integer cone points, sorted: total degree <= bound, or exact y-degree.
+    """The set of integer cone points of total degree <= bound, or of exact y-degree.
 
     Each point is an alpha block joined to a beta block.  The coupling
     family (5) ties their signatures, the alpha column sums sa and the beta
@@ -276,31 +295,15 @@ def lattice_points(params, variant="E", bound=None, y_degree=None):
     """
     _check_variant(variant)
     if variant == "E":
-        if y_degree is not None:
-            return sorted(_equal_join(params, (y_degree,)))
-        if bound is None:
+        if y_degree is None and bound is None:
             raise ParameterError("either bound or y_degree is required")
-        return sorted(_equal_join(params, range(bound // 2 + 1)))
+        degrees = range(bound // 2 + 1) if y_degree is None else (y_degree,)
+        return set(_join(params, _equal_pairs(params.r, degrees)))
     if bound is None:
         raise ParameterError("a degree bound is required for the Etilde variant")
     if y_degree is not None:
         raise ParameterError("y_degree slicing is only supported for variant E")
-    m, n, r = params.m, params.n, params.r
-    results = []
-    betas = {}
-    for d in range(bound + 1):
-        for sa in _monomials_of_degree(r, d):
-            alphas = list(_blocks(m, r, sa))
-            if not alphas:
-                continue
-            # |sa| + |sb| = 2d - rc <= bound, and sb >= 0.
-            for c in range(-((bound - 2 * d) // r), min(sa) + 1):
-                sb = tuple(s - c for s in sa)
-                if sb not in betas:
-                    betas[sb] = list(_blocks(n, r, sb))
-                results += [a + b for a in alphas for b in betas[sb]]
-    results.sort()
-    return results
+    return set(_join(params, _tilde_pairs(params.r, bound)))
 
 
 @dataclass(frozen=True)
@@ -338,13 +341,20 @@ class SemigroupConeReport:
 def semigroup_vs_cone(params, variant="E", bound=6):
     """Compare semigroup points with cone lattice points up to a degree bound.
 
-    Also runs the saturation probe: any computed point all of whose entries
-    are divisible by k in {2, 3} must have its k-th root in the semigroup.
+    When they differ, also runs the saturation probe: any computed point all
+    of whose entries are divisible by k in {2, 3} must have its k-th root in
+    the semigroup.
     """
     _check_variant(variant)
     sg = semigroup_points(generators_semigroup(params, variant), bound)
-    latset = set(lattice_points(params, variant, bound=bound))
+    latset = lattice_points(params, variant, bound=bound)
     return _semigroup_report(params, variant, bound, sg, latset)
+
+
+def _first_difference(params, a, b, sides):
+    """The tuple-least point in exactly one of the sets ``a``, ``b``, named by ``sides``."""
+    v = min(a.symmetric_difference(b))
+    return {"vector": exponent_arrays(params, v), "side": sides[0] if v in a else sides[1]}
 
 
 def _semigroup_report(params, variant, bound, sg, latset):
@@ -354,19 +364,16 @@ def _semigroup_report(params, variant, bound, sg, latset):
     the two, are freed before ``latset`` exists; the other order raises the peak.
     """
     sg_counts = Counter(map(sum, sg))
-    lat_counts = Counter(map(sum, latset))
-    counts = [(d, sg_counts[d], lat_counts[d]) for d in range(bound + 1)]
     equal = sg == latset
-    power_ok = all(
-        tuple(e // k for e in u) in sg for u in sg for k in (2, 3) if not any(e % k for e in u)
-    )
-    first = None
+    lat_counts = sg_counts if equal else Counter(map(sum, latset))
+    counts = [(d, sg_counts[d], lat_counts[d]) for d in range(bound + 1)]
+    power_ok, first = True, None
+    # Equal sets imply the probe: if k divides u, u/k is an integer cone point of lower degree.
     if not equal:
-        v = min(sg.symmetric_difference(latset))
-        first = {
-            "vector": exponent_arrays(params, v),
-            "side": "semigroup-only" if v in sg else "lattice-only",
-        }
+        power_ok = all(
+            tuple(e // k for e in u) in sg for u in sg for k in (2, 3) if not any(e % k for e in u)
+        )
+        first = _first_difference(params, sg, latset, ("semigroup-only", "lattice-only"))
     return SemigroupConeReport(params, variant, bound, tuple(counts), equal, power_ok, first)
 
 
@@ -398,7 +405,7 @@ def _shifted_points(params, w, bound):
     """
     yz = params.yz_space
     shift = [[w[yz.y(i, j)] for i in range(j, params.m + 1)] for j in range(1, params.r + 1)]
-    return set(_equal_join(params, range(bound // 2 + 1), shift))
+    return set(_join(params, _equal_pairs(params.r, range(bound // 2 + 1)), shift))
 
 
 @dataclass(frozen=True)
@@ -450,17 +457,14 @@ def conic_equality_check(params, t, eps=Fraction(1, 2), bound=6):
     eps = Fraction(eps)
     w = witness_vector(params, t, eps)
     rr = params.yz_space.y(params.r, params.r)
-    side_a = {v for v in _equal_join(params, range(bound // 2 + 1)) if v[rr] >= t}
+    pairs = _equal_pairs(params.r, range(bound // 2 + 1))
+    side_a = {v for v in _join(params, pairs) if v[rr] >= t}
     side_b = _shifted_points(params, w, bound)
     equal = side_a == side_b
     expected = t <= params.m - params.r
     first = None
     if not equal:
-        v = min(side_a.symmetric_difference(side_b))
-        first = {
-            "vector": exponent_arrays(params, v),
-            "side": "ideal-only" if v in side_a else "shifted-only",
-        }
+        first = _first_difference(params, side_a, side_b, ("ideal-only", "shifted-only"))
     return ConicCheckReport(
         params,
         t,

@@ -38,18 +38,12 @@ def _check_t(t):
 def mu_power(params, ideal, t):
     """Minimal generators of the t-th symbolic power, by binomial determinant.
 
-    Row-pinned side ('p'): det[ C(t+n-j, n-i) ] over 1 <= i, j <= r; the
-    column-pinned side swaps m for n.
+    Row-pinned side ('p'): det[ C(t+n-j, n-i) ] over 1 <= i, j <= r, which is
+    ``hodge_dim(r, n, t)``; the column-pinned side swaps m for n.
     """
     params.require_proper_rank()
     _check_ideal(ideal)
-    _check_t(t)
-    if t == 0:
-        return 1
-    size = params.n if ideal == "p" else params.m
-    r = params.r
-    rows = [[binomial(t + size - j, size - i) for j in range(1, r + 1)] for i in range(1, r + 1)]
-    return det_bareiss(rows)
+    return hodge_dim(params.r, params.n if ideal == "p" else params.m, t)
 
 
 def _chain_ends(universe_size, r, length):

@@ -51,10 +51,6 @@ class VariableSpace:
         kind, *dims = self._signature
         return f"{type(self).__name__}({', '.join(map(str, dims))})"
 
-    def key(self, pos):
-        """(letter, i, j) of the variable at a rank position."""
-        return self._keys[pos]
-
     def label(self, pos):
         letter, i, j = self._keys[pos]
         return f"{letter}[{i},{j}]"

@@ -4,7 +4,7 @@ computational certificates."""
 import pytest
 
 from detring.classify import certify, classify, rank1_mcm_classes
-from detring.counting import mu_power, multiplicity
+from detring.counting import multiplicity
 from detring.errors import ParameterError
 from detring.tableaux import Parameters
 from helpers import parameter_triples

@@ -7,8 +7,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 from detring.cli import main, run
 from helpers import subprocess_env
 

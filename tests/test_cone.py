@@ -9,6 +9,7 @@ import pytest
 
 from detring import kernels
 from detring.cone import (
+    _semigroup_report,
     _shifted_points,
     build_system,
     conic_equality_check,
@@ -113,6 +114,20 @@ def test_semigroup_equals_lattice_small_square():
     assert counts[1] == (0, 0)
     rep2 = semigroup_vs_cone(Parameters(2, 2, 2), "E", 4)
     assert rep2.equal and rep2.power_test_ok
+
+
+def test_semigroup_report_names_the_first_mismatch_and_runs_the_probe():
+    params = Parameters(2, 2, 1)
+    g = min(generators_semigroup(params, "E"))
+    sg = semigroup_points(generators_semigroup(params, "E"), 4) - {g}
+    rep = _semigroup_report(params, "E", 4, sg, lattice_points(params, "E", bound=4))
+    assert not rep.equal and not rep.ok
+    # 2g is still present but its root g is not, so the saturation probe fails.
+    assert not rep.power_test_ok
+    assert rep.first_mismatch == {"vector": exponent_arrays(params, g), "side": "lattice-only"}
+    counts = {d: (s, l) for d, s, l in rep.degree_counts}
+    assert counts[2] == (3, 4)
+    assert counts[4] == (9, 9)
 
 
 def test_lattice_slices_match_standard_enumeration():
@@ -228,7 +243,8 @@ def test_lattice_points_match_brute_force_membership():
             brute = sorted(v for v in _box(params, zeros, bound) if cone_membership(v, system))
             for b in range(bound + 1):
                 expect = [v for v in brute if sum(v) <= b]
-                assert lattice_points(params, variant, bound=b) == expect, (params, variant, b)
+                got = sorted(lattice_points(params, variant, bound=b))
+                assert got == expect, (params, variant, b)
         yc = params.yz_space.y_count
         system = build_system(params, "E")
         for d in range(bound // 2 + 1):
@@ -236,7 +252,7 @@ def test_lattice_points_match_brute_force_membership():
                 v for v in _box(params, zeros, 2 * d)
                 if sum(v[:yc]) == d and cone_membership(v, system)
             )
-            assert lattice_points(params, "E", y_degree=d) == expect, (params, d)
+            assert sorted(lattice_points(params, "E", y_degree=d)) == expect, (params, d)
 
 
 def _random_shift(params, rng):

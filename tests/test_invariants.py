@@ -14,7 +14,7 @@ from detring.invariants import (
     verify_ladder,
 )
 from detring.poly import YZSpace
-from detring.tableaux import Minor, Parameters, all_minors, parse_minor
+from detring.tableaux import Parameters, all_minors, parse_minor
 from helpers import parameter_triples
 
 

@@ -2,11 +2,9 @@
 
 from fractions import Fraction
 
-import pytest
-
 from detring.generic_point import SubstitutionMap, eval_bitableau, initial_monomial_closed_form, phi
 from detring.poly import Poly, XSpace, YZSpace, parse_polynomial
-from detring.straighten import StandardCombination, is_in_ideal, straighten
+from detring.straighten import is_in_ideal, straighten
 from detring.tableaux import Parameters, all_minors, enumerate_standard, parse_bitableau
 from helpers import compare_monomials, parameter_triples, random_poly, seeded
 

@@ -64,6 +64,7 @@ from .tableaux import (
     Minor,
     Parameters,
     all_minors,
+    count_standard,
     enumerate_standard,
     generators_gamma,
     is_standard,

@@ -13,7 +13,7 @@ from math import comb
 from .errors import ParameterError
 from .generic_point import SubstitutionMap
 from .linalg import Eliminator, det_bareiss
-from .tableaux import enumerate_standard
+from .tableaux import count_standard
 
 IDEALS = ("p", "q")
 
@@ -90,14 +90,15 @@ def hodge_dim(r, n, t):
 def hilbert_function(params, d, method="bitableaux"):
     """Dimension of the degree-d slice of the quotient ring, three ways.
 
-    'bitableaux' counts standard bitableaux; 'lattice' counts integer cone
+    'bitableaux' counts the standard bitableaux along the minor table without
+    listing them (``count_standard``); 'lattice' counts integer cone
     points of y-degree d; 'rank' computes the exact rank of the substituted
     monomial family, which needs no structure theory at all.
     """
     if not isinstance(d, int) or d < 0:
         raise ParameterError(f"degree must be a nonnegative integer, got {d!r}")
     if method == "bitableaux":
-        return len(enumerate_standard(params, d))
+        return count_standard(params, d)
     if method == "lattice":
         from .cone import lattice_points
 

@@ -33,7 +33,7 @@ from .generic_point import (
 )
 from .linalg import Eliminator
 from .poly import Poly, format_monomial
-from .tableaux import all_minors, enumerate_standard, minor_leq
+from .tableaux import _standard_counter, all_minors, count_standard, enumerate_standard, minor_leq
 
 
 def _y_minor(params, rows, subst):
@@ -88,7 +88,10 @@ def _tilde_basis_count(params, d1, d2):
 
     Bidegree (d1, d2) forces the number of pure factors: (d1-d2)/r maximal
     left-factor minors when d1 >= d2 (mirror otherwise); the chain of pure
-    factors must grow into the first factor of the mixed part.
+    factors must grow into the first factor of the mixed part.  Nothing is
+    listed: each first factor d of the mixed part weighs the pure chains
+    ending below it, times the standard chains of the remaining degree that
+    follow d (``_standard_counter``).
     """
     r = params.r
     if (d1 - d2) % r != 0:
@@ -97,18 +100,18 @@ def _tilde_basis_count(params, d1, d2):
         length, universe, degree, side = (d1 - d2) // r, params.m, d2, "rows"
     else:
         length, universe, degree, side = (d2 - d1) // r, params.n, d1, "cols"
-    basis = enumerate_standard(params, degree)
     if length == 0:
-        return len(basis)
+        return count_standard(params, degree)
     ends = _chain_ends(universe, r, length)
+    if degree == 0:
+        return sum(ends.values())
+    count = _standard_counter(params)
     total = 0
-    for bitab in basis:
-        if not bitab.factors:
-            total += sum(ends.values())
-            continue
-        bound = getattr(bitab.factors[0], side)
-        k = min(len(bound), r)
-        total += sum(c for s, c in ends.items() if all(s[i] <= bound[i] for i in range(k)))
+    for d in all_minors(params, min(r, degree)):
+        bound = getattr(d, side)
+        weight = sum(c for s, c in ends.items() if all(x <= b for x, b in zip(s, bound)))
+        if weight:
+            total += weight * count(d, degree - d.size)
     return total
 
 

@@ -98,8 +98,14 @@ class Minor:
             raise ParameterError(f"minor {self} does not fit a {params.m} x {params.n} matrix")
         return self
 
-    def __str__(self):
+    @cached_property
+    def _text(self):
+        """The ``[rows|cols]`` text, formatted on first use; table minors are
+        shared, so each is formatted once per format."""
         return f"[{' '.join(map(str, self.rows))}|{' '.join(map(str, self.cols))}]"
+
+    def __str__(self):
+        return self._text
 
 
 def minor_leq(d1, d2):
@@ -110,9 +116,17 @@ def minor_leq(d1, d2):
     return all(d1.rows[i] <= d2.rows[i] and d1.cols[i] <= d2.cols[i] for i in range(u))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Bitableau:
     factors: tuple
+
+    @classmethod
+    def _raw(cls, factors):
+        """Wrap a factor tuple already known to hold nonempty minors of weakly
+        decreasing sizes, skipping the checks of ``__post_init__``."""
+        b = object.__new__(cls)
+        object.__setattr__(b, "factors", factors)
+        return b
 
     def __post_init__(self):
         factors = tuple(self.factors)
@@ -140,7 +154,7 @@ class Bitableau:
     def __str__(self):
         if not self.factors:
             return "[|]"
-        return "".join(str(f) for f in self.factors)
+        return "".join([f._text for f in self.factors])
 
 
 def is_standard(bitab):
@@ -196,31 +210,70 @@ def all_minors(params, max_size=None):
     return out
 
 
+def _successors(table, prev, t):
+    """``table[prev, t]``: the size-t minors prev grows into, filled on first use."""
+    out = table.get((prev, t))
+    if out is None:
+        out = table[prev, t] = [d for d in table[None, t] if minor_leq(prev, d)]
+    return out
+
+
 def enumerate_standard(params, degree):
     """All standard bitableaux of the given degree with factor sizes <= r.
 
     Sorted factor by factor: larger factors first, then rows, then columns.
     Depth first through ``params.minor_table`` is that order: no two bitableaux
-    of one degree have one factor list a prefix of the other.
+    of one degree have one factor list a prefix of the other.  The walk only
+    chains nonempty minors of nonincreasing size, so it builds its output with
+    the trusted ``Bitableau._raw``.
     """
     if degree < 0:
         raise ParameterError(f"degree must be nonnegative, got {degree}")
     table = params.minor_table
+    raw = Bitableau._raw
     out = []
 
-    def extend(prefix, top, left):
+    def extend(prefix, prev, top, left):
         if not left:
-            out.append(Bitableau(prefix))
+            out.append(raw(prefix))
             return
-        prev = prefix[-1] if prefix else None
         for t in range(min(top, left), 0, -1):
-            if (prev, t) not in table:
-                table[prev, t] = [d for d in table[None, t] if minor_leq(prev, d)]
-            for d in table[prev, t]:
-                extend(prefix + (d,), t, left - t)
+            for d in _successors(table, prev, t):
+                extend(prefix + (d,), d, t, left - t)
 
-    extend((), params.r, degree)
+    extend((), None, params.r, degree)
     return out
+
+
+def _standard_counter(params):
+    """``count(prev, left)``: the standard chains of degree ``left`` that can
+    follow the factor prev (any first factor when prev is None), counted along
+    the successor lists ``enumerate_standard`` walks, memoised per counter."""
+    table = params.minor_table
+    memo = {}
+
+    def count(prev, left):
+        if not left:
+            return 1
+        key = (prev, left)
+        total = memo.get(key)
+        if total is None:
+            top = params.r if prev is None else prev.size
+            total = memo[key] = sum(
+                count(d, left - t)
+                for t in range(min(top, left), 0, -1)
+                for d in _successors(table, prev, t)
+            )
+        return total
+
+    return count
+
+
+def count_standard(params, degree):
+    """``len(enumerate_standard(params, degree))`` without building a bitableau."""
+    if degree < 0:
+        raise ParameterError(f"degree must be nonnegative, got {degree}")
+    return _standard_counter(params)(None, degree)
 
 
 def generators_gamma(params, side):

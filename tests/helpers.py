@@ -6,8 +6,10 @@ from fractions import Fraction
 
 import detring
 from detring import kernels
+from detring.counting import _chain_ends
 from detring.errors import ParameterError, SpaceMismatchError
 from detring.poly import Poly
+from detring.tableaux import enumerate_standard
 
 
 def parameter_triples(max_m=3, max_n=3, proper=False):
@@ -81,6 +83,43 @@ def cone_membership(v, system):
     if len(v) != yz.nvars:
         raise ParameterError(f"vector of length {len(v)} on a space with {yz.nvars} variables")
     return kernels.system_holds(system.equations, system.inequalities, v)
+
+
+def format_minor(minor):
+    """Reference ``[rows|cols]`` text of a minor, formatted afresh each call."""
+    return f"[{' '.join(map(str, minor.rows))}|{' '.join(map(str, minor.cols))}]"
+
+
+def format_bitableau(bitab):
+    """Reference text of a bitableau: its factors' texts joined, ``[|]`` when empty."""
+    if not bitab.factors:
+        return "[|]"
+    return "".join(format_minor(f) for f in bitab.factors)
+
+
+def tilde_basis_count_by_listing(params, d1, d2):
+    """Reference for ``invariants._tilde_basis_count``: list the degree-d basis
+    and weigh each bitableau by the pure chains that grow into its first factor."""
+    r = params.r
+    if (d1 - d2) % r != 0:
+        return 0
+    if d1 >= d2:
+        length, universe, degree, side = (d1 - d2) // r, params.m, d2, "rows"
+    else:
+        length, universe, degree, side = (d2 - d1) // r, params.n, d1, "cols"
+    basis = enumerate_standard(params, degree)
+    if length == 0:
+        return len(basis)
+    ends = _chain_ends(universe, r, length)
+    total = 0
+    for bitab in basis:
+        if not bitab.factors:
+            total += sum(ends.values())
+            continue
+        bound = getattr(bitab.factors[0], side)
+        k = min(len(bound), r)
+        total += sum(c for s, c in ends.items() if all(s[i] <= bound[i] for i in range(k)))
+    return total
 
 
 def seeded(seed):

@@ -61,6 +61,15 @@ def test_basis_payload(capsys):
     assert "[1|2][2|1]" not in payload["bitableaux"]
 
 
+def test_hilbert_bitableaux_counts_without_listing():
+    # 629,672,620 standard bitableaux: listing them would not finish in time.
+    argv = ["hilbert", "--m", "6", "--n", "6", "--r", "3", "--deg", "9", "--method", "bitableaux"]
+    child = subprocess.run([sys.executable, "-m", "detring", *argv], capture_output=True,
+                           text=True, env=subprocess_env(), timeout=60)
+    assert child.returncode == 0, child.stderr
+    assert '"dim": 629672620' in child.stdout
+
+
 def test_hilbert_payload_all_methods(capsys):
     for method in ("bitableaux", "lattice", "rank"):
         code, out, _ = capture(

@@ -1,4 +1,5 @@
-"""Every module of the package and of the test suite uses each name it imports."""
+"""Every module of the package, the test suite and the benchmark uses each name
+it imports."""
 
 import ast
 from pathlib import Path
@@ -25,7 +26,7 @@ def _unused_imports(path):
 def test_no_module_imports_a_name_it_never_uses():
     # A package __init__ imports names to re-export them.
     paths = [
-        p for d in (ROOT / "src" / "detring", ROOT / "tests")
+        p for d in (ROOT / "src" / "detring", ROOT / "tests", ROOT / "perfbench")
         for p in sorted(d.glob("*.py")) if p.name != "__init__.py"
     ]
     assert len(paths) > 20

@@ -15,7 +15,7 @@ from detring.invariants import (
 )
 from detring.poly import YZSpace
 from detring.tableaux import Parameters, all_minors, parse_minor
-from helpers import parameter_triples
+from helpers import parameter_triples, tilde_basis_count_by_listing
 
 
 def predicted_leads(params):
@@ -156,3 +156,12 @@ def test_ladder_verification_all_corners_tiny():
     for delta in all_minors(params):
         rep = verify_ladder(params, delta, 2)
         assert rep.ok, str(delta)
+
+
+def test_tilde_basis_count_matches_the_listing_count():
+    for m, n, r in parameter_triples(4, 4):
+        params = Parameters(m, n, r)
+        for d1 in range(6):
+            for d2 in range(6):
+                expected = tilde_basis_count_by_listing(params, d1, d2)
+                assert invariants._tilde_basis_count(params, d1, d2) == expected, (m, n, r, d1, d2)

@@ -8,6 +8,7 @@ from detring.tableaux import (
     Minor,
     Parameters,
     all_minors,
+    count_standard,
     enumerate_standard,
     generators_gamma,
     is_standard,
@@ -15,6 +16,7 @@ from detring.tableaux import (
     parse_bitableau,
     parse_minor,
 )
+from helpers import format_bitableau, format_minor, parameter_triples
 
 
 def test_parameters_validate_rank_bounds():
@@ -42,8 +44,11 @@ def test_minor_requires_strict_increase_and_equal_lengths():
 
 
 def test_minor_text_round_trip():
-    for text in ("[1 2|1 3]", "[1|1]", "[1 2 3|2 3 4]"):
-        assert str(parse_minor(text)) == text
+    # The text is cached on first read; the second read must agree with it.
+    for text in ("[1 2|1 3]", "[1|1]", "[1 2 3|2 3 4]", "[1 10|2 11]", "[9 10 11|1 2 12]"):
+        d = parse_minor(text)
+        assert str(d) == text
+        assert str(d) == format_minor(d) == text
     with pytest.raises(ParseError):
         parse_minor("[1,2|1]")
     with pytest.raises(ParseError):
@@ -171,6 +176,26 @@ def test_enumerate_matches_brute_force_in_order():
             params = Parameters(m, n, r)
             for d in range(5):
                 assert enumerate_standard(params, d) == _brute_force_standard(params, d), (m, n, r, d)
+
+
+def test_enumerated_bitableaux_pass_the_checking_constructor_and_format_alike():
+    # The walk builds its output through Bitableau._raw, which skips the checks.
+    for m, n, r in parameter_triples(4, 4):
+        for d in range(5):
+            for b in enumerate_standard(Parameters(m, n, r), d):
+                assert Bitableau(b.factors) == b, (m, n, r, d)
+                assert str(b) == format_bitableau(b), (m, n, r, d)
+
+
+def test_count_standard_matches_the_enumeration():
+    for m, n, r in parameter_triples(4, 4):
+        params = Parameters(m, n, r)
+        for d in range(6):
+            assert count_standard(params, d) == len(enumerate_standard(params, d)), (m, n, r, d)
+    params = Parameters(5, 5, 3)
+    assert count_standard(params, 5) == len(enumerate_standard(params, 5)) == 118178
+    with pytest.raises(ParameterError):
+        count_standard(Parameters(2, 2, 1), -1)
 
 
 def test_row_generator_family():

@@ -20,11 +20,14 @@ out by five families:
 The "Etilde" variant drops exactly the last coupling equation, so its
 defects are merely constant across columns.  Once column j-1 is fixed, (2)
 caps the prefix sums of column j, so integer points are generated column by
-column (``_blocks``) and never filtered.  Integer points of the
-cone match the semigroup generated by the closed-form generator monomials;
+column (``_blocks``) and never filtered.  Integer points of the cone match
+the semigroup generated by the closed-form generator monomials;
 ``semigroup_vs_cone`` verifies that up to a degree bound, and
 ``conic_equality_check`` runs the shifted-cone comparison that certifies
-Cohen-Macaulayness of symbolic powers.
+Cohen-Macaulayness of symbolic powers.  Both compare degree by degree, each
+point one packed int (``kernels.pack``, built by ``_join``); tuples appear
+only in the public views (``lattice_points``, ``semigroup_points``) and to
+name a mismatch.
 """
 
 from __future__ import annotations
@@ -158,27 +161,38 @@ def generators_semigroup(params, variant="E"):
     return gens
 
 
-def semigroup_points(gens, bound):
-    """All sums of generators with total degree <= bound (the zero included).
-
-    Points are packed ints (``kernels.pack``) while they are built, so one int
-    ``+`` adds a generator; degree layer d is the union of layer d - deg(g)
-    plus g over the generators g.  The points are unpacked once at the end.
-    """
+def _check_bound(bound):
     if bound < 0:
         raise ParameterError(f"degree bound must be nonnegative, got {bound}")
+
+
+def _semigroup_layers(gens, bound):
+    """The semigroup's points of each degree 0..bound, as sets of packed ints (checked lazily).
+
+    Layer d is the union of layer d - deg(g) plus g (one int ``+``) over the
+    generators g, so only the last max deg(g) layers are held.
+    """
+    _check_bound(bound)
     if bound > kernels.MAX_DEGREE:
         raise ParameterError(
             f"degree bound {bound} exceeds the packed-exponent limit {kernels.MAX_DEGREE}"
         )
     if not gens:
         raise ParameterError("at least one generator is required")
-    nvars = len(gens[0])
     steps = [(kernels.pack(g), sum(g)) for g in gens if any(g)]
-    layers = [{0}]
-    for d in range(1, bound + 1):
-        layers.append({p + g for g, dg in steps if dg <= d for p in layers[d - dg]})
-    return {kernels.unpack(p, nvars) for layer in layers for p in layer}
+    span = max((dg for _, dg in steps), default=1)
+    layers = {0: {0}}
+    for d in range(bound + 1):
+        if d:
+            layers[d] = {p + g for g, dg in steps if dg <= d for p in layers[d - dg]}
+            layers.pop(d - span, None)
+        yield layers[d]
+
+
+def semigroup_points(gens, bound):
+    """All sums of generators with total degree <= bound (the zero included), as tuples."""
+    layers = _semigroup_layers(gens, bound)
+    return {kernels.unpack(p, len(gens[0])) for layer in layers for p in layer}
 
 
 def _fills(lows, caps, total):
@@ -210,7 +224,7 @@ def _fills(lows, caps, total):
     yield from tail(0, 0)
 
 
-def _blocks(size, r, sums, shift=None):
+def _blocks(size, r, sums, shift=None, least=0):
     """One side's cone points with column sums ``sums``, as blocks in rank order.
 
     The alpha block (size = m) holds column j = 1..r in rows j..size, laid out
@@ -224,12 +238,12 @@ def _blocks(size, r, sums, shift=None):
     at k = j chains a[j,j] >= a[j+1,j+1] >= ... >= a[r,r] >= 0.  So every
     block is a cone point and nothing is filtered.
 
-    ``shift`` (column j as the values at rows j..size) yields instead the
-    integer points v with v - shift in the cone: lower bounds ceil(shift),
-    prefix caps rounded down.
+    ``least`` bounds the [r,r] entry below.  ``shift`` (column j as the
+    values at rows j..size) yields instead the integer points v with v - shift
+    in the cone: lower bounds ceil(shift), prefix caps rounded down.
     """
     if shift is None:
-        lows = [(0,) * (size - j) for j in range(r)]
+        lows = [(0,) * (size - j) for j in range(r - 1)] + [(least,) + (0,) * (size - r)]
     else:
         lows = [tuple(map(ceil, col)) for col in shift]
         sums_w = [list(accumulate(col)) for col in shift]
@@ -254,56 +268,73 @@ def _blocks(size, r, sums, shift=None):
     return walk(0, None)
 
 
-def _join(params, pairs, shift=None):
-    """Cone points joining alpha blocks of column sums sa to beta blocks of row sums sb.
+def _join(params, pairs, shift=None, least=0, packed=True, betas=None):
+    """The set of cone points joining alpha blocks of column sums sa to beta blocks of row sums sb.
 
-    ``pairs`` yields the (sa, sb) signatures the coupling family (5) allows;
-    beta blocks are built once per sb.  ``shift`` is passed to the alpha blocks.
+    ``pairs`` holds the (sa, sb) the coupling family (5) allows; ``least`` and
+    ``shift`` (a y/z vector, zero on beta) go to the alpha blocks; beta blocks
+    are built once per sb into ``betas``.  A point is its packed int, one int
+    ``+`` each: pack(a) + ((pack(b) + |a| * ones) << 8mr).  With a negative
+    entry, a degree past MAX_DEGREE or ``packed`` false it is the tuple a + b.
     """
     m, n, r = params.m, params.n, params.r
-    betas = {}
+    width = kernels.FIELD_BITS * m * r
+    ones = (kernels.key_limit(n * r) - 1) // kernels.MAX_DEGREE
+    if shift is not None:
+        yz = params.yz_space
+        shift = [[shift[yz.y(i, j)] for i in range(j, m + 1)] for j in range(1, r + 1)]
+    betas = {} if betas is None else betas
+    points = set()
     for sa, sb in pairs:
         if sb not in betas:
-            betas[sb] = list(_blocks(n, r, sb))
-        if betas[sb]:
-            for a in _blocks(m, r, sa, shift):
-                for b in betas[sb]:
-                    yield a + b
+            blocks = list(_blocks(n, r, sb))
+            fits = sum(sb) <= kernels.MAX_DEGREE
+            betas[sb] = blocks, [kernels.pack(b) << width for b in blocks if fits]
+        blocks, keys = betas[sb]
+        if not blocks:
+            continue
+        fits = packed and sum(sa) + sum(sb) <= kernels.MAX_DEGREE
+        offset = sum(sa) * ones << width
+        for a in _blocks(m, r, sa, shift, least):
+            if fits and min(a) >= 0:
+                points.update(map((kernels.pack(a) + offset).__add__, keys))
+            else:
+                points.update(a + b for b in blocks)
+    return points
 
 
-def _equal_pairs(r, degrees):
-    """Variant E's signature pairs (s, s), s of degree in ``degrees``."""
-    return ((s, s) for d in degrees for s in _monomials_of_degree(r, d))
+def _pairs(variant, r, degrees):
+    """The (sa, sb) signature pairs of the cone points of each total degree in ``degrees``.
 
-
-def _tilde_pairs(r, bound):
-    """Variant Etilde's signature pairs (sa, sa - c) of total degree <= bound."""
-    for d in range(bound + 1):
-        for sa in _monomials_of_degree(r, d):
-            # |sa| + |sb| = 2d - rc <= bound, and sb >= 0.
-            for c in range(-((bound - 2 * d) // r), min(sa) + 1):
-                yield sa, tuple(s - c for s in sa)
+    Family (5) ties alpha column sums sa to beta row sums sb = sa - c, c = 0
+    for E: degree d = 2|sa| - rc, and sb >= 0 needs c <= min(sa).
+    """
+    for d in degrees:
+        for da in range(d + 1):
+            c, rest = divmod(2 * da - d, r)
+            if not rest and (c == 0 or variant == "Etilde"):
+                for sa in _monomials_of_degree(r, da):
+                    if min(sa) >= c:
+                        yield sa, tuple(x - c for x in sa)
 
 
 def lattice_points(params, variant="E", bound=None, y_degree=None):
-    """The set of integer cone points of total degree <= bound, or of exact y-degree.
+    """The set of integer cone points of total degree <= bound, or of exact y-degree, as tuples.
 
-    Each point is an alpha block joined to a beta block.  The coupling
-    family (5) ties their signatures, the alpha column sums sa and the beta
-    row sums sb: variant E requires sb = sa, Etilde only sb = sa - c for a
-    common shift c.
+    Each point is an alpha block joined to a beta block (``_join``); a point
+    of y-degree d has degree 2d in variant E.
     """
     _check_variant(variant)
     if variant == "E":
         if y_degree is None and bound is None:
             raise ParameterError("either bound or y_degree is required")
-        degrees = range(bound // 2 + 1) if y_degree is None else (y_degree,)
-        return set(_join(params, _equal_pairs(params.r, degrees)))
+        if y_degree is not None:
+            return _join(params, _pairs("E", params.r, (2 * y_degree,)), packed=False)
     if bound is None:
         raise ParameterError("a degree bound is required for the Etilde variant")
     if y_degree is not None:
         raise ParameterError("y_degree slicing is only supported for variant E")
-    return set(_join(params, _tilde_pairs(params.r, bound)))
+    return _join(params, _pairs(variant, params.r, range(bound + 1)), packed=False)
 
 
 @dataclass(frozen=True)
@@ -341,40 +372,49 @@ class SemigroupConeReport:
 def semigroup_vs_cone(params, variant="E", bound=6):
     """Compare semigroup points with cone lattice points up to a degree bound.
 
-    When they differ, also runs the saturation probe: any computed point all
-    of whose entries are divisible by k in {2, 3} must have its k-th root in
-    the semigroup.
+    Degree by degree, as packed ints.  When some degree differs, the report is
+    rebuilt from the tuple sets to name the first mismatch and run the probe.
     """
     _check_variant(variant)
-    sg = semigroup_points(generators_semigroup(params, variant), bound)
-    latset = lattice_points(params, variant, bound=bound)
+    gens = generators_semigroup(params, variant)
+    layers = _semigroup_layers(gens, bound)
+    lattice = (_join(params, _pairs(variant, params.r, (d,))) for d in range(bound + 1))
+    counts, equal = [], True
+    for d, (sg, lat) in enumerate(zip(layers, lattice)):
+        counts.append((d, len(sg), len(lat)))
+        equal = equal and sg == lat
+    if equal:
+        return SemigroupConeReport(params, variant, bound, tuple(counts), True, True, None)
+    sg, latset = semigroup_points(gens, bound), lattice_points(params, variant, bound=bound)
     return _semigroup_report(params, variant, bound, sg, latset)
 
 
 def _first_difference(params, a, b, sides):
     """The tuple-least point in exactly one of the sets ``a``, ``b``, named by ``sides``."""
-    v = min(a.symmetric_difference(b))
-    return {"vector": exponent_arrays(params, v), "side": sides[0] if v in a else sides[1]}
+    nvars = params.yz_space.nvars
+    v, key = min((k if type(k) is tuple else kernels.unpack(k, nvars), k) for k in a ^ b)
+    return {"vector": exponent_arrays(params, v), "side": sides[0] if key in a else sides[1]}
 
 
 def _semigroup_report(params, variant, bound, sg, latset):
-    """The report comparing semigroup points ``sg`` with lattice points ``latset``.
+    """The report comparing semigroup points ``sg`` with lattice points ``latset``, as tuples.
 
-    Callers build ``sg`` first, so its packed layers, the largest transient of
-    the two, are freed before ``latset`` exists; the other order raises the peak.
+    Unequal sets also get the saturation probe: a point whose entries k in
+    {2, 3} divides has its k-th root in the semigroup.  Equal sets imply it:
+    u/k is an integer cone point of lower degree.  Build ``sg`` first: its
+    packed layers are then freed before ``latset`` exists.
     """
     sg_counts = Counter(map(sum, sg))
     equal = sg == latset
     lat_counts = sg_counts if equal else Counter(map(sum, latset))
-    counts = [(d, sg_counts[d], lat_counts[d]) for d in range(bound + 1)]
+    counts = tuple((d, sg_counts[d], lat_counts[d]) for d in range(bound + 1))
     power_ok, first = True, None
-    # Equal sets imply the probe: if k divides u, u/k is an integer cone point of lower degree.
     if not equal:
         power_ok = all(
             tuple(e // k for e in u) in sg for u in sg for k in (2, 3) if not any(e % k for e in u)
         )
         first = _first_difference(params, sg, latset, ("semigroup-only", "lattice-only"))
-    return SemigroupConeReport(params, variant, bound, tuple(counts), equal, power_ok, first)
+    return SemigroupConeReport(params, variant, bound, counts, equal, power_ok, first)
 
 
 def witness_vector(params, t, eps):
@@ -403,9 +443,7 @@ def _shifted_points(params, w, bound):
     w vanishes on the beta block, so the beta blocks are plain cone blocks and
     the alpha blocks are shifted by w; (5) makes their signatures equal.
     """
-    yz = params.yz_space
-    shift = [[w[yz.y(i, j)] for i in range(j, params.m + 1)] for j in range(1, params.r + 1)]
-    return set(_join(params, _equal_pairs(params.r, range(bound // 2 + 1)), shift))
+    return _join(params, _pairs("E", params.r, range(bound + 1)), w, packed=False)
 
 
 @dataclass(frozen=True)
@@ -456,24 +494,30 @@ def conic_equality_check(params, t, eps=Fraction(1, 2), bound=6):
     params.require_proper_rank()
     eps = Fraction(eps)
     w = witness_vector(params, t, eps)
-    rr = params.yz_space.y(params.r, params.r)
-    pairs = _equal_pairs(params.r, range(bound // 2 + 1))
-    side_a = {v for v in _join(params, pairs) if v[rr] >= t}
-    side_b = _shifted_points(params, w, bound)
-    equal = side_a == side_b
-    expected = t <= params.m - params.r
-    first = None
-    if not equal:
-        first = _first_difference(params, side_a, side_b, ("ideal-only", "shifted-only"))
+    _check_bound(bound)
+    count_a = count_b = 0
+    only_a, only_b = set(), set()
+    # Degree by degree, as packed ints; side A's alpha blocks start at alpha[r,r] = t.
+    for d in range(0, bound + 1, 2):
+        betas = {}
+        side_a = _join(params, _pairs("E", params.r, (d,)), least=t, betas=betas)
+        side_b = _join(params, _pairs("E", params.r, (d,)), w, betas=betas)
+        count_a += len(side_a)
+        count_b += len(side_b)
+        only_a |= side_a - side_b
+        only_b |= side_b - side_a
+    equal = not (only_a or only_b)
+    sides = ("ideal-only", "shifted-only")
+    first = None if equal else _first_difference(params, only_a, only_b, sides)
     return ConicCheckReport(
         params,
         t,
         eps,
         bound,
-        len(side_a),
-        len(side_b),
+        count_a,
+        count_b,
         equal,
-        expected,
+        t <= params.m - params.r,
         first,
         exponent_arrays(params, w),
     )

@@ -91,18 +91,19 @@ def hilbert_function(params, d, method="bitableaux"):
     """Dimension of the degree-d slice of the quotient ring, three ways.
 
     'bitableaux' counts the standard bitableaux along the minor table without
-    listing them (``count_standard``); 'lattice' counts integer cone
-    points of y-degree d; 'rank' computes the exact rank of the substituted
-    monomial family, which needs no structure theory at all.
+    listing them (``count_standard``); 'lattice' counts the packed integer
+    cone points of y-degree d without unpacking them; 'rank' computes the
+    exact rank of the substituted monomial family, which needs no structure
+    theory at all.
     """
     if not isinstance(d, int) or d < 0:
         raise ParameterError(f"degree must be a nonnegative integer, got {d!r}")
     if method == "bitableaux":
         return count_standard(params, d)
     if method == "lattice":
-        from .cone import lattice_points
+        from .cone import _join, _pairs
 
-        return len(lattice_points(params, "E", y_degree=d))
+        return len(_join(params, _pairs("E", params.r, (2 * d,))))
     if method == "rank":
         subst = SubstitutionMap(params)
         elim = Eliminator()

@@ -16,6 +16,7 @@ from itertools import combinations
 
 from . import kernels
 from .cone import (
+    _check_bound,
     _semigroup_report,
     build_system,
     generators_semigroup,
@@ -296,6 +297,7 @@ def verify_ladder(params, delta, d_max=3):
     """
     _require_full_rank(params)
     delta.check_bounds(params)
+    _check_bound(d_max)
     subst = SubstitutionMap(params)
     vset = ladder_variable_set(params, delta)
     vpos = set(vset)

@@ -167,6 +167,21 @@ def test_cone_check_past_the_packed_limit_exits_one(capsys):
     assert err.startswith("error:") and "255" in err
 
 
+def test_negative_degree_bounds_exit_one_before_any_work(capsys):
+    space = ["--m", "3", "--n", "3", "--r", "2"]
+    commands = [
+        ["cone-check", *space],
+        ["tilde-check", *space],
+        ["certify", *space, "--ideal", "p", "--t", "1"],
+        ["certify", *space, "--ideal", "q", "--t", "1", "--eps", "1/3"],
+        ["ladder-check", "--m", "2", "--n", "2", "--r", "2", "--delta", "[2|2]"],
+    ]
+    for argv in commands:
+        code, out, err = capture(capsys, [*argv, "--deg-bound", "-1"])
+        assert (code, out) == (1, ""), argv
+        assert err == "error: degree bound must be nonnegative, got -1\n", argv
+
+
 def test_unknown_flags_and_commands_exit_one(capsys):
     assert run(["mu", "--m", "3", "--n", "3", "--r", "2", "--t", "1", "--ideal", "p", "--frob", "1"]) == 1
     capsys.readouterr()

@@ -7,8 +7,10 @@ from math import ceil
 
 import pytest
 
-from detring import kernels
+from detring import cone, kernels
 from detring.cone import (
+    _join,
+    _pairs,
     _semigroup_report,
     _shifted_points,
     build_system,
@@ -20,10 +22,10 @@ from detring.cone import (
     semigroup_vs_cone,
     witness_vector,
 )
-from detring.counting import _monomials_of_degree
+from detring.counting import _monomials_of_degree, hilbert_function
 from detring.errors import ParameterError
 from detring.poly import YZSpace
-from detring.tableaux import Parameters, enumerate_standard
+from detring.tableaux import Parameters, count_standard, enumerate_standard
 from helpers import cone_membership, parameter_triples
 
 
@@ -292,3 +294,111 @@ def test_shifted_points_match_brute_force():
             assert _shifted_points(params, w, bound) == expect, (params, w, bound)
         negative += sum(1 for v in brute if min(v) < 0)
     assert negative > 0
+
+
+def test_streamed_report_equals_the_tuple_reference(monkeypatch):
+    for (m, n, r) in parameter_triples(4, 4):
+        params = Parameters(m, n, r)
+        gens = generators_semigroup(params, "E")
+        for bound in range(7):
+            expect = _semigroup_report(
+                params, "E", bound, semigroup_points(gens, bound), lattice_points(params, "E", bound=bound)
+            )
+            assert semigroup_vs_cone(params, "E", bound) == expect, (params, bound)
+    # Without its least generator the semigroup misses points, so the report
+    # takes the mismatch path.
+    real = cone.generators_semigroup
+
+    def without_least(params, variant="E"):
+        gens = real(params, variant)
+        return [g for g in gens if g != min(gens)]
+
+    monkeypatch.setattr(cone, "generators_semigroup", without_least)
+    for (m, n, r) in [(2, 2, 1), (2, 3, 2), (3, 3, 2), (4, 3, 1)]:
+        params = Parameters(m, n, r)
+        gens = without_least(params)
+        for bound in range(2, 7):
+            rep = semigroup_vs_cone(params, "E", bound)
+            expect = _semigroup_report(
+                params, "E", bound, semigroup_points(gens, bound), lattice_points(params, "E", bound=bound)
+            )
+            assert not rep.equal
+            assert rep.degree_counts == expect.degree_counts
+            assert rep.first_mismatch == expect.first_mismatch
+            assert rep.power_test_ok == expect.power_test_ok
+
+
+def _conic_reference(params, t, eps, bound):
+    """Side A, side B and the named first counterexample, from the tuple sets."""
+    rr = params.yz_space.y(params.r, params.r)
+    side_a = {v for v in lattice_points(params, "E", bound=bound) if v[rr] >= t}
+    side_b = _shifted_points(params, witness_vector(params, t, eps), bound)
+    first = None
+    if side_a != side_b:
+        v = min(side_a ^ side_b)
+        side = "ideal-only" if v in side_a else "shifted-only"
+        first = {"vector": exponent_arrays(params, v), "side": side}
+    return len(side_a), len(side_b), side_a == side_b, first
+
+
+def test_conic_check_equals_a_tuple_reference():
+    # t = m - r + 1 is past the boundary, where shifted points have negative entries.
+    mismatches = 0
+    for (m, n, r) in parameter_triples(4, 4, proper=True):
+        params = Parameters(m, n, r)
+        for t in range(1, m - r + 2):
+            for eps in (Fraction(1, 2), Fraction(1, 3)):
+                for bound in range(2, 7):
+                    rep = conic_equality_check(params, t, eps, bound)
+                    got = (rep.ideal_side_count, rep.shifted_side_count, rep.equal,
+                           rep.first_counterexample)
+                    assert got == _conic_reference(params, t, eps, bound), (params, t, eps, bound)
+                    mismatches += not rep.equal
+    assert mismatches > 0
+    # Past degree 255 a point has no packed int and takes the tuple route.
+    params = Parameters(2, 2, 1)
+    rep = conic_equality_check(params, 1, Fraction(1, 2), 256)
+    got = (rep.ideal_side_count, rep.shifted_side_count, rep.equal, rep.first_counterexample)
+    assert got == _conic_reference(params, 1, Fraction(1, 2), 256)
+
+
+def test_join_keys_are_the_packed_points():
+    for (m, n, r) in parameter_triples(3, 4):
+        params = Parameters(m, n, r)
+        for variant in ("E", "Etilde"):
+            for d in range(7):
+                keys = _join(params, _pairs(variant, r, (d,)))
+                points = _join(params, _pairs(variant, r, (d,)), packed=False)
+                assert keys == {kernels.pack(v) for v in points}, (params, variant, d)
+                assert all(sum(v) == d for v in points)
+    # A shifted point with a negative entry is held as its tuple.
+    params = Parameters(2, 3, 1)
+    shift = witness_vector(params, 2, Fraction(1, 2))
+    keys = _join(params, _pairs("E", 1, (4,)), shift)
+    points = _join(params, _pairs("E", 1, (4,)), shift, packed=False)
+    negative = {v for v in points if min(v) < 0}
+    assert negative and negative < keys
+    assert keys - negative == {kernels.pack(v) for v in points - negative}
+    # So is a point of degree past the packed limit; its fields would carry.
+    params = Parameters(2, 2, 1)
+    top = _pairs("E", 1, (kernels.MAX_DEGREE + 1,))
+    assert _join(params, top) == _join(params, _pairs("E", 1, (kernels.MAX_DEGREE + 1,)), packed=False)
+
+
+def test_lattice_hilbert_counts_without_unpacking(monkeypatch):
+    def refuse(key, nvars):
+        raise AssertionError("unpacked a point")
+
+    monkeypatch.setattr(kernels, "unpack", refuse)
+    for (m, n, r) in parameter_triples(3, 3):
+        params = Parameters(m, n, r)
+        for d in range(4):
+            assert hilbert_function(params, d, "lattice") == count_standard(params, d)
+
+
+def test_negative_bounds_are_refused():
+    params = Parameters(3, 3, 2)
+    with pytest.raises(ParameterError, match="nonnegative"):
+        semigroup_vs_cone(params, "E", -1)
+    with pytest.raises(ParameterError, match="nonnegative"):
+        conic_equality_check(params, 1, Fraction(1, 2), -1)

@@ -1,0 +1,56 @@
+"""One SHA-256 over the cone commands' exit codes and output on a desk grid.
+
+The digest pins every byte the cone commands print (`cone-check`, `certify`
+for both classes, `tilde-check` and `hilbert --method lattice`) on every
+format with m, n <= 4, so a change to the cone code that moves any payload,
+message or exit code shows up here.  When a change is meant to move output,
+print the new digest with ``golden_digest()`` and say why it moved.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+
+from detring.cli import run
+from helpers import parameter_triples
+
+GOLDEN = "cff111efb6fab84601a0015656a44387e1ee41439dbd84e83322836e3cb8f976"
+
+
+def _space(m, n, r):
+    return ["--m", str(m), "--n", str(n), "--r", str(r)]
+
+
+def golden_argvs():
+    """The grid: cone commands on every format with m, n <= 4, bounds <= 6."""
+    formats = parameter_triples(4, 4)
+    argvs = []
+    for f in formats:
+        for b in (-1, *range(7), 256):
+            argvs.append(["cone-check", *_space(*f), "--deg-bound", str(b)])
+        for b in range(7):
+            argvs.append(["tilde-check", *_space(*f), "--deg-bound", str(b)])
+        for d in range(4):
+            argvs.append(["hilbert", *_space(*f), "--deg", str(d), "--method", "lattice"])
+        for ideal in "pq":
+            for t in range(4):
+                for eps in ("1/2", "1/3"):
+                    for b in (2, 4, 6):
+                        argvs.append(["certify", *_space(*f), "--ideal", ideal, "--t", str(t),
+                                      "--eps", eps, "--deg-bound", str(b)])
+    return argvs
+
+
+def golden_digest():
+    digest = hashlib.sha256()
+    for argv in golden_argvs():
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+        digest.update(json.dumps([argv, code, out.getvalue(), err.getvalue()]).encode() + b"\n")
+    return digest.hexdigest()
+
+
+def test_cone_commands_print_the_recorded_bytes():
+    assert golden_digest() == GOLDEN

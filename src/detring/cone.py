@@ -24,15 +24,14 @@ column (``_blocks``) and never filtered.  Integer points of the cone match
 the semigroup generated by the closed-form generator monomials;
 ``semigroup_vs_cone`` verifies that up to a degree bound, and
 ``conic_equality_check`` runs the shifted-cone comparison that certifies
-Cohen-Macaulayness of symbolic powers.  Both compare degree by degree, each
-point one packed int (``kernels.pack``, built by ``_join``); tuples appear
-only in the public views (``lattice_points``, ``semigroup_points``) and to
-name a mismatch.
+Cohen-Macaulayness of symbolic powers.  Both stream their two sides degree by
+degree through one comparison (``_compare``), each point one packed int
+(``kernels.pack``, built by ``_join``); tuples appear only in the public views
+(``lattice_points``, ``semigroup_points``) and to name a mismatch.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations
@@ -268,14 +267,15 @@ def _blocks(size, r, sums, shift=None, least=0):
     return walk(0, None)
 
 
-def _join(params, pairs, shift=None, least=0, packed=True, betas=None):
+def _join(params, pairs, shift=None, least=0, betas=None):
     """The set of cone points joining alpha blocks of column sums sa to beta blocks of row sums sb.
 
     ``pairs`` holds the (sa, sb) the coupling family (5) allows; ``least`` and
     ``shift`` (a y/z vector, zero on beta) go to the alpha blocks; beta blocks
     are built once per sb into ``betas``.  A point is its packed int, one int
-    ``+`` each: pack(a) + ((pack(b) + |a| * ones) << 8mr).  With a negative
-    entry, a degree past MAX_DEGREE or ``packed`` false it is the tuple a + b.
+    ``+`` each: pack(a) + ((pack(b) + |a| * ones) << 8mr), whose y-degree
+    field is |a|.  With a negative entry or a degree past MAX_DEGREE it is the
+    tuple a + b (``_point`` reads either).
     """
     m, n, r = params.m, params.n, params.r
     width = kernels.FIELD_BITS * m * r
@@ -293,7 +293,7 @@ def _join(params, pairs, shift=None, least=0, packed=True, betas=None):
         blocks, keys = betas[sb]
         if not blocks:
             continue
-        fits = packed and sum(sa) + sum(sb) <= kernels.MAX_DEGREE
+        fits = sum(sa) + sum(sb) <= kernels.MAX_DEGREE
         offset = sum(sa) * ones << width
         for a in _blocks(m, r, sa, shift, least):
             if fits and min(a) >= 0:
@@ -318,6 +318,11 @@ def _pairs(variant, r, degrees):
                         yield sa, tuple(x - c for x in sa)
 
 
+def _point(key, nvars):
+    """The exponent tuple of a point held as ``_join`` holds it."""
+    return key if type(key) is tuple else kernels.unpack(key, nvars)
+
+
 def lattice_points(params, variant="E", bound=None, y_degree=None):
     """The set of integer cone points of total degree <= bound, or of exact y-degree, as tuples.
 
@@ -325,16 +330,40 @@ def lattice_points(params, variant="E", bound=None, y_degree=None):
     of y-degree d has degree 2d in variant E.
     """
     _check_variant(variant)
-    if variant == "E":
-        if y_degree is None and bound is None:
-            raise ParameterError("either bound or y_degree is required")
-        if y_degree is not None:
-            return _join(params, _pairs("E", params.r, (2 * y_degree,)), packed=False)
-    if bound is None:
-        raise ParameterError("a degree bound is required for the Etilde variant")
-    if y_degree is not None:
+    if variant == "E" and y_degree is not None:
+        _check_bound(y_degree)
+        degrees = (2 * y_degree,)
+    elif bound is None:
+        raise ParameterError("either bound or y_degree is required" if variant == "E"
+                             else "a degree bound is required for the Etilde variant")
+    elif y_degree is not None:
         raise ParameterError("y_degree slicing is only supported for variant E")
-    return _join(params, _pairs(variant, params.r, range(bound + 1)), packed=False)
+    else:
+        _check_bound(bound)
+        degrees = range(bound + 1)
+    nvars = params.yz_space.nvars
+    return {_point(k, nvars) for k in _join(params, _pairs(variant, params.r, degrees))}
+
+
+def _compare(params, layers, sides):
+    """Each degree's two sizes, and the tuple-least point in exactly one side.
+
+    ``layers`` yields one (a, b) pair of point sets per degree, held as
+    ``_join`` holds them; only points of a differing degree are unpacked.
+    Returns the (len(a), len(b)) pairs and, when some degree differs, that
+    point named by ``sides``, else None.
+    """
+    nvars = params.yz_space.nvars
+    sizes, first = [], None
+    for a, b in layers:
+        sizes.append((len(a), len(b)))
+        if a != b:
+            least = min((_point(k, nvars), k in a) for k in a ^ b)
+            first = least if first is None else min(first, least)
+    if first is None:
+        return sizes, None
+    v, in_a = first
+    return sizes, {"vector": exponent_arrays(params, v), "side": sides[0] if in_a else sides[1]}
 
 
 @dataclass(frozen=True)
@@ -369,52 +398,35 @@ class SemigroupConeReport:
         }
 
 
-def semigroup_vs_cone(params, variant="E", bound=6):
-    """Compare semigroup points with cone lattice points up to a degree bound.
+def _cone_layers(params, variant, bound):
+    """The (semigroup, lattice) points of each degree 0..bound, as packed ints."""
+    layers = _semigroup_layers(generators_semigroup(params, variant), bound)
+    return zip(layers, (_join(params, _pairs(variant, params.r, (d,))) for d in range(bound + 1)))
 
-    Degree by degree, as packed ints.  When some degree differs, the report is
-    rebuilt from the tuple sets to name the first mismatch and run the probe.
+
+def _cone_report(params, variant, bound, layers):
+    """The report comparing the ``_cone_layers`` pairs ``layers``.
+
+    A mismatch also gets the saturation probe, on the tuple semigroup: a
+    point whose entries k in {2, 3} divides has its k-th root in the
+    semigroup.  Equal sets imply it: u/k is an integer cone point of lower
+    degree.
     """
-    _check_variant(variant)
-    gens = generators_semigroup(params, variant)
-    layers = _semigroup_layers(gens, bound)
-    lattice = (_join(params, _pairs(variant, params.r, (d,))) for d in range(bound + 1))
-    counts, equal = [], True
-    for d, (sg, lat) in enumerate(zip(layers, lattice)):
-        counts.append((d, len(sg), len(lat)))
-        equal = equal and sg == lat
-    if equal:
-        return SemigroupConeReport(params, variant, bound, tuple(counts), True, True, None)
-    sg, latset = semigroup_points(gens, bound), lattice_points(params, variant, bound=bound)
-    return _semigroup_report(params, variant, bound, sg, latset)
-
-
-def _first_difference(params, a, b, sides):
-    """The tuple-least point in exactly one of the sets ``a``, ``b``, named by ``sides``."""
-    nvars = params.yz_space.nvars
-    v, key = min((k if type(k) is tuple else kernels.unpack(k, nvars), k) for k in a ^ b)
-    return {"vector": exponent_arrays(params, v), "side": sides[0] if key in a else sides[1]}
-
-
-def _semigroup_report(params, variant, bound, sg, latset):
-    """The report comparing semigroup points ``sg`` with lattice points ``latset``, as tuples.
-
-    Unequal sets also get the saturation probe: a point whose entries k in
-    {2, 3} divides has its k-th root in the semigroup.  Equal sets imply it:
-    u/k is an integer cone point of lower degree.  Build ``sg`` first: its
-    packed layers are then freed before ``latset`` exists.
-    """
-    sg_counts = Counter(map(sum, sg))
-    equal = sg == latset
-    lat_counts = sg_counts if equal else Counter(map(sum, latset))
-    counts = tuple((d, sg_counts[d], lat_counts[d]) for d in range(bound + 1))
-    power_ok, first = True, None
-    if not equal:
+    sizes, first = _compare(params, layers, ("semigroup-only", "lattice-only"))
+    power_ok = True
+    if first is not None:
+        sg = semigroup_points(generators_semigroup(params, variant), bound)
         power_ok = all(
             tuple(e // k for e in u) in sg for u in sg for k in (2, 3) if not any(e % k for e in u)
         )
-        first = _first_difference(params, sg, latset, ("semigroup-only", "lattice-only"))
-    return SemigroupConeReport(params, variant, bound, counts, equal, power_ok, first)
+    counts = tuple((d, s, l) for d, (s, l) in enumerate(sizes))
+    return SemigroupConeReport(params, variant, bound, counts, first is None, power_ok, first)
+
+
+def semigroup_vs_cone(params, variant="E", bound=6):
+    """Compare semigroup points with cone lattice points up to a degree bound."""
+    _check_variant(variant)
+    return _cone_report(params, variant, bound, _cone_layers(params, variant, bound))
 
 
 def witness_vector(params, t, eps):
@@ -435,15 +447,6 @@ def witness_vector(params, t, eps):
         for i in range(j + 1, m - r + j + 1):
             vec[yz.y(i, j)] = neg
     return tuple(vec)
-
-
-def _shifted_points(params, w, bound):
-    """Integer solutions v of the cone's equations with v - w in the cone, degree <= bound.
-
-    w vanishes on the beta block, so the beta blocks are plain cone blocks and
-    the alpha blocks are shifted by w; (5) makes their signatures equal.
-    """
-    return _join(params, _pairs("E", params.r, range(bound + 1)), w, packed=False)
 
 
 @dataclass(frozen=True)
@@ -486,38 +489,26 @@ def conic_equality_check(params, t, eps=Fraction(1, 2), bound=6):
     """Compare the filtered cone with the witness-shifted cone, exactly.
 
     Side A: integer cone points of degree <= bound with alpha[r,r] >= t.
-    Side B: integer solutions of the cone's equations whose difference from
-    the witness satisfies every cone inequality.  The two agree precisely when
-    the t-th symbolic power is Cohen-Macaulay (t <= m - r); the report records
-    whether the computed outcome matches that expectation.
+    Side B: integer solutions v of the cone's equations with v - w in the
+    cone, w the witness.  w vanishes on the beta block, so side B joins plain
+    beta blocks to alpha blocks shifted by w, and (5) makes their signatures
+    equal.  The two agree precisely when the t-th symbolic power is
+    Cohen-Macaulay (t <= m - r); the report records whether the computed
+    outcome matches that expectation.
     """
     params.require_proper_rank()
     eps = Fraction(eps)
     w = witness_vector(params, t, eps)
     _check_bound(bound)
-    count_a = count_b = 0
-    only_a, only_b = set(), set()
-    # Degree by degree, as packed ints; side A's alpha blocks start at alpha[r,r] = t.
-    for d in range(0, bound + 1, 2):
-        betas = {}
-        side_a = _join(params, _pairs("E", params.r, (d,)), least=t, betas=betas)
-        side_b = _join(params, _pairs("E", params.r, (d,)), w, betas=betas)
-        count_a += len(side_a)
-        count_b += len(side_b)
-        only_a |= side_a - side_b
-        only_b |= side_b - side_a
-    equal = not (only_a or only_b)
-    sides = ("ideal-only", "shifted-only")
-    first = None if equal else _first_difference(params, only_a, only_b, sides)
-    return ConicCheckReport(
-        params,
-        t,
-        eps,
-        bound,
-        count_a,
-        count_b,
-        equal,
-        t <= params.m - params.r,
-        first,
-        exponent_arrays(params, w),
-    )
+
+    def sides():
+        # Side A's alpha blocks start at alpha[r,r] = t; both sides share the beta blocks.
+        for d in range(0, bound + 1, 2):
+            betas = {}
+            yield (_join(params, _pairs("E", params.r, (d,)), least=t, betas=betas),
+                   _join(params, _pairs("E", params.r, (d,)), w, betas=betas))
+
+    sizes, first = _compare(params, sides(), ("ideal-only", "shifted-only"))
+    count_a, count_b = map(sum, zip(*sizes))
+    return ConicCheckReport(params, t, eps, bound, count_a, count_b, first is None,
+                            t <= params.m - params.r, first, exponent_arrays(params, w))

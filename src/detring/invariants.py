@@ -15,14 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import kernels
-from .cone import (
-    _check_bound,
-    _semigroup_report,
-    build_system,
-    generators_semigroup,
-    lattice_points,
-    semigroup_points,
-)
+from .cone import _check_bound, _cone_layers, _cone_report, build_system
 from .counting import _chain_ends, _monomials_of_degree
 from .errors import ParameterError
 from .generic_point import (
@@ -174,37 +167,32 @@ def verify_D_tilde(params, bound=6):
     families, that the Etilde semigroup matches the Etilde cone lattice up to
     the bound, that bigraded lattice counts match the standard-product basis
     counts, and that the cone description differs from the full one by
-    exactly the final coupling.
+    exactly the final coupling.  The lattice is counted by bidegree in the
+    same degree-by-degree walk as the cone comparison, from the y-degree
+    field of each packed point.
     """
-    subst = SubstitutionMap(params)
-    gens = generators_R_tilde(params, subst)
-    predicted = _predicted_generator_leads(params)
+    gens = generators_R_tilde(params)
+    predicted = [kernels.pack(e) for e in _predicted_generator_leads(params)]
     leads_ok = len(gens) == len(predicted) and all(
-        g.leading() == (e, 1) for g, e in zip(gens, predicted)
+        max(g.packed) == e and g.packed[e] == 1 for g, e in zip(gens, predicted)
     )
-    sg = semigroup_points(generators_semigroup(params, "Etilde"), bound)
-    points = lattice_points(params, "Etilde", bound=bound)
-    cone_report = _semigroup_report(params, "Etilde", bound, sg, points)
-    by_bidegree = Counter(map(subst.yz_space.bidegree, points))
-    rows = []
-    match = True
-    for total in range(bound + 1):
-        for d1 in range(total + 1):
-            d2 = total - d1
-            lat = by_bidegree[(d1, d2)]
-            basis = _tilde_basis_count(params, d1, d2)
-            rows.append((d1, d2, lat, basis))
-            if lat != basis:
-                match = False
-    return TildeReport(
-        params,
-        bound,
-        cone_report,
-        tuple(rows),
-        match,
-        leads_ok,
-        tilde_system_matches(params),
+    y_degree = params.yz_space.y_degree
+    by_degree = []
+
+    def tallied():
+        for sg, lat in _cone_layers(params, "Etilde", bound):
+            by_degree.append(Counter(map(y_degree, lat)))
+            yield sg, lat
+
+    cone_report = _cone_report(params, "Etilde", bound, tallied())
+    rows = tuple(
+        (d1, total - d1, by_degree[total][d1], _tilde_basis_count(params, d1, total - d1))
+        for total in range(bound + 1)
+        for d1 in range(total + 1)
     )
+    match = all(lat == basis for _, _, lat, basis in rows)
+    system_ok = tilde_system_matches(params)
+    return TildeReport(params, bound, cone_report, rows, match, leads_ok, system_ok)
 
 
 def _require_full_rank(params):

@@ -56,13 +56,8 @@ class VariableSpace:
         return f"{letter}[{i},{j}]"
 
     def position(self, letter, i, j):
-        try:
-            return self._pos[(letter, i, j)]
-        except KeyError:
-            raise ParseError(f"no variable {letter}[{i},{j}] on {self!r}") from None
-
-    def has(self, letter, i, j):
-        return (letter, i, j) in self._pos
+        """The rank of variable letter[i,j]; KeyError when it is not on this space."""
+        return self._pos[(letter, i, j)]
 
     def unit(self, pos):
         e = [0] * self.nvars
@@ -361,9 +356,10 @@ def _parse_var(s, space):
     s.expect(",")
     j = _parse_uint(s)
     s.expect("]")
-    if not space.has(letter, i, j):
-        raise ParseError(f"variable {letter}[{i},{j}] is not on {space!r}", where)
-    return space.position(letter, i, j)
+    try:
+        return space.position(letter, i, j)
+    except KeyError:
+        raise ParseError(f"variable {letter}[{i},{j}] is not on {space!r}", where) from None
 
 
 def _parse_factor(s, space, exps):

@@ -93,7 +93,17 @@ def straighten(f, params, subst=None):
 
 
 def is_in_ideal(f, params, subst=None):
-    """Membership in the kernel of the substitution (the minor ideal), over Z."""
+    """Membership in the kernel of the substitution (the minor ideal), over Z.
+
+    When r = min(m, n) there are no (r+1)-minors, so the ideal is zero and
+    only zero is a member.  That answer refuses what ``phi`` refuses: an
+    image (of degree 2 * f.degree()) past the packed limit, with phi's
+    message, and, by running phi, a polynomial on a foreign space.
+    """
+    if params.r == min(params.m, params.n) and f.space == params.x_space:
+        if 2 * f.degree() > kernels.MAX_DEGREE:
+            raise kernels._too_big(kernels.MAX_DEGREE + 1)
+        return f.is_zero()
     if subst is None:
         subst = SubstitutionMap(params)
     _, scaled = clear_denominators(f.packed)

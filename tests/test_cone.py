@@ -11,8 +11,7 @@ from detring import cone, kernels
 from detring.cone import (
     _join,
     _pairs,
-    _semigroup_report,
-    _shifted_points,
+    _point,
     build_system,
     conic_equality_check,
     exponent_arrays,
@@ -118,18 +117,21 @@ def test_semigroup_equals_lattice_small_square():
     assert rep2.equal and rep2.power_test_ok
 
 
-def test_semigroup_report_names_the_first_mismatch_and_runs_the_probe():
+def test_semigroup_report_names_the_first_mismatch_and_runs_the_probe(monkeypatch):
     params = Parameters(2, 2, 1)
-    g = min(generators_semigroup(params, "E"))
-    sg = semigroup_points(generators_semigroup(params, "E"), 4) - {g}
-    rep = _semigroup_report(params, "E", 4, sg, lattice_points(params, "E", bound=4))
+    gens = generators_semigroup(params, "E")
+    g = min(gens)
+    # Generating with 2g in place of g keeps 2g but not its root g.
+    doubled = [tuple(2 * e for e in g)] + [h for h in gens if h != g]
+    monkeypatch.setattr(cone, "generators_semigroup", lambda params, variant="E": doubled)
+    rep = semigroup_vs_cone(params, "E", 4)
     assert not rep.equal and not rep.ok
-    # 2g is still present but its root g is not, so the saturation probe fails.
     assert not rep.power_test_ok
     assert rep.first_mismatch == {"vector": exponent_arrays(params, g), "side": "lattice-only"}
     counts = {d: (s, l) for d, s, l in rep.degree_counts}
     assert counts[2] == (3, 4)
-    assert counts[4] == (9, 9)
+    # Degree 4 misses g + h for the two generators h sharing a row or a column with g.
+    assert counts[4] == (7, 9)
 
 
 def test_lattice_slices_match_standard_enumeration():
@@ -257,6 +259,12 @@ def test_lattice_points_match_brute_force_membership():
             assert sorted(lattice_points(params, "E", y_degree=d)) == expect, (params, d)
 
 
+def _shifted_points(params, w, bound):
+    """The tuple view of ``_join``'s witness-shifted side (side B of the conic check)."""
+    nvars = params.yz_space.nvars
+    return {_point(k, nvars) for k in _join(params, _pairs("E", params.r, range(bound + 1)), w)}
+
+
 def _random_shift(params, rng):
     """A rational vector on the free alpha entries (rows i >= j), zero elsewhere."""
     yz = params.yz_space
@@ -296,15 +304,36 @@ def test_shifted_points_match_brute_force():
     assert negative > 0
 
 
+def _cone_reference(params, variant, bound, gens):
+    """The cone report's fields from the tuple sets: counts, equality, probe, first mismatch."""
+    sg = semigroup_points(gens, bound)
+    lat = lattice_points(params, variant, bound=bound)
+    counts = tuple(
+        (d, sum(1 for v in sg if sum(v) == d), sum(1 for v in lat if sum(v) == d))
+        for d in range(bound + 1)
+    )
+    power_ok = all(
+        tuple(e // k for e in u) in sg for u in sg for k in (2, 3) if not any(e % k for e in u)
+    )
+    first = None
+    if sg != lat:
+        v = min(sg ^ lat)
+        side = "semigroup-only" if v in sg else "lattice-only"
+        first = {"vector": exponent_arrays(params, v), "side": side}
+    return counts, sg == lat, power_ok, first
+
+
 def test_streamed_report_equals_the_tuple_reference(monkeypatch):
+    def fields(rep):
+        return rep.degree_counts, rep.equal, rep.power_test_ok, rep.first_mismatch
+
     for (m, n, r) in parameter_triples(4, 4):
         params = Parameters(m, n, r)
         gens = generators_semigroup(params, "E")
         for bound in range(7):
-            expect = _semigroup_report(
-                params, "E", bound, semigroup_points(gens, bound), lattice_points(params, "E", bound=bound)
-            )
-            assert semigroup_vs_cone(params, "E", bound) == expect, (params, bound)
+            rep = semigroup_vs_cone(params, "E", bound)
+            assert fields(rep) == _cone_reference(params, "E", bound, gens), (params, bound)
+            assert rep.equal
     # Without its least generator the semigroup misses points, so the report
     # takes the mismatch path.
     real = cone.generators_semigroup
@@ -316,16 +345,13 @@ def test_streamed_report_equals_the_tuple_reference(monkeypatch):
     monkeypatch.setattr(cone, "generators_semigroup", without_least)
     for (m, n, r) in [(2, 2, 1), (2, 3, 2), (3, 3, 2), (4, 3, 1)]:
         params = Parameters(m, n, r)
-        gens = without_least(params)
-        for bound in range(2, 7):
-            rep = semigroup_vs_cone(params, "E", bound)
-            expect = _semigroup_report(
-                params, "E", bound, semigroup_points(gens, bound), lattice_points(params, "E", bound=bound)
-            )
-            assert not rep.equal
-            assert rep.degree_counts == expect.degree_counts
-            assert rep.first_mismatch == expect.first_mismatch
-            assert rep.power_test_ok == expect.power_test_ok
+        for variant in ("E", "Etilde"):
+            gens = without_least(params, variant)
+            for bound in range(2, 7):
+                rep = semigroup_vs_cone(params, variant, bound)
+                expect = _cone_reference(params, variant, bound, gens)
+                assert not rep.equal
+                assert fields(rep) == expect, (params, variant, bound)
 
 
 def _conic_reference(params, t, eps, bound):
@@ -363,26 +389,27 @@ def test_conic_check_equals_a_tuple_reference():
 
 
 def test_join_keys_are_the_packed_points():
+    # lattice_points and _shifted_points are checked against brute force above.
     for (m, n, r) in parameter_triples(3, 4):
         params = Parameters(m, n, r)
         for variant in ("E", "Etilde"):
             for d in range(7):
                 keys = _join(params, _pairs(variant, r, (d,)))
-                points = _join(params, _pairs(variant, r, (d,)), packed=False)
+                points = {v for v in lattice_points(params, variant, bound=d) if sum(v) == d}
                 assert keys == {kernels.pack(v) for v in points}, (params, variant, d)
-                assert all(sum(v) == d for v in points)
     # A shifted point with a negative entry is held as its tuple.
     params = Parameters(2, 3, 1)
     shift = witness_vector(params, 2, Fraction(1, 2))
     keys = _join(params, _pairs("E", 1, (4,)), shift)
-    points = _join(params, _pairs("E", 1, (4,)), shift, packed=False)
+    points = _shifted_points(params, shift, 4) - _shifted_points(params, shift, 3)
     negative = {v for v in points if min(v) < 0}
     assert negative and negative < keys
     assert keys - negative == {kernels.pack(v) for v in points - negative}
     # So is a point of degree past the packed limit; its fields would carry.
-    params = Parameters(2, 2, 1)
-    top = _pairs("E", 1, (kernels.MAX_DEGREE + 1,))
-    assert _join(params, top) == _join(params, _pairs("E", 1, (kernels.MAX_DEGREE + 1,)), packed=False)
+    # In 2x2 rank 1 it is y-degree 128 on either side: 129 alpha and 129 beta blocks.
+    keys = _join(Parameters(2, 2, 1), _pairs("E", 1, (kernels.MAX_DEGREE + 1,)))
+    assert len(keys) == 129 ** 2
+    assert all(type(k) is tuple and min(k) >= 0 and sum(k) == kernels.MAX_DEGREE + 1 for k in keys)
 
 
 def test_lattice_hilbert_counts_without_unpacking(monkeypatch):
@@ -398,6 +425,12 @@ def test_lattice_hilbert_counts_without_unpacking(monkeypatch):
 
 def test_negative_bounds_are_refused():
     params = Parameters(3, 3, 2)
+    with pytest.raises(ParameterError, match="nonnegative"):
+        lattice_points(Parameters(2, 2, 1), "E", bound=-1)
+    with pytest.raises(ParameterError, match="nonnegative"):
+        lattice_points(Parameters(2, 2, 1), "E", y_degree=-2)
+    with pytest.raises(ParameterError, match="nonnegative"):
+        lattice_points(params, "Etilde", bound=-1)
     with pytest.raises(ParameterError, match="nonnegative"):
         semigroup_vs_cone(params, "E", -1)
     with pytest.raises(ParameterError, match="nonnegative"):

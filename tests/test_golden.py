@@ -15,7 +15,7 @@ import json
 from detring.cli import run
 from helpers import parameter_triples
 
-GOLDEN = "cff111efb6fab84601a0015656a44387e1ee41439dbd84e83322836e3cb8f976"
+GOLDEN = "405d3dc06ae4c81786cf6fac603f82fea498c861b9b222f6e1d6f457b442bfbf"
 
 
 def _space(m, n, r):
@@ -29,7 +29,7 @@ def golden_argvs():
     for f in formats:
         for b in (-1, *range(7), 256):
             argvs.append(["cone-check", *_space(*f), "--deg-bound", str(b)])
-        for b in range(7):
+        for b in (-1, *range(7), 256):
             argvs.append(["tilde-check", *_space(*f), "--deg-bound", str(b)])
         for d in range(4):
             argvs.append(["hilbert", *_space(*f), "--deg", str(d), "--method", "lattice"])

@@ -1,5 +1,6 @@
 """Every module of the package, the test suite and the benchmark uses each name
-it imports."""
+it imports, and every module-level function or class of the package is used in
+the package or exported from it."""
 
 import ast
 from pathlib import Path
@@ -32,5 +33,32 @@ def test_no_module_imports_a_name_it_never_uses():
     assert len(paths) > 20
     unused = [
         f"{p.relative_to(ROOT)}:{line}: {name}" for p in paths for line, name in _unused_imports(p)
+    ]
+    assert unused == []
+
+
+def test_every_package_definition_is_used_or_exported():
+    # The benchmark tracer looks kernels.system_holds up by name.
+    package = ROOT / "src" / "detring"
+    trees = {p: ast.parse(p.read_text(), str(p)) for p in sorted(package.glob("*.py"))}
+    exported = {
+        a.asname or a.name
+        for node in ast.walk(trees[package / "__init__.py"])
+        if isinstance(node, ast.ImportFrom)
+        for a in node.names
+    }
+    read = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    unused = [
+        f"{p.relative_to(ROOT)}:{node.lineno}: {node.name}"
+        for p, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name not in exported | read
+        and (p.name, node.name) != ("kernels.py", "system_holds")
     ]
     assert unused == []

@@ -1,9 +1,11 @@
 """The enlarged invariant ring, its initial-monomial semigroup, and the
 ladder initial ideals checked by exact elimination."""
 
+from collections import Counter
+
 import pytest
 
-from detring import cone, invariants
+from detring import invariants, kernels
 from detring.cone import lattice_points, semigroup_vs_cone
 from detring.errors import ParameterError
 from detring.invariants import (
@@ -85,21 +87,27 @@ def test_invariant_semigroup_diagonal_matches_plain_lattice():
         assert rows[(d, d)] == (expect, expect)
 
 
-def test_invariant_semigroup_verification_builds_the_lattice_points_once(monkeypatch):
-    calls = []
-    real = cone.lattice_points
+def test_invariant_semigroup_verification_unpacks_no_point(monkeypatch):
+    def refuse(key, nvars):
+        raise AssertionError("unpacked a point")
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    for module in (cone, invariants):
-        monkeypatch.setattr(module, "lattice_points", counted)
+    monkeypatch.setattr(kernels, "unpack", refuse)
     params = Parameters(2, 3, 2)
     rep = verify_D_tilde(params, 4)
-    assert len(calls) == 1
     monkeypatch.undo()
+    assert rep.ok
     assert rep.cone_report == semigroup_vs_cone(params, "Etilde", 4)
+
+
+def test_bidegree_counts_equal_the_tuple_lattice():
+    for (m, n, r) in parameter_triples(3, 3):
+        params = Parameters(m, n, r)
+        bidegree = params.yz_space.bidegree
+        for b in range(7):
+            expect = Counter(map(bidegree, lattice_points(params, "Etilde", bound=b)))
+            rep = verify_D_tilde(params, b)
+            got = Counter({(d1, d2): a for d1, d2, a, _ in rep.bidegree_counts})
+            assert got == expect, (params, b)
 
 
 def test_invariant_semigroup_verification_rank_two():

@@ -172,8 +172,10 @@ def test_parse_reports_error_position():
 
 def test_parse_rejects_out_of_range_indices():
     xs = XSpace(2, 2)
-    with pytest.raises(ParseError):
-        parse_polynomial("x[3,1]", xs)
+    with pytest.raises(ParseError) as info:
+        parse_polynomial("x[1,1] + x[3,1]", xs)
+    assert str(info.value) == "variable x[3,1] is not on XSpace(2, 2) (at position 9)"
+    assert info.value.position == 9
     with pytest.raises(ParseError):
         parse_polynomial("y[1,1]", xs)
 

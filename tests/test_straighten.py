@@ -1,7 +1,11 @@
 """Rewriting polynomials as combinations of standard products."""
 
 from fractions import Fraction
+from importlib import import_module
 
+import pytest
+
+from detring.errors import ParameterError, SpaceMismatchError
 from detring.generic_point import SubstitutionMap, eval_bitableau, initial_monomial_closed_form, phi
 from detring.poly import Poly, XSpace, YZSpace, parse_polynomial
 from detring.straighten import is_in_ideal, straighten
@@ -113,6 +117,41 @@ def test_ideal_membership_negative_and_product_closure():
         g = random_poly(xs, rng, max_degree=2)
         assert is_in_ideal(g * det, params)
         assert straighten(g * det, params).is_zero()
+
+
+def test_full_rank_membership_equals_the_substitution_answer():
+    # At r = min(m, n) the ideal is zero; the shortcut must agree with phi.
+    rng = seeded(23)
+    for (m, n, r) in parameter_triples(3, 3):
+        if r < min(m, n):
+            continue
+        params = Parameters(m, n, r)
+        subst = SubstitutionMap(params)
+        xs = params.x_space
+        polys = [Poly.zero(xs)] + [random_poly(xs, rng, max_degree=3) for _ in range(10)]
+        polys.append(polys[-1] - polys[-1])
+        for f in polys:
+            assert is_in_ideal(f, params) == phi(f, subst).is_zero() == f.is_zero()
+        with pytest.raises(SpaceMismatchError):
+            is_in_ideal(Poly.zero(XSpace(m + 1, n)), params)
+        # An image past the packed limit is refused with phi's message.
+        big = Poly.variable(xs, 0) ** 128
+        with pytest.raises(ParameterError) as by_phi:
+            phi(big, subst)
+        with pytest.raises(ParameterError, match=str(by_phi.value)):
+            is_in_ideal(big, params)
+
+
+def test_full_rank_membership_does_not_substitute(monkeypatch):
+    def refuse(f, subst):
+        raise AssertionError("expanded phi")
+
+    # The package exports the function straighten under the module's name.
+    monkeypatch.setattr(import_module("detring.straighten"), "phi", refuse)
+    params = Parameters(4, 4, 4)
+    f = parse_polynomial("x[1,1]^60*x[2,2]^60", params.x_space)
+    assert not is_in_ideal(f, params)
+    assert is_in_ideal(f - f, params)
 
 
 def test_combination_serializes_to_pairs():

@@ -10,8 +10,6 @@ symbolic powers of the two distinguished divisor classes.
 
 from .classify import CertifiedVerdict, Verdict, certify, classify, rank1_mcm_classes
 from .cone import (
-    ConeSystem,
-    build_system,
     conic_equality_check,
     generators_semigroup,
     lattice_points,

@@ -20,10 +20,14 @@ out by five families:
 The "Etilde" variant drops exactly the last coupling equation, so its
 defects are merely constant across columns.  Once column j-1 is fixed, (2)
 caps the prefix sums of column j, so integer points are generated column by
-column (``_blocks``) and never filtered.  Integer points of the cone match
-the semigroup generated by the closed-form generator monomials;
-``semigroup_vs_cone`` verifies that up to a degree bound, and
-``conic_equality_check`` runs the shifted-cone comparison that certifies
+column (``_blocks``) and never filtered; (5) picks which alpha and beta blocks
+join (``_pairs``).  These two are the package's only description of the cone.
+The families as explicit functionals are ``tests/helpers.cone_system``, the
+brute-force oracle the generated points are tested against.
+
+Integer points of the cone match the semigroup generated by the closed-form
+generator monomials; ``semigroup_vs_cone`` verifies that up to a degree bound,
+and ``conic_equality_check`` runs the shifted-cone comparison that certifies
 Cohen-Macaulayness of symbolic powers.  Both stream their two sides degree by
 degree through one comparison (``_compare``), each point one packed int
 (``kernels.pack``, built by ``_join``); tuples appear only in the public views
@@ -49,83 +53,6 @@ VARIANTS = ("E", "Etilde")
 def _check_variant(variant):
     if variant not in VARIANTS:
         raise ParameterError(f"variant must be one of {VARIANTS}, got {variant!r}")
-
-
-@dataclass(frozen=True)
-class ConeSystem:
-    """Structured linear description; functionals are ((position, coef), ...)."""
-
-    params: object
-    variant: str
-    zero_positions: tuple
-    alpha_inequalities: tuple
-    beta_inequalities: tuple
-    nonneg_positions: tuple
-    couplings: tuple
-
-    @property
-    def equations(self):
-        zero = tuple(((p, 1),) for p in self.zero_positions)
-        return zero + self.couplings
-
-    @property
-    def inequalities(self):
-        nonneg = tuple(((p, 1),) for p in self.nonneg_positions)
-        return self.alpha_inequalities + self.beta_inequalities + nonneg
-
-
-def build_system(params, variant="E"):
-    _check_variant(variant)
-    m, n, r = params.m, params.n, params.r
-    yz = params.yz_space
-    zero = []
-    for i in range(1, m + 1):
-        for j in range(i + 1, r + 1):
-            zero.append(yz.y(i, j))
-    for u in range(1, r + 1):
-        for v in range(1, min(u - 1, n) + 1):
-            zero.append(yz.z(u, v))
-    alpha_ineqs = []
-    for j in range(2, r + 1):
-        for k in range(j, m + 1):
-            f = [(yz.y(i, j - 1), 1) for i in range(j - 1, k)]
-            f += [(yz.y(i, j), -1) for i in range(j, k + 1)]
-            alpha_ineqs.append(tuple(f))
-    beta_ineqs = []
-    for u in range(2, r + 1):
-        for w in range(u, n + 1):
-            f = [(yz.z(u - 1, t), 1) for t in range(u - 1, w)]
-            f += [(yz.z(u, t), -1) for t in range(u, w + 1)]
-            beta_ineqs.append(tuple(f))
-    nonneg = []
-    for j in range(1, r + 1):
-        for i in range(j + 1, m + 1):
-            nonneg.append(yz.y(i, j))
-    for u in range(1, r + 1):
-        for v in range(u + 1, n + 1):
-            nonneg.append(yz.z(u, v))
-    nonneg.append(yz.y(r, r))
-    nonneg.append(yz.z(r, r))
-    defect = []
-    for j in range(1, r + 1):
-        f = [(yz.y(i, j), 1) for i in range(1, m + 1)]
-        f += [(yz.z(j, v), -1) for v in range(1, n + 1)]
-        defect.append(f)
-    couplings = []
-    for j in range(r - 1):
-        f = defect[j] + [(p, -c) for p, c in defect[j + 1]]
-        couplings.append(tuple(f))
-    if variant == "E":
-        couplings.append(tuple(defect[r - 1]))
-    return ConeSystem(
-        params,
-        variant,
-        tuple(zero),
-        tuple(alpha_ineqs),
-        tuple(beta_ineqs),
-        tuple(sorted(set(nonneg))),
-        tuple(couplings),
-    )
 
 
 def exponent_arrays(params, vec):
@@ -178,6 +105,10 @@ def _semigroup_layers(gens, bound):
         )
     if not gens:
         raise ParameterError("at least one generator is required")
+    width = len(gens[0])
+    bad = next((g for g in gens if len(g) != width or min(g, default=0) < 0), None)
+    if bad is not None:
+        raise ParameterError(f"generator {bad} is not a nonnegative exponent tuple of length {width}")
     steps = [(kernels.pack(g), sum(g)) for g in gens if any(g)]
     span = max((dg for _, dg in steps), default=1)
     layers = {0: {0}}

@@ -151,6 +151,11 @@ def decode_standard(exps, params):
         raise SpaceMismatchError(
             f"exponent tuple of length {len(exps)} on a space with {yz.nvars} variables"
         )
+    low = min(exps, default=0)
+    if low < 0:
+        raise NotInSemigroupError(
+            f"exponent {low} of {yz.label(exps.index(low))} is negative; no standard preimage"
+        )
     ycols = []
     for j in range(1, params.r + 1):
         col = []

@@ -3,6 +3,7 @@
 import os
 import random
 from fractions import Fraction
+from functools import cache
 
 import detring
 from detring import kernels
@@ -77,12 +78,41 @@ def compare_monomials(space, a, b):
     return (ka > kb) - (ka < kb)
 
 
-def cone_membership(v, system):
+@cache
+def cone_system(params, variant="E"):
+    """Brute-force oracle: the cone's families (1)-(5) as (equations, inequalities).
+
+    Each functional is ((position, coef), ...) on the y/z space: equations
+    (1), then the couplings (5), the last one (s_r = 0) only for variant E;
+    inequalities (2), (3), then (4) one position each.
+    """
+    m, n, r = params.m, params.n, params.r
+    y, z = params.yz_space.y, params.yz_space.z
+    eqs = [((y(i, j), 1),) for i in range(1, m + 1) for j in range(i + 1, r + 1)]
+    eqs += [((z(u, v), 1),) for u in range(1, r + 1) for v in range(1, u)]
+    defects = [[(y(i, j), 1) for i in range(1, m + 1)] + [(z(j, v), -1) for v in range(1, n + 1)]
+               for j in range(1, r + 1)]
+    eqs += [tuple(defects[j] + [(p, -c) for p, c in defects[j + 1]]) for j in range(r - 1)]
+    if variant == "E":
+        eqs.append(tuple(defects[-1]))
+    ineqs = [tuple([(y(i, j - 1), 1) for i in range(j - 1, k)]
+                   + [(y(i, j), -1) for i in range(j, k + 1)])
+             for j in range(2, r + 1) for k in range(j, m + 1)]
+    ineqs += [tuple([(z(u - 1, t), 1) for t in range(u - 1, w)]
+                    + [(z(u, t), -1) for t in range(u, w + 1)])
+              for u in range(2, r + 1) for w in range(u, n + 1)]
+    nonneg = {y(i, j) for j in range(1, r + 1) for i in range(j + 1, m + 1)} | {y(r, r), z(r, r)}
+    nonneg |= {z(u, v) for u in range(1, r + 1) for v in range(u + 1, n + 1)}
+    ineqs += [((p, 1),) for p in sorted(nonneg)]
+    return tuple(eqs), tuple(ineqs)
+
+
+def cone_membership(v, params, variant="E"):
     """Brute-force reference: does the rational vector v satisfy every cone functional?"""
-    yz = system.params.yz_space
-    if len(v) != yz.nvars:
-        raise ParameterError(f"vector of length {len(v)} on a space with {yz.nvars} variables")
-    return kernels.system_holds(system.equations, system.inequalities, v)
+    nvars = params.yz_space.nvars
+    if len(v) != nvars:
+        raise ParameterError(f"vector of length {len(v)} on a space with {nvars} variables")
+    return kernels.system_holds(*cone_system(params, variant), v)
 
 
 def format_minor(minor):

@@ -1,5 +1,5 @@
-"""The exponent-vector semigroup, its linear description, and the shifted-set
-comparison behind the power classification."""
+"""The exponent-vector semigroup, its cone against the brute-force linear
+description, and the shifted-set comparison behind the power classification."""
 
 import random
 from fractions import Fraction
@@ -12,7 +12,6 @@ from detring.cone import (
     _join,
     _pairs,
     _point,
-    build_system,
     conic_equality_check,
     exponent_arrays,
     generators_semigroup,
@@ -25,7 +24,7 @@ from detring.counting import _monomials_of_degree, hilbert_function
 from detring.errors import ParameterError
 from detring.poly import YZSpace
 from detring.tableaux import Parameters, count_standard, enumerate_standard
-from helpers import cone_membership, parameter_triples
+from helpers import cone_membership, cone_system, parameter_triples
 
 
 def vector_of(params, pairs):
@@ -37,43 +36,43 @@ def vector_of(params, pairs):
 
 
 def test_system_shape_at_three_by_three_rank_two():
+    # The oracle's families: 2 zero entries (1) and 2 couplings (5); 2 + 2
+    # inequalities (2), (3) and 8 nonnegative entries (4).
+    eqs, ineqs = cone_system(Parameters(3, 3, 2), "E")
+    assert [len(f) for f in eqs] == [1, 1, 12, 6]
+    assert [len(f) for f in ineqs] == [2, 4, 2, 4] + [1] * 8
+    assert cone_system(Parameters(3, 3, 2), "Etilde") == (eqs[:-1], ineqs)
+
+
+def test_variants_other_than_e_and_etilde_are_refused():
     params = Parameters(3, 3, 2)
-    sys_e = build_system(params, "E")
-    assert len(sys_e.zero_positions) == 2
-    assert len(sys_e.alpha_inequalities) == 2
-    assert len(sys_e.beta_inequalities) == 2
-    assert len(sys_e.nonneg_positions) == 8
-    assert len(sys_e.couplings) == 2
-    sys_t = build_system(params, "Etilde")
-    assert sys_t.couplings == sys_e.couplings[:-1]
-    assert sys_t.zero_positions == sys_e.zero_positions
-    assert len(sys_e.equations) == 2 + 2
-    assert len(sys_e.inequalities) == 2 + 2 + 8
-    with pytest.raises(ParameterError):
-        build_system(params, "F")
+    with pytest.raises(ParameterError, match="variant"):
+        generators_semigroup(params, "F")
+    with pytest.raises(ParameterError, match="variant"):
+        semigroup_vs_cone(params, "F")
+    with pytest.raises(ParameterError, match="variant"):
+        lattice_points(params, "F", bound=2)
 
 
 def test_membership_examples():
     params = Parameters(2, 2, 2)
     yz = YZSpace(2, 2, 2)
-    sys_e = build_system(params, "E")
     good = vector_of(
         params, [(yz.y(1, 1), 1), (yz.y(2, 2), 1), (yz.z(1, 1), 1), (yz.z(2, 2), 1)]
     )
-    assert cone_membership(good, sys_e)
+    assert cone_membership(good, params)
     bad = vector_of(params, [(yz.y(1, 2), 1)])
-    assert not cone_membership(bad, sys_e)
-    assert cone_membership((0,) * yz.nvars, sys_e)
+    assert not cone_membership(bad, params)
+    assert cone_membership((0,) * yz.nvars, params)
     with pytest.raises(ParameterError):
-        cone_membership((0,) * (yz.nvars - 1), sys_e)
+        cone_membership((0,) * (yz.nvars - 1), params)
 
 
 def test_membership_accepts_rationals():
     params = Parameters(2, 2, 1)
     yz = YZSpace(2, 1, 2)
-    sys_e = build_system(params, "E")
     v = vector_of(params, [(yz.y(1, 1), Fraction(1, 2)), (yz.z(1, 1), Fraction(1, 2))])
-    assert cone_membership(v, sys_e)
+    assert cone_membership(v, params)
 
 
 def test_generator_counts():
@@ -90,19 +89,16 @@ def test_generators_lie_in_their_cone():
     for (m, n, r) in parameter_triples(3, 3):
         params = Parameters(m, n, r)
         for variant in ("E", "Etilde"):
-            system = build_system(params, variant)
             for g in generators_semigroup(params, variant):
-                assert cone_membership(g, system)
+                assert cone_membership(g, params, variant)
 
 
 def test_pure_factor_generators_only_in_the_relaxed_cone():
     params = Parameters(2, 2, 2)
     yz = YZSpace(2, 2, 2)
-    sys_e = build_system(params, "E")
-    sys_t = build_system(params, "Etilde")
     pure = vector_of(params, [(yz.z(1, 1), 1), (yz.z(2, 2), 1)])
-    assert cone_membership(pure, sys_t)
-    assert not cone_membership(pure, sys_e)
+    assert cone_membership(pure, params, "Etilde")
+    assert not cone_membership(pure, params, "E")
 
 
 def test_semigroup_equals_lattice_small_square():
@@ -149,6 +145,18 @@ def test_semigroup_points_requires_generators():
     assert pts == {(0, 0), (1, 0), (2, 0), (0, 2)}
 
 
+def test_semigroup_points_refuses_malformed_generators(monkeypatch):
+    # Unequal lengths once read as points with negative entries; a negative
+    # entry once failed as a degree past the packed limit.
+    def refuse(g):
+        raise AssertionError("packed a generator")
+
+    monkeypatch.setattr(kernels, "pack", refuse)
+    for gens in ([(1, 0), (1,)], [(1,), (0, 1)], [(-1, 2)], [(0, 1), (2, -1)]):
+        with pytest.raises(ParameterError, match="nonnegative exponent tuple of length"):
+            semigroup_points(gens, 2)
+
+
 def test_witness_entries_and_equations():
     params = Parameters(3, 3, 2)
     w = witness_vector(params, 1, Fraction(1, 2))
@@ -157,8 +165,7 @@ def test_witness_entries_and_equations():
         "alpha": [["1/2", 0], ["-1/2", "1/2"], [0, "-1/2"]],
         "beta": [[0, 0, 0], [0, 0, 0]],
     }
-    sys_e = build_system(params, "E")
-    assert kernels.system_holds(sys_e.equations, (), w)
+    assert kernels.system_holds(cone_system(params, "E")[0], (), w)
     with pytest.raises(ParameterError):
         witness_vector(params, 1, Fraction(3, 2))
     with pytest.raises(ParameterError):
@@ -226,7 +233,7 @@ def test_semigroup_points_refuses_bounds_past_the_packed_limit():
 def _box(params, offsets, total):
     """Vectors off the zero positions of (1), offset entrywise, with entry sum <= total."""
     yz = params.yz_space
-    zero = set(build_system(params, "E").zero_positions)
+    zero = {f[0][0] for f in cone_system(params, "E")[0] if len(f) == 1}
     free = [p for p in range(yz.nvars) if p not in zero]
     for d in range(total + 1):
         for values in _monomials_of_degree(len(free), d):
@@ -243,18 +250,18 @@ def test_lattice_points_match_brute_force_membership():
         params = Parameters(m, n, r)
         zeros = (0,) * params.yz_space.nvars
         for variant in ("E", "Etilde"):
-            system = build_system(params, variant)
-            brute = sorted(v for v in _box(params, zeros, bound) if cone_membership(v, system))
+            brute = sorted(
+                v for v in _box(params, zeros, bound) if cone_membership(v, params, variant)
+            )
             for b in range(bound + 1):
                 expect = [v for v in brute if sum(v) <= b]
                 got = sorted(lattice_points(params, variant, bound=b))
                 assert got == expect, (params, variant, b)
         yc = params.yz_space.y_count
-        system = build_system(params, "E")
         for d in range(bound // 2 + 1):
             expect = sorted(
                 v for v in _box(params, zeros, 2 * d)
-                if sum(v[:yc]) == d and cone_membership(v, system)
+                if sum(v[:yc]) == d and cone_membership(v, params)
             )
             assert sorted(lattice_points(params, "E", y_degree=d)) == expect, (params, d)
 
@@ -290,12 +297,12 @@ def test_shifted_points_match_brute_force():
     top = 8
     negative = 0
     for params, w in cases:
-        system = build_system(params, "E")
+        eqs, ineqs = cone_system(params, "E")
         lows = tuple(ceil(x) for x in w)
         brute = [
             v for v in _box(params, lows, top - sum(lows))
-            if kernels.system_holds(system.equations, (), v)
-            and kernels.system_holds((), system.inequalities, [a - b for a, b in zip(v, w)])
+            if kernels.system_holds(eqs, (), v)
+            and kernels.system_holds((), ineqs, [a - b for a, b in zip(v, w)])
         ]
         for bound in range(top + 1):
             expect = {v for v in brute if sum(v) <= bound}

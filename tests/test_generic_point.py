@@ -192,6 +192,16 @@ def test_decode_rejects_foreign_monomials():
         decode_standard(tuple(unbalanced), params)
 
 
+def test_decode_rejects_negative_exponents():
+    # [i] * -1 is empty, so y[1,1] = z[1,1] = -1 once decoded as [|].
+    params = Parameters(2, 2, 1)
+    yz = params.yz_space
+    e = [0] * yz.nvars
+    e[yz.y(1, 1)] = e[yz.z(1, 1)] = -1
+    with pytest.raises(NotInSemigroupError, match=r"exponent -1 of y\[1,1\] is negative"):
+        decode_standard(tuple(e), params)
+
+
 def test_decode_round_trip_and_injectivity():
     for (m, n, r) in parameter_triples(3, 3):
         params = Parameters(m, n, r)

@@ -1,23 +1,24 @@
 """The enlarged invariant ring, its initial-monomial semigroup, and the
 ladder initial ideals checked by exact elimination."""
 
+import json
 from collections import Counter
 
 import pytest
 
 from detring import invariants, kernels
+from detring.cli import run
 from detring.cone import lattice_points, semigroup_vs_cone
 from detring.errors import ParameterError
 from detring.invariants import (
     generators_R_tilde,
     ladder_variable_set,
-    tilde_system_matches,
     verify_D_tilde,
     verify_ladder,
 )
 from detring.poly import YZSpace
 from detring.tableaux import Parameters, all_minors, parse_minor
-from helpers import parameter_triples, tilde_basis_count_by_listing
+from helpers import cone_system, parameter_triples, tilde_basis_count_by_listing
 
 
 def predicted_leads(params):
@@ -63,8 +64,30 @@ def test_generator_leading_monomials_are_the_three_families():
 
 
 def test_relaxed_system_differs_by_exactly_one_equation():
+    # The Etilde lattice points on which the last E equation (s_r = 0) holds
+    # are exactly the E lattice points.
     for (m, n, r) in parameter_triples(4, 4):
-        assert tilde_system_matches(Parameters(m, n, r))
+        params = Parameters(m, n, r)
+        last = cone_system(params, "E")[0][-1:]
+        tilde = lattice_points(params, "Etilde", bound=4)
+        coupled = {v for v in tilde if kernels.system_holds(last, (), v)}
+        assert coupled == lattice_points(params, "E", bound=4), (m, n, r)
+
+
+def test_system_difference_fails_when_e_admits_a_decoupled_pair(monkeypatch, capsys):
+    real = invariants._pairs
+
+    def leaky(variant, r, degrees):
+        yield from real(variant, r, degrees)
+        if variant == "E":
+            yield next((sa, sb) for sa, sb in real("Etilde", r, degrees) if sa[0] == sb[0] + 1)
+
+    monkeypatch.setattr(invariants, "_pairs", leaky)
+    rep = verify_D_tilde(Parameters(2, 2, 1), 4)
+    assert not rep.system_difference_ok and not rep.ok
+    assert rep.cone_report.ok and rep.counts_match and rep.generator_leads_ok
+    assert run(["tilde-check", "--m", "2", "--n", "2", "--r", "1", "--deg-bound", "4"]) == 2
+    assert json.loads(capsys.readouterr().out)["system_difference_ok"] is False
 
 
 def test_invariant_semigroup_verification_small():

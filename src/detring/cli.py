@@ -21,7 +21,7 @@ from .errors import DetringError, InternalCheckError
 from .invariants import verify_D_tilde, verify_ladder
 from .poly import parse_polynomial
 from .straighten import is_in_ideal, straighten
-from .tableaux import Parameters, enumerate_standard, parse_minor
+from .tableaux import Parameters, _standard_texts, parse_minor
 
 __all__ = ["main", "run", "build_parser"]
 
@@ -48,8 +48,8 @@ def _eps(text):
 
 
 def _cmd_basis(args):
-    basis = enumerate_standard(_params(args), args.deg)
-    return {"count": len(basis), "bitableaux": [str(b) for b in basis]}, 0
+    texts = _standard_texts(_params(args), args.deg)
+    return {"count": len(texts), "bitableaux": texts}, 0
 
 
 def _cmd_straighten(args):

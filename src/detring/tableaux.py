@@ -14,6 +14,8 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
+from math import comb
+from operator import attrgetter, ge
 
 from .errors import ParameterError, ParseError
 from .poly import XSpace, YZSpace
@@ -120,14 +122,6 @@ def minor_leq(d1, d2):
 class Bitableau:
     factors: tuple
 
-    @classmethod
-    def _raw(cls, factors):
-        """Wrap a factor tuple already known to hold nonempty minors of weakly
-        decreasing sizes, skipping the checks of ``__post_init__``."""
-        b = object.__new__(cls)
-        object.__setattr__(b, "factors", factors)
-        return b
-
     def __post_init__(self):
         factors = tuple(self.factors)
         object.__setattr__(self, "factors", factors)
@@ -155,6 +149,18 @@ class Bitableau:
         if not self.factors:
             return "[|]"
         return "".join([f._text for f in self.factors])
+
+
+_set_factors = Bitableau.factors.__set__
+
+
+def _raw_bitableau(factors):
+    """Wrap a factor tuple already known to hold nonempty minors of weakly
+    decreasing sizes, skipping the checks of ``__post_init__`` (the slot is set
+    through its own descriptor, past the frozen ``__setattr__``)."""
+    b = object.__new__(Bitableau)
+    _set_factors(b, factors)
+    return b
 
 
 def is_standard(bitab):
@@ -211,11 +217,52 @@ def all_minors(params, max_size=None):
 
 
 def _successors(table, prev, t):
-    """``table[prev, t]``: the size-t minors prev grows into, filled on first use."""
+    """``table[prev, t]``: the size-t minors prev grows into, filled on first use.
+
+    ``table[None, t]`` lists the size-t minors by rows then columns, so with
+    width = C(n, t) (n is the last minor's last column) the minor at position
+    i * width + j has the i-th row tuple and the j-th column tuple.  The
+    successors are the row tuples >= prev's rows entrywise times the column
+    tuples >= prev's columns, read out by position in that order.
+    """
     out = table.get((prev, t))
     if out is None:
-        out = table[prev, t] = [d for d in table[None, t] if minor_leq(prev, d)]
+        grid = table[None, t]
+        width = comb(grid[-1].cols[-1], t)
+        rows = [i for i in range(0, len(grid), width) if all(map(ge, grid[i].rows, prev.rows))]
+        cols = [j for j in range(width) if all(map(ge, grid[j].cols, prev.cols))]
+        out = table[prev, t] = [grid[i + j] for i in rows for j in cols]
     return out
+
+
+def _standard_chains(params, degree, piece, empty):
+    """Every standard chain of the degree with factor sizes <= r, in the order
+    of ``enumerate_standard``, each as ``empty`` plus ``piece(d)`` per factor d.
+
+    Depth first through ``params.minor_table``: larger factors first, then
+    rows, then columns.  The last factor's successors are added in bulk.
+    """
+    if degree < 0:
+        raise ParameterError(f"degree must be nonnegative, got {degree}")
+    out = []
+    if degree:
+        _extend_chains(params.minor_table, piece, out, empty, None, params.r, degree)
+    else:
+        out.append(empty)
+    return out
+
+
+def _extend_chains(table, piece, out, prefix, prev, top, left):
+    """Append to out each chain of degree ``left`` after prefix whose factors
+    follow prev, with sizes <= top.  A module function rather than a closure
+    that calls itself: such a closure is a reference cycle, which would keep
+    out and the table alive after the walk until the cyclic collector ran."""
+    for t in range(min(top, left), 0, -1):
+        if t == left:
+            out.extend([prefix + piece(d) for d in _successors(table, prev, t)])
+        else:
+            for d in _successors(table, prev, t):
+                _extend_chains(table, piece, out, prefix + piece(d), d, t, left - t)
 
 
 def enumerate_standard(params, degree):
@@ -225,24 +272,17 @@ def enumerate_standard(params, degree):
     Depth first through ``params.minor_table`` is that order: no two bitableaux
     of one degree have one factor list a prefix of the other.  The walk only
     chains nonempty minors of nonincreasing size, so it builds its output with
-    the trusted ``Bitableau._raw``.
+    the trusted ``_raw_bitableau``.
     """
-    if degree < 0:
-        raise ParameterError(f"degree must be nonnegative, got {degree}")
-    table = params.minor_table
-    raw = Bitableau._raw
-    out = []
+    return list(map(_raw_bitableau, _standard_chains(params, degree, lambda d: (d,), ())))
 
-    def extend(prefix, prev, top, left):
-        if not left:
-            out.append(raw(prefix))
-            return
-        for t in range(min(top, left), 0, -1):
-            for d in _successors(table, prev, t):
-                extend(prefix + (d,), d, t, left - t)
 
-    extend((), None, params.r, degree)
-    return out
+def _standard_texts(params, degree):
+    """``[str(b) for b in enumerate_standard(params, degree)]``, joined from each
+    minor's cached text in the same walk, with no bitableau built."""
+    if degree == 0:
+        return ["[|]"]
+    return _standard_chains(params, degree, attrgetter("_text"), "")
 
 
 def _standard_counter(params):

@@ -10,7 +10,7 @@ from detring import kernels
 from detring.counting import _chain_ends
 from detring.errors import ParameterError, SpaceMismatchError
 from detring.poly import Poly
-from detring.tableaux import enumerate_standard
+from detring.tableaux import enumerate_standard, minor_leq
 
 
 def parameter_triples(max_m=3, max_n=3, proper=False):
@@ -125,6 +125,12 @@ def format_bitableau(bitab):
     if not bitab.factors:
         return "[|]"
     return "".join(format_minor(f) for f in bitab.factors)
+
+
+def successors_by_minor_leq(table, prev, t):
+    """Reference for ``tableaux._successors``: every size-t minor of the table
+    that prev precedes, tested pair by pair, in the table's order."""
+    return [d for d in table[None, t] if minor_leq(prev, d)]
 
 
 def tilde_basis_count_by_listing(params, d1, d2):

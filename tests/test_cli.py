@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 from detring.cli import main, run
+from detring.tableaux import Parameters, enumerate_standard
 from helpers import subprocess_env
 
 
@@ -68,6 +69,38 @@ def test_hilbert_bitableaux_counts_without_listing():
                            text=True, env=subprocess_env(), timeout=60)
     assert child.returncode == 0, child.stderr
     assert '"dim": 629672620' in child.stdout
+
+
+def test_hilbert_bitableaux_fills_successor_lists_by_domination():
+    # 2940 minors of size <= 4: an all-pairs successor fill took seconds here.
+    argv = ["hilbert", "--m", "7", "--n", "7", "--r", "4", "--deg", "6", "--method", "bitableaux"]
+    child = subprocess.run([sys.executable, "-m", "detring", *argv], capture_output=True,
+                           text=True, env=subprocess_env(), timeout=60)
+    assert child.returncode == 0, child.stderr
+    assert '"dim": 25807516' in child.stdout
+
+
+def test_basis_negative_degree_exits_one_with_nothing_on_stdout(capsys):
+    code, out, err = capture(capsys, ["basis", "--m", "2", "--n", "2", "--r", "1", "--deg", "-1"])
+    assert (code, out) == (1, "")
+    assert err == "error: degree must be nonnegative, got -1\n"
+
+
+def test_basis_degree_zero_is_the_empty_product(capsys):
+    space = ["--m", "3", "--n", "2", "--r", "2", "--deg", "0"]
+    code, out, _ = capture(capsys, ["basis", *space])
+    assert code == 0 and json.loads(out) == {"bitableaux": ["[|]"], "count": 1}
+    code, out, _ = capture(capsys, ["basis", *space, "--format", "table"])
+    assert code == 0 and out == "bitableaux.0 = [|]\ncount = 1\n"
+
+
+def test_basis_at_full_rank_lists_the_enumeration(capsys):
+    for m, n, d in ((2, 3, 4), (3, 3, 4), (4, 3, 3)):
+        r = min(m, n)
+        argv = ["basis", "--m", str(m), "--n", str(n), "--r", str(r), "--deg", str(d)]
+        code, out, _ = capture(capsys, argv)
+        expect = [str(b) for b in enumerate_standard(Parameters(m, n, r), d)]
+        assert code == 0 and json.loads(out) == {"bitableaux": expect, "count": len(expect)}
 
 
 def test_hilbert_payload_all_methods(capsys):

@@ -231,7 +231,11 @@ def test_semigroup_points_refuses_bounds_past_the_packed_limit():
 
 
 def _box(params, offsets, total):
-    """Vectors off the zero positions of (1), offset entrywise, with entry sum <= total."""
+    """Vectors off the zero positions of (1), offset entrywise, with entry sum <= total.
+
+    Each free entry is at or above its offset, or exactly one of them is 1
+    below it, so a test over the box also sees the nonnegative family (4).
+    """
     yz = params.yz_space
     zero = {f[0][0] for f in cone_system(params, "E")[0] if len(f) == 1}
     free = [p for p in range(yz.nvars) if p not in zero]
@@ -241,6 +245,11 @@ def _box(params, offsets, total):
             for p, x in zip(free, values):
                 v[p] += x
             yield tuple(v)
+            for p, x in zip(free, values):
+                if not x:
+                    v[p] -= 1
+                    yield tuple(v)
+                    v[p] += 1
 
 
 def test_lattice_points_match_brute_force_membership():

@@ -1,10 +1,12 @@
-"""One SHA-256 over the cone commands' exit codes and output on a desk grid.
+"""SHA-256 digests over the CLI's exit codes and output on desk grids.
 
-The digest pins every byte the cone commands print (`cone-check`, `certify`
-for both classes, `tilde-check` and `hilbert --method lattice`) on every
-format with m, n <= 4, so a change to the cone code that moves any payload,
-message or exit code shows up here.  When a change is meant to move output,
-print the new digest with ``golden_digest()`` and say why it moved.
+One digest pins every byte the cone commands print (`cone-check`, `certify`
+for both classes, `tilde-check` and `hilbert --method lattice`), another every
+byte the tableaux commands print (`basis` in both formats and `hilbert
+--method bitableaux`), each on every format with m, n <= 4.  A change to the
+cone or tableaux code that moves any payload, message or exit code shows up
+here.  When a change is meant to move output, print the new digest with
+``golden_digest(argvs)`` and say why it moved.
 """
 
 import contextlib
@@ -15,6 +17,7 @@ import json
 from detring.cli import run
 from helpers import parameter_triples
 
+GOLDEN_TABLEAUX = "717fb8a07c7b3b5458e9a7c5af5c3838721ff901ca71beb206bdcb64a6859478"
 GOLDEN = "405d3dc06ae4c81786cf6fac603f82fea498c861b9b222f6e1d6f457b442bfbf"
 
 
@@ -42,9 +45,21 @@ def golden_argvs():
     return argvs
 
 
-def golden_digest():
+def tableaux_argvs():
+    """The grid: tableaux commands on every format with m, n <= 4, degrees -1..4."""
+    argvs = []
+    for f in parameter_triples(4, 4):
+        for d in range(-1, 5):
+            deg = ["--deg", str(d)]
+            argvs.append(["basis", *_space(*f), *deg])
+            argvs.append(["basis", *_space(*f), *deg, "--format", "table"])
+            argvs.append(["hilbert", *_space(*f), *deg, "--method", "bitableaux"])
+    return argvs
+
+
+def golden_digest(argvs):
     digest = hashlib.sha256()
-    for argv in golden_argvs():
+    for argv in argvs:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = run(argv)
@@ -53,4 +68,8 @@ def golden_digest():
 
 
 def test_cone_commands_print_the_recorded_bytes():
-    assert golden_digest() == GOLDEN
+    assert golden_digest(golden_argvs()) == GOLDEN
+
+
+def test_tableaux_commands_print_the_recorded_bytes():
+    assert golden_digest(tableaux_argvs()) == GOLDEN_TABLEAUX

@@ -1,5 +1,7 @@
 """Minors, bitableaux, the comparison rule, standardness, enumeration."""
 
+import gc
+
 import pytest
 
 from detring.errors import ParameterError, ParseError
@@ -7,6 +9,8 @@ from detring.tableaux import (
     Bitableau,
     Minor,
     Parameters,
+    _standard_texts,
+    _successors,
     all_minors,
     count_standard,
     enumerate_standard,
@@ -16,7 +20,7 @@ from detring.tableaux import (
     parse_bitableau,
     parse_minor,
 )
-from helpers import format_bitableau, format_minor, parameter_triples
+from helpers import format_bitableau, format_minor, parameter_triples, successors_by_minor_leq
 
 
 def test_parameters_validate_rank_bounds():
@@ -179,12 +183,36 @@ def test_enumerate_matches_brute_force_in_order():
 
 
 def test_enumerated_bitableaux_pass_the_checking_constructor_and_format_alike():
-    # The walk builds its output through Bitableau._raw, which skips the checks.
+    # The walk builds its output through _raw_bitableau, which skips the checks.
     for m, n, r in parameter_triples(4, 4):
         for d in range(5):
             for b in enumerate_standard(Parameters(m, n, r), d):
                 assert Bitableau(b.factors) == b, (m, n, r, d)
                 assert str(b) == format_bitableau(b), (m, n, r, d)
+
+
+def test_standard_walk_leaves_no_reference_cycle():
+    # A cycle would hold the output list and the minor table until the cyclic
+    # collector ran, so peak memory would depend on when that happened.
+    gc.collect()
+    gc.disable()
+    try:
+        for walk in (enumerate_standard, _standard_texts):
+            assert walk(Parameters(3, 4, 2), 3)
+            assert gc.collect() == 0, walk.__name__
+    finally:
+        gc.enable()
+
+
+def test_successor_lists_equal_the_pairwise_filter_in_order():
+    for m, n, r in parameter_triples(5, 5):
+        params = Parameters(m, n, r)
+        table = params.minor_table
+        for s in range(1, r + 1):
+            for prev in table[None, s]:
+                for t in range(1, s + 1):
+                    expect = successors_by_minor_leq(table, prev, t)
+                    assert _successors(table, prev, t) == expect, (m, n, r, prev, t)
 
 
 def test_count_standard_matches_the_enumeration():

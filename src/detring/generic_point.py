@@ -9,10 +9,13 @@ anything, and ``decode_standard`` inverts it.
 
 from __future__ import annotations
 
-from itertools import permutations
+from collections import Counter
+from fractions import Fraction
+from itertools import compress, count, permutations
 
 from . import kernels
 from .errors import NotInSemigroupError, NotStandardError, SpaceMismatchError
+from .linalg import clear_denominators
 from .poly import Poly
 from .tableaux import Bitableau, Minor, is_standard
 
@@ -50,15 +53,86 @@ class SubstitutionMap:
         return prod
 
 
+def _check_image_degree(f):
+    """Refuse f when its image, of degree 2 * f.degree(), would pass the packed
+    limit, with the message ``kernels.poly_mul`` gives on the first product past
+    it.  Checked before expanding, so an image that would cancel is refused too."""
+    if 2 * f.degree() > kernels.MAX_DEGREE:
+        raise kernels._too_big(kernels.MAX_DEGREE + 1)
+
+
 def phi(f, subst):
-    """Image of an x-space polynomial under the substitution; exact."""
+    """Image of an x-space polynomial under the substitution; exact.
+
+    Evaluated by a greedy multivariate Horner scheme (Ceberio & Kreinovich,
+    ACM SIGSAM Bull. 38, 2004) that factors out shared variables first.  On a
+    minor that is Laplace expansion through the substitution, so the images
+    cancel while they are small cofactor images rather than after every term
+    has been expanded on its own.
+    """
     if f.space != subst.x_space:
         raise SpaceMismatchError(f"polynomial on {f.space!r}, substitution for {subst.x_space!r}")
-    out = {}
+    _check_image_degree(f)
+    # Over Z: Fractions would be carried through every product of the scheme.
+    scale, scaled = clear_denominators(f.packed)
     unpack = f.space.unpack
-    for key, coef in f.packed.items():
-        kernels.poly_addmul(out, coef, subst.monomial_image(unpack(key)))
+    terms = []
+    for key, c in scaled.items():
+        exps = unpack(key)
+        terms.append(({p: exps[p] for p in compress(count(), exps)}, c))
+    images = [image.packed for image in subst._images]
+    out = _horner(terms, images, subst.yz_space.key_limit)
+    if scale > 1:
+        out = {key: Fraction(c, scale) for key, c in out.items()}
     return Poly._raw(subst.yz_space, out)
+
+
+def _horner(terms, images, limit):
+    """Packed sum of c * prod images[p]^e over ``terms``, ({p: e}, c) pairs of
+    distinct monomials; the pairs' dicts are consumed.
+
+    While some variable is shared, the one v in the most terms (the lowest
+    position among ties) is taken out: the terms with v^e are evaluated
+    without v, one group per e, and nested in v as
+    (... (g_top * v + g_top-1) * v ...) * v.  The terms free of v go round the
+    loop again rather than into a recursion, so the recursion is at most the
+    degree deep, whatever the number of variables.  What is left shares no
+    variable, and each of its terms is multiplied out on its own.
+    """
+    out = {}
+    while len(terms) > 1:
+        counts = Counter(p for exps, _ in terms for p in exps)
+        top = max(counts.values(), default=0)
+        if top < 2:
+            break
+        v = min(p for p, k in counts.items() if k == top)
+        groups = {}
+        rest = []
+        for term in terms:
+            e = term[0].pop(v, 0)
+            if e:
+                groups.setdefault(e, []).append(term)
+            else:
+                rest.append(term)
+        acc = {}
+        for e in range(max(groups), 0, -1):
+            if e in groups:
+                acc = _add(acc, _horner(groups[e], images, limit))
+            acc = kernels.poly_mul(acc, images[v], limit)
+        out = _add(out, acc)
+        terms = rest
+    for exps, c in terms:
+        prod = {0: c}
+        for p, e in exps.items():
+            for _ in range(e):
+                prod = kernels.poly_mul(prod, images[p], limit)
+        out = _add(out, prod)
+    return out
+
+
+def _add(acc, b):
+    """acc + b, in place in acc unless acc is empty; both are owned term dicts."""
+    return kernels.poly_addmul(acc, 1, b) if acc else b
 
 
 def _det_expand(matrix, space):

@@ -22,12 +22,11 @@ from .generic_point import (
     SubstitutionMap,
     _det_expand,
     _diagonal_monomial,
-    initial_monomial_closed_form,
     minor_polynomial,
 )
 from .linalg import Eliminator
 from .poly import Poly, format_monomial
-from .tableaux import _standard_counter, all_minors, count_standard, enumerate_standard, minor_leq
+from .tableaux import _count_chains, _standard_chains, all_minors, count_standard, minor_leq
 
 
 def _y_minor(params, rows, subst):
@@ -85,7 +84,7 @@ def _tilde_basis_count(params, d1, d2):
     factors must grow into the first factor of the mixed part.  Nothing is
     listed: each first factor d of the mixed part weighs the pure chains
     ending below it, times the standard chains of the remaining degree that
-    follow d (``_standard_counter``).
+    follow d (``_count_chains``, one memo for them all).
     """
     r = params.r
     if (d1 - d2) % r != 0:
@@ -99,13 +98,13 @@ def _tilde_basis_count(params, d1, d2):
     ends = _chain_ends(universe, r, length)
     if degree == 0:
         return sum(ends.values())
-    count = _standard_counter(params)
+    table, memo = params.minor_table, {}
     total = 0
     for d in all_minors(params, min(r, degree)):
         bound = getattr(d, side)
         weight = sum(c for s, c in ends.items() if all(x <= b for x, b in zip(s, bound)))
         if weight:
-            total += weight * count(d, degree - d.size)
+            total += weight * _count_chains(table, r, memo, d, degree - d.size)
     return total
 
 
@@ -298,8 +297,8 @@ def verify_ladder(params, delta, d_max=3):
                 elim.reduce(kernels.poly_mul(image, x_image, yz.key_limit))
         pivots = set(elim.pivots)
         divisible = set()
-        for bitab in enumerate_standard(params, d):
-            mono = initial_monomial_closed_form(bitab, params)
+        for chain in _standard_chains(params, d, lambda f: ((f.rows, f.cols),), ()):
+            mono = _diagonal_monomial(yz, chain)
             if any(mono[p] for p in vpos):
                 divisible.add(kernels.pack(mono))
         ok = pivots == divisible

@@ -310,92 +310,18 @@ def format_poly(f):
 _TOKEN = re.compile(r"\d+|[xyz]|\[|\]|\^|\*|,|\+|-|/|\S")
 
 
-class _Scanner:
-    def __init__(self, text):
-        # The end sentinel (None, len(text)) is never stepped past: next()
-        # raises on it and expect() is never asked for None.
-        self.toks = [(m.group(), m.start()) for m in _TOKEN.finditer(text)]
-        self.toks.append((None, len(text)))
-        self.i = 0
-
-    def peek(self):
-        return self.toks[self.i][0]
-
-    def pos(self):
-        return self.toks[self.i][1]
-
-    def next(self):
-        tok, where = self.toks[self.i]
-        if tok is None:
-            raise ParseError("unexpected end of input", where)
-        self.i += 1
-        return tok
-
-    def expect(self, tok):
-        got = self.peek()
-        if got != tok:
-            raise ParseError(f"expected {tok!r}, found {got!r}", self.pos())
-        self.i += 1
+def _error(text, index, message):
+    """ParseError at token ``index`` of ``text``, the end of the text past the
+    last token.  Token positions are worked out only here, when parsing fails."""
+    starts = [m.start() for m in _TOKEN.finditer(text)]
+    return ParseError(message, starts[index] if index < len(starts) else len(text))
 
 
-def _parse_uint(s):
-    tok = s.peek()
-    if tok is None or not tok.isdigit():
-        raise ParseError(f"expected an unsigned integer, found {tok!r}", s.pos())
-    s.next()
-    return int(tok)
-
-
-def _parse_var(s, space):
-    where = s.pos()
-    letter = s.next()
-    if letter not in ("x", "y", "z"):
-        raise ParseError(f"expected a variable, found {letter!r}", where)
-    s.expect("[")
-    i = _parse_uint(s)
-    s.expect(",")
-    j = _parse_uint(s)
-    s.expect("]")
-    try:
-        return space.position(letter, i, j)
-    except KeyError:
-        raise ParseError(f"variable {letter}[{i},{j}] is not on {space!r}", where) from None
-
-
-def _parse_factor(s, space, exps):
-    pos = _parse_var(s, space)
-    e = 1
-    if s.peek() == "^":
-        s.next()
-        e = _parse_uint(s)
-    exps[pos] += e
-
-
-def _parse_term(s, space):
-    coeff = 1
-    exps = [0] * space.nvars
-    tok = s.peek()
-    if tok is not None and tok.isdigit():
-        num = _parse_uint(s)
-        if s.peek() == "/":
-            s.next()
-            den = _parse_uint(s)
-            if den == 0:
-                raise ParseError("zero denominator", s.pos())
-            coeff = Fraction(num, den)
-        else:
-            coeff = num
-        if s.peek() == "*":
-            s.next()
-            _parse_factor(s, space, exps)
-        else:
-            return tuple(exps), coeff
-    else:
-        _parse_factor(s, space, exps)
-    while s.peek() == "*":
-        s.next()
-        _parse_factor(s, space, exps)
-    return tuple(exps), coeff
+def _expected(text, toks, index, want):
+    """ParseError for token ``index`` where ``want`` was due: a token, or None
+    for an unsigned integer.  The end of input reads as None."""
+    what = "an unsigned integer" if want is None else repr(want)
+    return _error(text, index, f"expected {what}, found {toks[index] or None!r}")
 
 
 def parse_polynomial(text, space):
@@ -403,22 +329,65 @@ def parse_polynomial(text, space):
 
     Grammar: signed sum of terms; a term is a rational coefficient, a product
     of variable powers, or ``coeff * factors``; variables are 1-based like
-    ``y[2,1]``; exponents via ``^``.
+    ``y[2,1]``; exponents via ``^``.  One pass over the tokens with a local
+    index.
     """
-    s = _Scanner(text)
-    if s.peek() is None:
+    toks = _TOKEN.findall(text)
+    if not toks:
         raise ParseError("empty input", 0)
+    # Empty strings stand for the end of input: no check accepts one, and a
+    # variable's six tokens can always be sliced.
+    toks += [""] * 6
+    place = space._pos
     terms = []
-    sign = 1
-    if s.peek() in ("+", "-"):
-        sign = -1 if s.next() == "-" else 1
+    negative = toks[0] == "-"
+    i = 1 if negative or toks[0] == "+" else 0
     while True:
-        exps, coeff = _parse_term(s, space)
-        terms.append((exps, sign * coeff))
-        tok = s.peek()
-        if tok is None:
-            break
+        exps = [0] * space.nvars
+        coeff = 1
+        more = True
+        if toks[i].isdecimal():
+            coeff = int(toks[i])
+            i += 1
+            if toks[i] == "/":
+                if not toks[i + 1].isdecimal():
+                    raise _expected(text, toks, i + 1, None)
+                den = int(toks[i + 1])
+                i += 2
+                if not den:
+                    raise _error(text, i, "zero denominator")
+                coeff = Fraction(coeff, den)
+            more = toks[i] == "*"
+            i += more
+        while more:
+            letter, bra, a, comma, b, ket = toks[i : i + 6]
+            pos = None
+            if bra == "[" and comma == "," and ket == "]" and a.isdecimal() and b.isdecimal():
+                pos = place.get((letter, int(a), int(b)))
+            if pos is None:
+                if not letter:
+                    raise _error(text, i, "unexpected end of input")
+                if letter not in ("x", "y", "z"):
+                    raise _error(text, i, f"expected a variable, found {letter!r}")
+                for k, want in enumerate(("[", None, ",", None, "]"), start=i + 1):
+                    if not (toks[k].isdecimal() if want is None else toks[k] == want):
+                        raise _expected(text, toks, k, want)
+                raise _error(text, i, f"variable {letter}[{int(a)},{int(b)}] is not on {space!r}")
+            i += 6
+            if toks[i] == "^":
+                if not toks[i + 1].isdecimal():
+                    raise _expected(text, toks, i + 1, None)
+                exps[pos] += int(toks[i + 1])
+                i += 2
+            else:
+                exps[pos] += 1
+            more = toks[i] == "*"
+            i += more
+        terms.append((tuple(exps), -coeff if negative else coeff))
+        tok = toks[i]
+        if not tok:
+            return Poly(space, terms)
         if tok not in ("+", "-"):
-            raise ParseError(f"expected '+', '-', or end of input, found {tok!r}", s.pos())
-        sign = -1 if s.next() == "-" else 1
-    return Poly(space, terms)
+            raise _error(text, i, f"expected '+', '-', or end of input, found {tok!r}")
+        negative = tok == "-"
+        i += 1

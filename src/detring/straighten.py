@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import kernels
 from .errors import InternalCheckError, NotInSemigroupError
-from .generic_point import SubstitutionMap, decode_standard, eval_bitableau, phi
+from .generic_point import SubstitutionMap, _check_image_degree, decode_standard, eval_bitableau, phi
 from .linalg import clear_denominators
 from .poly import Poly
 
@@ -101,8 +101,7 @@ def is_in_ideal(f, params, subst=None):
     message, and, by running phi, a polynomial on a foreign space.
     """
     if params.r == min(params.m, params.n) and f.space == params.x_space:
-        if 2 * f.degree() > kernels.MAX_DEGREE:
-            raise kernels._too_big(kernels.MAX_DEGREE + 1)
+        _check_image_degree(f)
         return f.is_zero()
     if subst is None:
         subst = SubstitutionMap(params)

@@ -285,35 +285,31 @@ def _standard_texts(params, degree):
     return _standard_chains(params, degree, attrgetter("_text"), "")
 
 
-def _standard_counter(params):
-    """``count(prev, left)``: the standard chains of degree ``left`` that can
-    follow the factor prev (any first factor when prev is None), counted along
-    the successor lists ``enumerate_standard`` walks, memoised per counter."""
-    table = params.minor_table
-    memo = {}
-
-    def count(prev, left):
-        if not left:
-            return 1
-        key = (prev, left)
-        total = memo.get(key)
-        if total is None:
-            top = params.r if prev is None else prev.size
-            total = memo[key] = sum(
-                count(d, left - t)
-                for t in range(min(top, left), 0, -1)
-                for d in _successors(table, prev, t)
-            )
-        return total
-
-    return count
+def _count_chains(table, r, memo, prev, left):
+    """The standard chains of degree ``left`` that can follow the factor prev
+    (any first factor of size <= r when prev is None), counted along the
+    successor lists ``enumerate_standard`` walks and memoised in memo.  A
+    module function, like ``_extend_chains``: a self-calling closure would be a
+    reference cycle holding memo and the table until the cyclic collector ran."""
+    if not left:
+        return 1
+    key = (prev, left)
+    total = memo.get(key)
+    if total is None:
+        top = r if prev is None else prev.size
+        total = memo[key] = sum(
+            _count_chains(table, r, memo, d, left - t)
+            for t in range(min(top, left), 0, -1)
+            for d in _successors(table, prev, t)
+        )
+    return total
 
 
 def count_standard(params, degree):
     """``len(enumerate_standard(params, degree))`` without building a bitableau."""
     if degree < 0:
         raise ParameterError(f"degree must be nonnegative, got {degree}")
-    return _standard_counter(params)(None, degree)
+    return _count_chains(params.minor_table, params.r, {}, None, degree)
 
 
 def generators_gamma(params, side):

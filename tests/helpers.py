@@ -62,6 +62,15 @@ def random_homogeneous(space, rng, degree, max_terms=4):
             return f
 
 
+def phi_by_terms(f, subst):
+    """Reference for ``generic_point.phi``: each term's image expanded on its own
+    (``monomial_image``), then scaled and added."""
+    out = {}
+    for key, coef in f.packed.items():
+        kernels.poly_addmul(out, coef, subst.monomial_image(f.space.unpack(key)))
+    return Poly._raw(subst.yz_space, out)
+
+
 def drevlex_key(exps):
     """Tuple reference for the packed term order: bigger key, bigger monomial."""
     return (sum(exps), tuple(-e for e in reversed(exps)))

@@ -53,6 +53,15 @@ def test_member_payload(capsys):
     assert code == 0 and json.loads(out) == {"in_ideal": False}
 
 
+def test_member_refuses_past_the_degree_limit_even_when_the_image_cancels(capsys):
+    # The polynomial lies in the ideal (x[1,1]^126 times the 2x2 determinant),
+    # so its image is zero, yet its degree 128 passes the limit of 127.
+    poly = "x[1,1]^127*x[2,2] - x[1,1]^126*x[1,2]*x[2,1]"
+    code, out, err = capture(capsys, ["member", "--m", "2", "--n", "2", "--r", "1", "--poly", poly])
+    assert (code, out) == (1, "")
+    assert err == "error: monomial of degree 256 exceeds the packed-exponent limit 255\n"
+
+
 def test_basis_payload(capsys):
     code, out, _ = capture(capsys, ["basis", "--m", "2", "--n", "2", "--r", "1", "--deg", "2"])
     assert code == 0

@@ -1,9 +1,11 @@
 """The substitution x -> (product of generic factors), closed-form leading
 monomials of standard products, and decoding them back."""
 
+from fractions import Fraction
+
 import pytest
 
-from detring.errors import NotInSemigroupError, NotStandardError, SpaceMismatchError
+from detring.errors import NotInSemigroupError, NotStandardError, ParameterError, SpaceMismatchError
 from detring.generic_point import (
     SubstitutionMap,
     decode_standard,
@@ -14,7 +16,7 @@ from detring.generic_point import (
 )
 from detring.poly import Poly, XSpace, YZSpace, parse_polynomial
 from detring.tableaux import Minor, Parameters, all_minors, enumerate_standard, parse_bitableau
-from helpers import parameter_triples, random_homogeneous, seeded
+from helpers import parameter_triples, phi_by_terms, random_homogeneous, random_monomial, seeded
 
 
 def test_substitution_entries_have_factor_count_terms():
@@ -74,6 +76,55 @@ def test_images_are_balanced_bidegree():
         img = phi(f, subst)
         for e in img.terms:
             assert yz.bidegree(e) == (d, d)
+
+
+def test_phi_equals_the_term_by_term_expansion():
+    rng = seeded(43)
+    for m, n, r in parameter_triples(4, 4):
+        params = Parameters(m, n, r)
+        subst = SubstitutionMap(params)
+        xs = params.x_space
+        for trial in range(6):
+            terms = []
+            for _ in range(rng.randint(1, 12)):
+                c = rng.randint(-5, 5)
+                if trial % 2:
+                    c = Fraction(c, rng.randint(1, 4))
+                terms.append((random_monomial(xs, rng, rng.randint(0, 4)), c))
+            f = Poly(xs, terms)
+            assert phi(f, subst) == phi_by_terms(f, subst), (m, n, r, f)
+
+
+def test_multiples_of_oversize_minors_map_to_zero():
+    rng = seeded(47)
+    for m, n, r in parameter_triples(4, 4, proper=True):
+        params = Parameters(m, n, r)
+        subst = SubstitutionMap(params)
+        xs = params.x_space
+        minors = [d for d in all_minors(params, r + 1) if d.size == r + 1]
+        for _ in range(4):
+            f = Poly.zero(xs)
+            for d in rng.sample(minors, min(2, len(minors))):
+                g = Poly(xs, [(random_monomial(xs, rng, rng.randint(0, 2)), rng.randint(1, 5))])
+                f = f + g * minor_polynomial(d, params, "X")
+            assert f and phi(f, subst).is_zero(), (m, n, r, f)
+
+
+def test_phi_refuses_an_oversized_image_even_when_it_cancels():
+    params = Parameters(2, 2, 1)
+    f = parse_polynomial("x[1,1]^127*x[2,2] - x[1,1]^126*x[1,2]*x[2,1]", params.x_space)
+    with pytest.raises(ParameterError, match="^monomial of degree 256 exceeds the packed-exponent limit 255$"):
+        phi(f, SubstitutionMap(params))
+
+
+def test_phi_recursion_is_bounded_by_the_degree():
+    # 2,500 variables, each in one term: the terms free of the variable taken
+    # out go round a loop, so this does not recurse 2,500 deep.
+    params = Parameters(50, 50, 1)
+    xs = params.x_space
+    f = Poly(xs, [(xs.unit(p), p + 1) for p in range(xs.nvars)])
+    img = phi(f, SubstitutionMap(params))
+    assert len(img) == xs.nvars
 
 
 def test_phi_rejects_wrong_space():

@@ -170,6 +170,50 @@ def test_parse_reports_error_position():
     assert exc.value.position == 9
 
 
+PARSE_ERRORS = [
+    ("", "empty input", 0),
+    ("  ", "empty input", 0),
+    ("+", "unexpected end of input", 1),
+    ("x[1,", "expected an unsigned integer, found None", 4),
+    ("3/0*x[1,1]", "zero denominator", 3),
+    ("3/0", "zero denominator", 3),
+    ("x[9,9]", "variable x[9,9] is not on XSpace(3, 3)", 0),
+    ("x[1,1]^", "expected an unsigned integer, found None", 7),
+    ("x[1,1]^x", "expected an unsigned integer, found 'x'", 7),
+    ("2 x[1,1]", "expected '+', '-', or end of input, found 'x'", 2),
+    ("x[1,1]**x[2,2]", "expected a variable, found '*'", 7),
+    ("w[1,1]", "expected a variable, found 'w'", 0),
+    ("x[1 1]", "expected ',', found '1'", 4),
+    ("x[1,2,3]", "expected ']', found ','", 5),
+    ("1/", "expected an unsigned integer, found None", 2),
+    ("1/2/3", "expected '+', '-', or end of input, found '/'", 3),
+    ("x[1,1]+", "unexpected end of input", 7),
+    ("x[1,1] +  ", "unexpected end of input", 10),
+    ("x[1,1]-+x[2,2]", "expected a variable, found '+'", 7),
+    ("x[1,1]^2^3", "expected '+', '-', or end of input, found '^'", 8),
+    ("3*", "unexpected end of input", 2),
+    ("y[1,1]", "variable y[1,1] is not on XSpace(3, 3)", 0),
+]
+
+
+@pytest.mark.parametrize("text, message, position", PARSE_ERRORS)
+def test_parse_error_messages_and_positions(text, message, position):
+    with pytest.raises(ParseError) as info:
+        parse_polynomial(text, XSpace(3, 3))
+    assert str(info.value) == f"{message} (at position {position})"
+    assert info.value.position == position
+
+
+def test_parse_reads_a_non_decimal_digit_as_a_bad_token():
+    # "²" is a digit to str.isdigit but no integer to int().
+    with pytest.raises(ParseError) as info:
+        parse_polynomial("x[1,1] + ²", XSpace(3, 3))
+    assert str(info.value) == "expected a variable, found '²' (at position 9)"
+    with pytest.raises(ParseError) as info:
+        parse_polynomial("x[²,1]", XSpace(3, 3))
+    assert str(info.value) == "expected an unsigned integer, found '²' (at position 2)"
+
+
 def test_parse_rejects_out_of_range_indices():
     xs = XSpace(2, 2)
     with pytest.raises(ParseError) as info:

@@ -204,6 +204,16 @@ def test_standard_walk_leaves_no_reference_cycle():
         gc.enable()
 
 
+def test_count_standard_leaves_no_reference_cycle():
+    gc.collect()
+    gc.disable()
+    try:
+        assert count_standard(Parameters(5, 5, 3), 6)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_successor_lists_equal_the_pairwise_filter_in_order():
     for m, n, r in parameter_triples(5, 5):
         params = Parameters(m, n, r)

@@ -7,11 +7,11 @@ chains of index sets, so the two can be played against each other.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import comb
 
 from .errors import ParameterError
-from .generic_point import SubstitutionMap
+from .generic_point import SubstitutionMap, _check_image_degree
 from .linalg import Eliminator, det_bareiss
 from .tableaux import count_standard
 
@@ -105,10 +105,14 @@ def hilbert_function(params, d, method="bitableaux"):
 
         return len(_join(params, _pairs("E", params.r, (2 * d,))))
     if method == "rank":
+        _check_image_degree(d)
         subst = SubstitutionMap(params)
         elim = Eliminator()
-        for exps in _monomials_of_degree(subst.x_space.nvars, d):
-            elim.reduce(subst.monomial_image(exps))
+        memo = {(): {0: 1}}
+        for positions in combinations_with_replacement(range(subst.x_space.nvars), d):
+            # Degree d is built from memo's degree d - 1 and is not kept itself.
+            elim.reduce(subst._combination_image(memo, positions))
+            del memo[positions]
         return elim.rank
     raise ParameterError(f"method must be 'bitableaux', 'lattice', or 'rank', got {method!r}")
 

@@ -43,21 +43,26 @@ class SubstitutionMap:
     def entry(self, i, j):
         return self._images[self.x_space.x(i, j)]
 
-    def monomial_image(self, exps):
-        """Packed term dict of the image of the x-monomial with exponents ``exps``."""
-        limit = self.yz_space.key_limit
-        prod = {0: 1}
-        for pos, e in enumerate(exps):
-            for _ in range(e):
-                prod = kernels.poly_mul(prod, self._images[pos].packed, limit)
-        return prod
+    def _combination_image(self, memo, positions):
+        """Packed image of the x-monomial prod x[p] over ``positions``, rank
+        positions in the nondecreasing order ``combinations_with_replacement``
+        yields: the image of positions[:-1], from ``memo`` or built the same
+        way, times one x image.  ``memo`` maps such tuples to images and starts
+        as {(): {0: 1}}; the caller owns it."""
+        image = memo.get(positions)
+        if image is None:
+            prefix = self._combination_image(memo, positions[:-1])
+            last = self._images[positions[-1]].packed
+            image = memo[positions] = kernels.poly_mul(prefix, last, self.yz_space.key_limit)
+        return image
 
 
-def _check_image_degree(f):
-    """Refuse f when its image, of degree 2 * f.degree(), would pass the packed
-    limit, with the message ``kernels.poly_mul`` gives on the first product past
-    it.  Checked before expanding, so an image that would cancel is refused too."""
-    if 2 * f.degree() > kernels.MAX_DEGREE:
+def _check_image_degree(degree):
+    """Refuse x-polynomials of this degree when their images, of twice the
+    degree, would pass the packed limit, with the message ``kernels.poly_mul``
+    gives on the first product past it.  Checked before expanding, so an image
+    that would cancel is refused too."""
+    if 2 * degree > kernels.MAX_DEGREE:
         raise kernels._too_big(kernels.MAX_DEGREE + 1)
 
 
@@ -72,7 +77,7 @@ def phi(f, subst):
     """
     if f.space != subst.x_space:
         raise SpaceMismatchError(f"polynomial on {f.space!r}, substitution for {subst.x_space!r}")
-    _check_image_degree(f)
+    _check_image_degree(f.degree())
     # Over Z: Fractions would be carried through every product of the scheme.
     scale, scaled = clear_denominators(f.packed)
     unpack = f.space.unpack

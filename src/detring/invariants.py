@@ -12,14 +12,15 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 from . import kernels
 from .cone import _check_bound, _cone_layers, _cone_report, _pairs
-from .counting import _chain_ends, _monomials_of_degree
+from .counting import _chain_ends
 from .errors import ParameterError
 from .generic_point import (
     SubstitutionMap,
+    _check_image_degree,
     _det_expand,
     _diagonal_monomial,
     minor_polynomial,
@@ -262,6 +263,20 @@ class LadderReport:
         }
 
 
+def _x_independent(gammas, x_keys, d):
+    """(y/z image of gamma, positions of x^a) for each product gamma * x^a of
+    degree d whose x-side row (the x-side minor shifted by the key of x^a) is
+    independent of the earlier ones; ``gammas`` holds (size, x minor, image)."""
+    elim = Eliminator()
+    for size, x_minor, image in gammas:
+        if size > d:
+            continue
+        for positions in combinations_with_replacement(range(len(x_keys)), d - size):
+            shift = sum(x_keys[p] for p in positions)
+            if elim.reduce({key + shift: c for key, c in x_minor.items()}) is not None:
+                yield image, positions
+
+
 def verify_ladder(params, delta, d_max=3):
     """Compare the initial space of the ladder ideal with the variable ideal.
 
@@ -271,30 +286,37 @@ def verify_ladder(params, delta, d_max=3):
     divisible by the predicted variable set.  ``prime_ok`` is always true: an
     ideal generated by variables is prime, and the degree rows check that
     generation.
+
+    Each product is first reduced on the x side, where its row has at most r!
+    terms, and only the independent ones are substituted and reduced on the
+    y/z side (``_x_independent``).  That is sound: at r = min(m, n) the
+    substitution is injective, so a product is independent of the earlier
+    ones on the x side exactly when its image is on the y/z side.  The kept
+    images span the image of the whole family, and the pivots, the leading
+    monomials of that span, are the same.
     """
     _require_full_rank(params)
     delta.check_bounds(params)
     _check_bound(d_max)
+    _check_image_degree(d_max - 1)
     subst = SubstitutionMap(params)
     vset = ladder_variable_set(params, delta)
     vpos = set(vset)
     yz = subst.yz_space
-    gammas = [g for g in all_minors(params) if not minor_leq(delta, g)]
-    gamma_images = [(g.size, minor_polynomial(g, params, "YZ", subst).packed) for g in gammas]
-    nx = subst.x_space.nvars
-    x_images = [
-        [subst.monomial_image(exps) for exps in _monomials_of_degree(nx, k)]
-        for k in range(d_max)
+    gammas = [
+        (g.size, minor_polynomial(g, params, "X").packed,
+         minor_polynomial(g, params, "YZ", subst).packed)
+        for g in all_minors(params) if not minor_leq(delta, g)
     ]
+    x_keys = [kernels.pack(subst.x_space.unit(p)) for p in range(subst.x_space.nvars)]
+    memo = {(): {0: 1}}
     rows = []
     mismatch = None
     for d in range(1, d_max + 1):
         elim = Eliminator()
-        for size, image in gamma_images:
-            if size > d:
-                continue
-            for x_image in x_images[d - size]:
-                elim.reduce(kernels.poly_mul(image, x_image, yz.key_limit))
+        for image, positions in _x_independent(gammas, x_keys, d):
+            x_image = subst._combination_image(memo, positions)
+            elim.reduce(kernels.poly_mul(image, x_image, yz.key_limit))
         pivots = set(elim.pivots)
         divisible = set()
         for chain in _standard_chains(params, d, lambda f: ((f.rows, f.cols),), ()):

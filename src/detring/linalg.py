@@ -4,7 +4,9 @@ The elimination routine reduces sparse rows (dicts keyed by packed monomial)
 against pivots chosen as the largest key.  That pivot choice is load-bearing:
 int order on packed keys is the term order, so the surviving pivot keys are
 exactly the initial monomials of the row span, which the ladder verification
-consumes directly.
+consumes directly.  The pivot set depends on the span alone, so the ladder
+verification skips the products dependent on the x side: at r = min(m, n) the
+substitution is injective, so x-side independence is y/z independence.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ class Eliminator:
         self.pivots = {}
 
     def reduce(self, row):
-        """Fully reduce an integer row; absorb it if independent.
+        """Top-reduce an integer row until its lead is new; absorb it then.
 
         Returns the pivot key claimed by this row, or None if it reduced to
         zero (i.e. was dependent on rows seen so far).

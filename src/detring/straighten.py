@@ -101,7 +101,7 @@ def is_in_ideal(f, params, subst=None):
     message, and, by running phi, a polynomial on a foreign space.
     """
     if params.r == min(params.m, params.n) and f.space == params.x_space:
-        _check_image_degree(f)
+        _check_image_degree(f.degree())
         return f.is_zero()
     if subst is None:
         subst = SubstitutionMap(params)

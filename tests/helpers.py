@@ -7,10 +7,12 @@ from functools import cache
 
 import detring
 from detring import kernels
-from detring.counting import _chain_ends
+from detring.counting import _chain_ends, _monomials_of_degree
 from detring.errors import ParameterError, SpaceMismatchError
+from detring.generic_point import SubstitutionMap, minor_polynomial
+from detring.linalg import Eliminator
 from detring.poly import Poly
-from detring.tableaux import enumerate_standard, minor_leq
+from detring.tableaux import all_minors, enumerate_standard, minor_leq
 
 
 def parameter_triples(max_m=3, max_n=3, proper=False):
@@ -62,13 +64,48 @@ def random_homogeneous(space, rng, degree, max_terms=4):
             return f
 
 
+def monomial_image(subst, exps):
+    """Reference for ``SubstitutionMap._combination_image``: the packed image of
+    the x-monomial with exponents ``exps``, one x image at a time from 1."""
+    limit = subst.yz_space.key_limit
+    prod = {0: 1}
+    for pos, e in enumerate(exps):
+        for _ in range(e):
+            prod = kernels.poly_mul(prod, subst._images[pos].packed, limit)
+    return prod
+
+
 def phi_by_terms(f, subst):
     """Reference for ``generic_point.phi``: each term's image expanded on its own
     (``monomial_image``), then scaled and added."""
     out = {}
     for key, coef in f.packed.items():
-        kernels.poly_addmul(out, coef, subst.monomial_image(f.space.unpack(key)))
+        kernels.poly_addmul(out, coef, monomial_image(subst, f.space.unpack(key)))
     return Poly._raw(subst.yz_space, out)
+
+
+def ladder_family(params, delta, d, side):
+    """Every product gamma * x^a of degree d that ``verify_ladder`` spans, gamma
+    a minor delta does not grow into, in its order: packed term dicts on the x
+    side ("X") or through the substitution ("YZ")."""
+    subst = SubstitutionMap(params)
+    limit = (params.x_space if side == "X" else subst.yz_space).key_limit
+    for g in all_minors(params):
+        if minor_leq(delta, g) or g.size > d:
+            continue
+        minor = minor_polynomial(g, params, side, subst).packed
+        for exps in _monomials_of_degree(params.x_space.nvars, d - g.size):
+            x_part = {kernels.pack(exps): 1} if side == "X" else monomial_image(subst, exps)
+            yield kernels.poly_mul(minor, x_part, limit)
+
+
+def ladder_pivots_by_all_products(params, delta, d):
+    """Reference for ``verify_ladder``'s degree-d pivots: the whole family
+    substituted and reduced, with no x-side prefilter."""
+    elim = Eliminator()
+    for row in ladder_family(params, delta, d, "YZ"):
+        elim.reduce(row)
+    return set(elim.pivots)
 
 
 def drevlex_key(exps):

@@ -1,6 +1,8 @@
 """Determinant counting formulas against direct enumeration, and the
 three-way dimension cross-check."""
 
+import gc
+
 import pytest
 
 from detring.counting import (
@@ -132,3 +134,20 @@ def test_dimension_methods_agree():
 def test_dimension_method_validated():
     with pytest.raises(ParameterError):
         hilbert_function(Parameters(2, 2, 1), 2, "magic")
+
+
+def test_rank_refuses_degrees_whose_images_pass_the_packed_limit():
+    assert hilbert_function(Parameters(1, 1, 1), 127, "rank") == 1
+    for d in (128, 1000):
+        with pytest.raises(ParameterError, match="^monomial of degree 256 exceeds"):
+            hilbert_function(Parameters(1, 1, 1), d, "rank")
+
+
+def test_rank_leaves_no_reference_cycle():
+    gc.collect()
+    gc.disable()
+    try:
+        assert hilbert_function(Parameters(3, 3, 2), 3, "rank") == 164
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -2,9 +2,11 @@
 monomials of standard products, and decoding them back."""
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
+from detring.counting import _monomials_of_degree
 from detring.errors import NotInSemigroupError, NotStandardError, ParameterError, SpaceMismatchError
 from detring.generic_point import (
     SubstitutionMap,
@@ -16,7 +18,14 @@ from detring.generic_point import (
 )
 from detring.poly import Poly, XSpace, YZSpace, parse_polynomial
 from detring.tableaux import Minor, Parameters, all_minors, enumerate_standard, parse_bitableau
-from helpers import parameter_triples, phi_by_terms, random_homogeneous, random_monomial, seeded
+from helpers import (
+    monomial_image,
+    parameter_triples,
+    phi_by_terms,
+    random_homogeneous,
+    random_monomial,
+    seeded,
+)
 
 
 def test_substitution_entries_have_factor_count_terms():
@@ -263,3 +272,20 @@ def test_decode_round_trip_and_injectivity():
                 assert e not in seen
                 seen.add(e)
                 assert decode_standard(e, params) == s
+
+
+def test_combination_images_equal_the_monomial_images_term_for_term():
+    # The combinations come in _monomials_of_degree's order, and each image is
+    # built from its prefix's with the products the reference forms, so even
+    # the dict order agrees.
+    for m, n, r in parameter_triples(3, 3):
+        subst = SubstitutionMap(Parameters(m, n, r))
+        nx = subst.x_space.nvars
+        memo = {(): {0: 1}}
+        for d in range(5):
+            combos = list(combinations_with_replacement(range(nx), d))
+            exps = list(_monomials_of_degree(nx, d))
+            assert [tuple(map(c.count, range(nx))) for c in combos] == exps, (m, n, r, d)
+            for c, e in zip(combos, exps):
+                got, want = subst._combination_image(memo, c), monomial_image(subst, e)
+                assert list(got.items()) == list(want.items()), (m, n, r, c)

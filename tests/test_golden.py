@@ -3,9 +3,11 @@
 One digest pins every byte the cone commands print (`cone-check`, `certify`
 for both classes, `tilde-check` and `hilbert --method lattice`), another every
 byte the tableaux commands print (`basis` in both formats and `hilbert
---method bitableaux`), each on every format with m, n <= 4.  A change to the
-cone or tableaux code that moves any payload, message or exit code shows up
-here.  When a change is meant to move output, print the new digest with
+--method bitableaux`), each on every format with m, n <= 4, and a third every
+byte the elimination commands print (`ladder-check` and `hilbert --method
+rank`) on every format with m, n <= 3.  A change to the cone, tableaux or
+elimination code that moves any payload, message or exit code shows up here.
+When a change is meant to move output, print the new digest with
 ``golden_digest(argvs)`` and say why it moved.
 """
 
@@ -15,10 +17,12 @@ import io
 import json
 
 from detring.cli import run
+from detring.tableaux import Parameters, all_minors
 from helpers import parameter_triples
 
 GOLDEN_TABLEAUX = "717fb8a07c7b3b5458e9a7c5af5c3838721ff901ca71beb206bdcb64a6859478"
 GOLDEN = "405d3dc06ae4c81786cf6fac603f82fea498c861b9b222f6e1d6f457b442bfbf"
+GOLDEN_ELIMINATION = "a5a6ac16fd57d571d1d002b0f157444a9574e5b9c621f2d03959fafd6a325458"
 
 
 def _space(m, n, r):
@@ -57,6 +61,23 @@ def tableaux_argvs():
     return argvs
 
 
+def elimination_argvs():
+    """The grid: `ladder-check` on every full-rank format with m, n <= 3, every
+    delta, bounds -1..3; `hilbert --method rank` on every format with m, n <= 3,
+    degrees -1..3."""
+    argvs = []
+    for m, n, r in parameter_triples(3, 3):
+        for d in range(-1, 4):
+            argvs.append(["hilbert", *_space(m, n, r), "--deg", str(d), "--method", "rank"])
+        if r != min(m, n):
+            continue
+        for delta in all_minors(Parameters(m, n, r)):
+            for b in range(-1, 4):
+                argvs.append(["ladder-check", *_space(m, n, r), "--delta", str(delta),
+                              "--deg-bound", str(b)])
+    return argvs
+
+
 def golden_digest(argvs):
     digest = hashlib.sha256()
     for argv in argvs:
@@ -73,3 +94,7 @@ def test_cone_commands_print_the_recorded_bytes():
 
 def test_tableaux_commands_print_the_recorded_bytes():
     assert golden_digest(tableaux_argvs()) == GOLDEN_TABLEAUX
+
+
+def test_elimination_commands_print_the_recorded_bytes():
+    assert golden_digest(elimination_argvs()) == GOLDEN_ELIMINATION

@@ -1,6 +1,7 @@
 """The enlarged invariant ring, its initial-monomial semigroup, and the
 ladder initial ideals checked by exact elimination."""
 
+import gc
 import json
 from collections import Counter
 
@@ -16,9 +17,18 @@ from detring.invariants import (
     verify_D_tilde,
     verify_ladder,
 )
+from detring.linalg import Eliminator
 from detring.poly import YZSpace
 from detring.tableaux import Parameters, all_minors, parse_minor
-from helpers import cone_system, parameter_triples, tilde_basis_count_by_listing
+from helpers import (
+    cone_system,
+    ladder_family,
+    ladder_pivots_by_all_products,
+    parameter_triples,
+    tilde_basis_count_by_listing,
+)
+
+LADDER_FORMATS = ((2, 2, 2), (2, 3, 2), (3, 2, 2), (3, 3, 3))
 
 
 def predicted_leads(params):
@@ -187,6 +197,67 @@ def test_ladder_verification_all_corners_tiny():
     for delta in all_minors(params):
         rep = verify_ladder(params, delta, 2)
         assert rep.ok, str(delta)
+
+
+def test_ladder_dimensions_equal_the_unfiltered_elimination():
+    for m, n, r in LADDER_FORMATS:
+        params = Parameters(m, n, r)
+        for delta in all_minors(params):
+            rep = verify_ladder(params, delta, 3)
+            got = [dim for _, dim, _, _ in rep.degree_rows]
+            want = [len(ladder_pivots_by_all_products(params, delta, d)) for d in (1, 2, 3)]
+            assert got == want, (m, n, r, str(delta))
+
+
+def test_ladder_family_has_the_same_rank_on_both_sides():
+    # At r = min(m, n) the substitution is injective: the x-side prefilter
+    # keeps exactly the products whose images are independent.
+    for m, n, r in LADDER_FORMATS:
+        params = Parameters(m, n, r)
+        for delta in all_minors(params):
+            for d in (1, 2, 3):
+                x_side = Eliminator()
+                for row in ladder_family(params, delta, d, "X"):
+                    x_side.reduce(row)
+                assert x_side.rank == len(ladder_pivots_by_all_products(params, delta, d))
+
+
+def test_a_prefilter_that_drops_an_independent_row_exits_two(monkeypatch, capsys):
+    keep = invariants._x_independent
+
+    def drop_one(gammas, x_keys, d):
+        rows = keep(gammas, x_keys, d)
+        if d == 2:
+            next(rows)
+        yield from rows
+
+    monkeypatch.setattr(invariants, "_x_independent", drop_one)
+    argv = ["ladder-check", "--m", "2", "--n", "2", "--r", "2", "--delta", "[2|2]", "--deg-bound", "3"]
+    assert run(argv) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["first_mismatch"]["degree"] == 2
+    assert payload["first_mismatch"]["side"] == "divisible-only"
+    assert [row["initial_space_dim"] for row in payload["degrees"]] == [3, 8, 19]
+
+
+def test_ladder_bound_past_the_packed_limit_exits_one(capsys):
+    # Bound 129 would image x-monomials of degree 128, past 255 on the y/z
+    # side, even when no product needs them.
+    base = ["ladder-check", "--m", "1", "--n", "1", "--r", "1", "--delta", "[1|1]"]
+    assert run([*base, "--deg-bound", "128"]) == 0
+    assert run([*base, "--deg-bound", "129"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: monomial of degree 256 exceeds the packed-exponent limit 255\n"
+
+
+def test_ladder_verification_leaves_no_reference_cycle():
+    gc.collect()
+    gc.disable()
+    try:
+        assert verify_ladder(Parameters(3, 3, 3), parse_minor("[2|2]"), 3).ok
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_tilde_basis_count_matches_the_listing_count():

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cone import conic_equality_check
+from .cone import _check_bound, _check_eps, conic_equality_check
 from .counting import _check_ideal, _check_t, multiplicity, mu_power
 from .errors import InternalCheckError
 
@@ -83,6 +83,8 @@ def certify(params, ideal, t, eps=Fraction(1, 2), degree_bound=6):
     beyond the boundary the certificate is the strict inequality mu > e.
     """
     verdict = classify(params, ideal, t)
+    _check_eps(eps)
+    _check_bound(degree_bound)
     if t == 0:
         return CertifiedVerdict(verdict, {"kind": "unit-ideal"}, True)
     if verdict.is_cohen_macaulay:

@@ -18,10 +18,12 @@ out by five families:
       every s_j = 0.
 
 The "Etilde" variant drops exactly the last coupling equation, so its
-defects are merely constant across columns.  Once column j-1 is fixed, (2)
-caps the prefix sums of column j, so integer points are generated column by
-column (``_blocks``) and never filtered; (5) picks which alpha and beta blocks
-join (``_pairs``).  These two are the package's only description of the cone.
+defects are merely constant across columns.  ``_blocks`` builds one side
+column by column from explicit bounds: per-entry lows (4) and, on column
+j-1's prefix sums, per-prefix cap offsets (2); so integer points are
+generated, never filtered, and other bounds give the conic check's shifted
+side.  (5) picks which alpha and beta blocks join (``_pairs``).  These two
+are the package's only description of the cone.
 The families as explicit functionals are ``tests/helpers.cone_system``, the
 brute-force oracle the generated points are tested against.
 
@@ -40,6 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations
 from math import ceil, floor
+from operator import add
 
 from . import kernels
 from .counting import _monomials_of_degree
@@ -126,11 +129,11 @@ def semigroup_points(gens, bound):
 
 
 def _fills(lows, caps, total):
-    """Integer tuples x >= lows with sum(x) == total and x[0] + ... + x[t] <= caps[t].
+    """Integer tuples x >= lows with sum(x) == total and x[0] + ... + x[t] <= caps[t], in order.
 
     ``caps`` None means no prefix caps.  Each cap is first tightened by what
     the later lower bounds still have to add, so every partial tuple extends
-    to a full one and nothing is generated only to be thrown away.
+    to a full one and nothing is built only to be thrown away.
     """
     k = len(lows)
     hi = [0] * k
@@ -141,84 +144,73 @@ def _fills(lows, caps, total):
         hi[t] = top
         top -= lows[t]
     if top < 0 or hi[-1] < total:
-        return
-
-    def tail(t, p):
-        if t == k - 1:
-            yield (total - p,)
-            return
-        for q in range(p + lows[t], hi[t] + 1):
-            for rest in tail(t + 1, q):
-                yield (q - p,) + rest
-
-    yield from tail(0, 0)
+        return []
+    heads = [((), 0)]
+    for t in range(k - 1):
+        heads = [(x + (q - p,), q) for x, p in heads for q in range(p + lows[t], hi[t] + 1)]
+    return [x + (total - p,) for x, p in heads]
 
 
-def _blocks(size, r, sums, shift=None, least=0):
-    """One side's cone points with column sums ``sums``, as blocks in rank order.
+def _zeros(size, r):
+    """Zero lows, or zero cap offsets, for ``_blocks`` on a side of ``size`` rows."""
+    return [(0,) * (size - j) for j in range(r)]
+
+
+def _blocks(size, r, sums, lows, offsets):
+    """One side's blocks with column sums ``sums``, entries >= ``lows``, as a list in rank order.
 
     The alpha block (size = m) holds column j = 1..r in rows j..size, laid out
     as the y ranking reads it: column by column, rows size..1, zero above the
     diagonal (1).  The beta block is the same call with size = n, reading beta
     row u as column u, since (1), (3) and (4) on beta mirror (1), (2) and (4)
-    on alpha, and the z ranking reads row u from the right.  Columns are
-    fixed in order: (2) caps the prefix sums of column j by those of column
-    j-1, and (4) bounds its entries below.  (4) names only the entries below
-    the diagonal and [r,r]; the rest of the diagonal is implied, because (2)
-    at k = j chains a[j,j] >= a[j+1,j+1] >= ... >= a[r,r] >= 0.  So every
-    block is a cone point and nothing is filtered.
-
-    ``least`` bounds the [r,r] entry below.  ``shift`` (column j as the
-    values at rows j..size) yields instead the integer points v with v - shift
-    in the cone: lower bounds ceil(shift), prefix caps rounded down.
+    on alpha, and the z ranking reads row u from the right.  Column j, rows
+    j..size, is fixed after column j-1: its entries are at least ``lows[j]``
+    and its prefix sums at most column j-1's plus ``offsets[j]``.  Zero
+    bounds are (4) and (2); (4) names only the entries below the diagonal and
+    [r,r], since (2) at k = j chains a[j,j] >= ... >= a[r,r] >= 0.
     """
-    if shift is None:
-        lows = [(0,) * (size - j) for j in range(r - 1)] + [(least,) + (0,) * (size - r)]
-    else:
-        lows = [tuple(map(ceil, col)) for col in shift]
-        sums_w = [list(accumulate(col)) for col in shift]
-        offsets = [None] + [[a - b for a, b in zip(sums_w[j], sums_w[j - 1])]
-                            for j in range(1, r)]
-    pads = [(0,) * j for j in range(r)]
-
-    def walk(j, prev):
-        caps = None
-        if j:
-            caps = list(accumulate(prev))
-            if shift is not None:
-                caps = [floor(c + o) for c, o in zip(caps, offsets[j])]
-        for col in _fills(lows[j], caps, sums[j]):
-            head = col[::-1] + pads[j]
-            if j + 1 == r:
-                yield head
-            else:
-                for rest in walk(j + 1, col):
-                    yield head + rest
-
-    return walk(0, None)
+    blocks = [(col[::-1], col) for col in _fills(lows[0], None, sums[0])]
+    for j in range(1, r):
+        pad, off = (0,) * j, offsets[j]
+        blocks = [(head + col[::-1] + pad, col) for head, prev in blocks
+                  for col in _fills(lows[j], list(map(add, accumulate(prev), off)), sums[j])]
+    return [block for block, _ in blocks]
 
 
-def _join(params, pairs, shift=None, least=0, betas=None):
+def _shifted_bounds(params, w):
+    """The alpha (lows, offsets) of the points v with v - w in the cone, w zero on beta.
+
+    v - w >= 0 on the entries of (4) makes the lows ceil(w); (2) on v - w
+    caps v's prefix sums by column j-1's plus the difference of w's prefix
+    sums, rounded down, which is an integer offset since v's sums are integers.
+    """
+    yz = params.yz_space
+    cols = [[w[yz.y(i, j)] for i in range(j, params.m + 1)] for j in range(1, params.r + 1)]
+    sums = [list(accumulate(col)) for col in cols]
+    offsets = [tuple(floor(a - b) for a, b in zip(sums[j], sums[j - 1])) for j in range(1, params.r)]
+    return [tuple(map(ceil, col)) for col in cols], [()] + offsets
+
+
+def _join(params, pairs, bounds=None, betas=None):
     """The set of cone points joining alpha blocks of column sums sa to beta blocks of row sums sb.
 
-    ``pairs`` holds the (sa, sb) the coupling family (5) allows; ``least`` and
-    ``shift`` (a y/z vector, zero on beta) go to the alpha blocks; beta blocks
-    are built once per sb into ``betas``.  A point is its packed int, one int
-    ``+`` each: pack(a) + ((pack(b) + |a| * ones) << 8mr), whose y-degree
-    field is |a|.  With a negative entry or a degree past MAX_DEGREE it is the
-    tuple a + b (``_point`` reads either).
+    ``pairs`` holds the (sa, sb) the coupling family (5) allows; ``bounds``
+    holds the alpha blocks' (lows, offsets), zero when None; beta blocks have
+    zero bounds and are built once per sb into ``betas``.  A point is its
+    packed int, one int ``+`` each: pack(a) + ((pack(b) + |a| * ones) << 8mr),
+    whose y-degree field is |a|.  With a negative entry or a degree past
+    MAX_DEGREE it is the tuple a + b (``_point`` reads either).
     """
     m, n, r = params.m, params.n, params.r
     width = kernels.FIELD_BITS * m * r
     ones = (kernels.key_limit(n * r) - 1) // kernels.MAX_DEGREE
-    if shift is not None:
-        yz = params.yz_space
-        shift = [[shift[yz.y(i, j)] for i in range(j, m + 1)] for j in range(1, r + 1)]
+    lows, offsets = bounds or (_zeros(m, r), _zeros(m, r))
+    zeros = _zeros(n, r)
     betas = {} if betas is None else betas
     points = set()
     for sa, sb in pairs:
         if sb not in betas:
-            blocks = list(_blocks(n, r, sb))
+            blocks = _blocks(n, r, sb, zeros, zeros)
             fits = sum(sb) <= kernels.MAX_DEGREE
             betas[sb] = blocks, [kernels.pack(b) << width for b in blocks if fits]
         blocks, keys = betas[sb]
@@ -226,7 +218,7 @@ def _join(params, pairs, shift=None, least=0, betas=None):
             continue
         fits = sum(sa) + sum(sb) <= kernels.MAX_DEGREE
         offset = sum(sa) * ones << width
-        for a in _blocks(m, r, sa, shift, least):
+        for a in _blocks(m, r, sa, lows, offsets):
             if fits and min(a) >= 0:
                 points.update(map((kernels.pack(a) + offset).__add__, keys))
             else:
@@ -360,12 +352,18 @@ def semigroup_vs_cone(params, variant="E", bound=6):
     return _cone_report(params, variant, bound, _cone_layers(params, variant, bound))
 
 
-def witness_vector(params, t, eps):
-    """The shifted-cone witness: diagonal t-eps, a trail of -(t-eps)/(m-r)."""
-    params.require_proper_rank()
+def _check_eps(eps):
+    """``eps`` as a Fraction; ParameterError unless 0 < eps < 1."""
     eps = Fraction(eps)
     if not (0 < eps < 1):
         raise ParameterError(f"eps must satisfy 0 < eps < 1, got {eps}")
+    return eps
+
+
+def witness_vector(params, t, eps):
+    """The shifted-cone witness: diagonal t-eps, a trail of -(t-eps)/(m-r)."""
+    params.require_proper_rank()
+    eps = _check_eps(eps)
     if not isinstance(t, int) or t < 1:
         raise ParameterError(f"t must be a positive integer, got {t!r}")
     m, r = params.m, params.r
@@ -427,19 +425,20 @@ def conic_equality_check(params, t, eps=Fraction(1, 2), bound=6):
     Cohen-Macaulay (t <= m - r); the report records whether the computed
     outcome matches that expectation.
     """
-    params.require_proper_rank()
-    eps = Fraction(eps)
     w = witness_vector(params, t, eps)
     _check_bound(bound)
+    zeros = _zeros(params.m, params.r)
+    ideal = (zeros[:-1] + [(t,) + zeros[-1][1:]], zeros)  # alpha[r,r] >= t
+    shifted = _shifted_bounds(params, w)
 
     def sides():
-        # Side A's alpha blocks start at alpha[r,r] = t; both sides share the beta blocks.
+        # Both sides share the beta blocks.
         for d in range(0, bound + 1, 2):
             betas = {}
-            yield (_join(params, _pairs("E", params.r, (d,)), least=t, betas=betas),
-                   _join(params, _pairs("E", params.r, (d,)), w, betas=betas))
+            yield (_join(params, _pairs("E", params.r, (d,)), ideal, betas),
+                   _join(params, _pairs("E", params.r, (d,)), shifted, betas))
 
     sizes, first = _compare(params, sides(), ("ideal-only", "shifted-only"))
     count_a, count_b = map(sum, zip(*sizes))
-    return ConicCheckReport(params, t, eps, bound, count_a, count_b, first is None,
+    return ConicCheckReport(params, t, Fraction(eps), bound, count_a, count_b, first is None,
                             t <= params.m - params.r, first, exponent_arrays(params, w))

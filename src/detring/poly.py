@@ -55,10 +55,6 @@ class VariableSpace:
         letter, i, j = self._keys[pos]
         return f"{letter}[{i},{j}]"
 
-    def position(self, letter, i, j):
-        """The rank of variable letter[i,j]; KeyError when it is not on this space."""
-        return self._pos[(letter, i, j)]
-
     def unit(self, pos):
         e = [0] * self.nvars
         e[pos] = 1

@@ -1,5 +1,6 @@
 """Command-line driver: payloads, exit codes, and deterministic output."""
 
+import gc
 import json
 import re
 import shlex
@@ -222,6 +223,49 @@ def test_negative_degree_bounds_exit_one_before_any_work(capsys):
         code, out, err = capture(capsys, [*argv, "--deg-bound", "-1"])
         assert (code, out) == (1, ""), argv
         assert err == "error: degree bound must be nonnegative, got -1\n", argv
+
+
+def test_certify_refuses_a_bad_eps_or_bound_for_every_power(capsys):
+    # m - r = 2: t = 0 is the unit ideal, t = 1 runs the conic check and
+    # t = 3, past the boundary, is certified by mu > e.
+    space = ["certify", "--m", "3", "--n", "3", "--r", "1", "--ideal", "p"]
+    refusals = [
+        (["--eps", "5"], "error: eps must satisfy 0 < eps < 1, got 5\n"),
+        (["--eps", "0"], "error: eps must satisfy 0 < eps < 1, got 0\n"),
+        (["--deg-bound", "-4"], "error: degree bound must be nonnegative, got -4\n"),
+    ]
+    for t in ("0", "1", "3"):
+        assert capture(capsys, [*space, "--t", t])[0] == 0, t
+        for flags, message in refusals:
+            assert capture(capsys, [*space, "--t", t, *flags]) == (1, "", message), (t, flags)
+
+
+def test_cone_commands_leave_no_more_cyclic_garbage_than_mu(capsys):
+    # A self-calling nested function or generator is a reference cycle that
+    # keeps its frames, and what they hold, until the cyclic collector runs.
+    def garbage(argv):
+        gc.collect()
+        assert capture(capsys, argv)[0] == 0, argv
+        return gc.collect()
+
+    space = ["--m", "3", "--n", "4", "--r", "2"]
+    mu = ["mu", *space, "--t", "1", "--ideal", "p"]
+    commands = [
+        ["cone-check", *space, "--deg-bound", "6"],
+        ["certify", "--m", "4", "--n", "5", "--r", "2", "--ideal", "p", "--t", "1", "--deg-bound", "6"],
+        ["tilde-check", *space, "--deg-bound", "4"],
+        ["hilbert", "--m", "4", "--n", "4", "--r", "2", "--deg", "3", "--method", "lattice"],
+    ]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        garbage(mu)  # the first run may build the parser
+        base = garbage(mu)
+        for argv in commands:
+            assert garbage(argv) <= base, argv
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_unknown_flags_and_commands_exit_one(capsys):

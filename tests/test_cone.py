@@ -12,6 +12,7 @@ from detring.cone import (
     _join,
     _pairs,
     _point,
+    _shifted_bounds,
     conic_equality_check,
     exponent_arrays,
     generators_semigroup,
@@ -278,7 +279,8 @@ def test_lattice_points_match_brute_force_membership():
 def _shifted_points(params, w, bound):
     """The tuple view of ``_join``'s witness-shifted side (side B of the conic check)."""
     nvars = params.yz_space.nvars
-    return {_point(k, nvars) for k in _join(params, _pairs("E", params.r, range(bound + 1)), w)}
+    pairs = _pairs("E", params.r, range(bound + 1))
+    return {_point(k, nvars) for k in _join(params, pairs, _shifted_bounds(params, w))}
 
 
 def _random_shift(params, rng):
@@ -416,7 +418,7 @@ def test_join_keys_are_the_packed_points():
     # A shifted point with a negative entry is held as its tuple.
     params = Parameters(2, 3, 1)
     shift = witness_vector(params, 2, Fraction(1, 2))
-    keys = _join(params, _pairs("E", 1, (4,)), shift)
+    keys = _join(params, _pairs("E", 1, (4,)), _shifted_bounds(params, shift))
     points = _shifted_points(params, shift, 4) - _shifted_points(params, shift, 3)
     negative = {v for v in points if min(v) < 0}
     assert negative and negative < keys

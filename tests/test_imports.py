@@ -1,6 +1,7 @@
 """Every module of the package, the test suite and the benchmark uses each name
-it imports, and every module-level function or class of the package is used in
-the package or exported from it."""
+it imports, every module-level function or class of the package is used in
+the package or exported from it, and no function of the package defines a
+nested function that calls itself."""
 
 import ast
 from pathlib import Path
@@ -62,3 +63,32 @@ def test_every_package_definition_is_used_or_exported():
         and (p.name, node.name) != ("kernels.py", "system_holds")
     ]
     assert unused == []
+
+
+def _self_calling_nested_functions(tree):
+    """(line, name) for each function nested in another that calls itself by name."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    found = set()
+    for outer in ast.walk(tree):
+        if isinstance(outer, functions):
+            for inner in ast.walk(outer):
+                if inner is not outer and isinstance(inner, functions) and any(
+                    isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == inner.name
+                    for node in ast.walk(inner)
+                ):
+                    found.add((inner.lineno, inner.name))
+    return sorted(found)
+
+
+def test_no_package_function_nests_a_self_calling_function():
+    # Such a closure holds the cell that holds itself: a reference cycle that
+    # keeps its frames until the cyclic collector runs.  A module-level
+    # recursion taking its state as arguments is freed on return.
+    paths = sorted((ROOT / "src" / "detring").glob("*.py"))
+    found = [
+        f"{p.relative_to(ROOT)}:{line}: {name}"
+        for p in paths
+        for line, name in _self_calling_nested_functions(ast.parse(p.read_text(), str(p)))
+    ]
+    assert found == []

@@ -1,19 +1,20 @@
 """Numerology: minimal generator counts, multiplicity, Hilbert function.
 
 All values are exact integers.  The binomial determinants are evaluated
-fraction-free; the direct route recounts the same numbers by enumerating
-chains of index sets, so the two can be played against each other.
+fraction-free; the direct route recounts the same numbers as standard chains
+of pinned minors along the minor table, so the two can be played against
+each other.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations_with_replacement
 from math import comb
 
 from .errors import ParameterError
 from .generic_point import SubstitutionMap, _check_image_degree
 from .linalg import Eliminator, det_bareiss
-from .tableaux import count_standard
+from .tableaux import _count_pinned, count_standard
 
 IDEALS = ("p", "q")
 
@@ -46,28 +47,14 @@ def mu_power(params, ideal, t):
     return hodge_dim(params.r, params.n if ideal == "p" else params.m, t)
 
 
-def _chain_ends(universe_size, r, length):
-    """Chains s1 <= ... <= s_length (componentwise, length >= 1) of r-subsets
-    of 1..universe_size, counted by their last subset."""
-    subsets = list(combinations(range(1, universe_size + 1), r))
-    counts = {s: 1 for s in subsets}
-    for _ in range(length - 1):
-        counts = {
-            s: sum(c for s2, c in counts.items() if all(x <= y for x, y in zip(s2, s)))
-            for s in subsets
-        }
-    return counts
-
-
 def mu_power_direct(params, ideal, t):
-    """Same count by direct enumeration of standard products of t generators."""
+    """Same count without the determinant: the standard chains of t generators
+    [1..r|C_1] <= ... <= [1..r|C_t] (``generators_gamma``; columns pinned for
+    'q'), counted along the minor table by ``_count_pinned``."""
     params.require_proper_rank()
     _check_ideal(ideal)
     _check_t(t)
-    if t == 0:
-        return 1
-    size = params.n if ideal == "p" else params.m
-    return sum(_chain_ends(size, params.r, t).values())
+    return _count_pinned(params, "rows" if ideal == "p" else "cols", t, 0)
 
 
 def multiplicity(params):

@@ -16,7 +16,6 @@ from itertools import combinations, combinations_with_replacement
 
 from . import kernels
 from .cone import _check_bound, _cone_layers, _cone_report, _pairs
-from .counting import _chain_ends
 from .errors import ParameterError
 from .generic_point import (
     SubstitutionMap,
@@ -27,19 +26,13 @@ from .generic_point import (
 )
 from .linalg import Eliminator
 from .poly import Poly, format_monomial
-from .tableaux import _count_chains, _standard_chains, all_minors, count_standard, minor_leq
+from .tableaux import _count_pinned, _standard_chains, all_minors, minor_leq
 
 
-def _y_minor(params, rows, subst):
-    yz = subst.yz_space
-    matrix = [[Poly.variable(yz, yz.y(a, k)) for k in range(1, params.r + 1)] for a in rows]
-    return _det_expand(matrix, yz)
-
-
-def _z_minor(params, cols, subst):
-    yz = subst.yz_space
-    matrix = [[Poly.variable(yz, yz.z(k, b)) for b in cols] for k in range(1, params.r + 1)]
-    return _det_expand(matrix, yz)
+def _factor_minor(yz, rows, cols, var):
+    """The minor of a factor matrix over rows x cols, its (a, b) entry the
+    y/z variable at position ``var(a, b)`` (``yz.y`` or ``yz.z``)."""
+    return _det_expand([[Poly.variable(yz, var(a, b)) for b in cols] for a in rows], yz)
 
 
 def generators_R_tilde(params, subst=None):
@@ -50,14 +43,15 @@ def generators_R_tilde(params, subst=None):
     """
     if subst is None:
         subst = SubstitutionMap(params)
+    yz, base = subst.yz_space, range(1, params.r + 1)
     gens = []
     for i in range(1, params.m + 1):
         for j in range(1, params.n + 1):
             gens.append(subst.entry(i, j))
     for rows in combinations(range(1, params.m + 1), params.r):
-        gens.append(_y_minor(params, rows, subst))
+        gens.append(_factor_minor(yz, rows, base, yz.y))
     for cols in combinations(range(1, params.n + 1), params.r):
-        gens.append(_z_minor(params, cols, subst))
+        gens.append(_factor_minor(yz, base, cols, yz.z))
     return gens
 
 
@@ -81,32 +75,17 @@ def _tilde_basis_count(params, d1, d2):
     """Standard products of maximal factor minors with a standard bitableau.
 
     Bidegree (d1, d2) forces the number of pure factors: (d1-d2)/r maximal
-    left-factor minors when d1 >= d2 (mirror otherwise); the chain of pure
-    factors must grow into the first factor of the mixed part.  Nothing is
-    listed: each first factor d of the mixed part weighs the pure chains
-    ending below it, times the standard chains of the remaining degree that
-    follow d (``_count_chains``, one memo for them all).
+    left-factor minors when d1 >= d2 (mirror otherwise), whose chain must grow
+    into the first factor of the mixed part.  The left minor det Y[s, 1..r]
+    leads with the y-half of the lead of [s|1..r], and [s|1..r] grows into a
+    factor d exactly when s <= d.rows entrywise, so these are the standard
+    chains with that many leading factors pinned to columns 1..r (rows 1..r
+    for the right factor): ``_count_pinned``, with nothing listed.
     """
-    r = params.r
-    if (d1 - d2) % r != 0:
+    if (d1 - d2) % params.r:
         return 0
-    if d1 >= d2:
-        length, universe, degree, side = (d1 - d2) // r, params.m, d2, "rows"
-    else:
-        length, universe, degree, side = (d2 - d1) // r, params.n, d1, "cols"
-    if length == 0:
-        return count_standard(params, degree)
-    ends = _chain_ends(universe, r, length)
-    if degree == 0:
-        return sum(ends.values())
-    table, memo = params.minor_table, {}
-    total = 0
-    for d in all_minors(params, min(r, degree)):
-        bound = getattr(d, side)
-        weight = sum(c for s, c in ends.items() if all(x <= b for x, b in zip(s, bound)))
-        if weight:
-            total += weight * _count_chains(table, r, memo, d, degree - d.size)
-    return total
+    side = "cols" if d1 >= d2 else "rows"
+    return _count_pinned(params, side, abs(d1 - d2) // params.r, min(d1, d2))
 
 
 @dataclass(frozen=True)

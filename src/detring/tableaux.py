@@ -18,6 +18,7 @@ from math import comb
 from operator import attrgetter, ge
 
 from .errors import ParameterError, ParseError
+from .kernels import MAX_DEGREE
 from .poly import XSpace, YZSpace
 
 
@@ -235,6 +236,15 @@ def _successors(table, prev, t):
     return out
 
 
+def _check_degree(degree):
+    """Refuse a negative chain degree, and one past the packed limit: the
+    walks recurse once per factor, so a deep degree would exhaust the stack."""
+    if degree < 0:
+        raise ParameterError(f"degree must be nonnegative, got {degree}")
+    if degree > MAX_DEGREE:
+        raise ParameterError(f"degree {degree} exceeds the packed-exponent limit {MAX_DEGREE}")
+
+
 def _standard_chains(params, degree, piece, empty):
     """Every standard chain of the degree with factor sizes <= r, in the order
     of ``enumerate_standard``, each as ``empty`` plus ``piece(d)`` per factor d.
@@ -242,8 +252,7 @@ def _standard_chains(params, degree, piece, empty):
     Depth first through ``params.minor_table``: larger factors first, then
     rows, then columns.  The last factor's successors are added in bulk.
     """
-    if degree < 0:
-        raise ParameterError(f"degree must be nonnegative, got {degree}")
+    _check_degree(degree)
     out = []
     if degree:
         _extend_chains(params.minor_table, piece, out, empty, None, params.r, degree)
@@ -305,11 +314,28 @@ def _count_chains(table, r, memo, prev, left):
     return total
 
 
+def _count_pinned(params, side, pins, left):
+    """The standard chains of degree r * pins + left whose first pins factors
+    are size-r minors with ``side`` ('rows' or 'cols') equal to 1..r: carried
+    forward factor by factor along the successor lists by a loop (pins may run
+    to thousands), then each end weighed by the chains of degree left after it."""
+    table, r, memo = params.minor_table, params.r, {}
+    base = tuple(range(1, r + 1))
+    ends = {None: 1}
+    for _ in range(pins):
+        step = {}
+        for prev, c in ends.items():
+            for d in _successors(table, prev, r):
+                if getattr(d, side) == base:
+                    step[d] = step.get(d, 0) + c
+        ends = step
+    return sum(c * _count_chains(table, r, memo, d, left) for d, c in ends.items())
+
+
 def count_standard(params, degree):
     """``len(enumerate_standard(params, degree))`` without building a bitableau."""
-    if degree < 0:
-        raise ParameterError(f"degree must be nonnegative, got {degree}")
-    return _count_chains(params.minor_table, params.r, {}, None, degree)
+    _check_degree(degree)
+    return _count_pinned(params, "rows", 0, degree)
 
 
 def generators_gamma(params, side):

@@ -4,10 +4,11 @@ import os
 import random
 from fractions import Fraction
 from functools import cache
+from itertools import combinations
 
 import detring
 from detring import kernels
-from detring.counting import _chain_ends, _monomials_of_degree
+from detring.counting import _monomials_of_degree
 from detring.errors import ParameterError, SpaceMismatchError
 from detring.generic_point import SubstitutionMap, minor_polynomial
 from detring.linalg import Eliminator
@@ -179,6 +180,20 @@ def successors_by_minor_leq(table, prev, t):
     return [d for d in table[None, t] if minor_leq(prev, d)]
 
 
+def chain_ends(universe_size, r, length):
+    """Brute-force oracle: chains s1 <= ... <= s_length (componentwise, length
+    >= 1) of r-subsets of 1..universe_size, counted by their last subset, each
+    step an all-pairs pass over the subsets."""
+    subsets = list(combinations(range(1, universe_size + 1), r))
+    counts = {s: 1 for s in subsets}
+    for _ in range(length - 1):
+        counts = {
+            s: sum(c for s2, c in counts.items() if all(x <= y for x, y in zip(s2, s)))
+            for s in subsets
+        }
+    return counts
+
+
 def tilde_basis_count_by_listing(params, d1, d2):
     """Reference for ``invariants._tilde_basis_count``: list the degree-d basis
     and weigh each bitableau by the pure chains that grow into its first factor."""
@@ -192,7 +207,7 @@ def tilde_basis_count_by_listing(params, d1, d2):
     basis = enumerate_standard(params, degree)
     if length == 0:
         return len(basis)
-    ends = _chain_ends(universe, r, length)
+    ends = chain_ends(universe, r, length)
     total = 0
     for bitab in basis:
         if not bitab.factors:

@@ -210,6 +210,19 @@ def test_cone_check_past_the_packed_limit_exits_one(capsys):
     assert err.startswith("error:") and "255" in err
 
 
+def test_chain_walks_past_the_packed_limit_exit_one(capsys):
+    # One clear line, not a RecursionError traceback from the deep walks.
+    space = ["--m", "1", "--n", "1", "--r", "1"]
+    for cmd, deg in (("hilbert", 256), ("hilbert", 500), ("basis", 256), ("basis", 990)):
+        code, out, err = capture(capsys, [cmd, *space, "--deg", str(deg)])
+        assert (code, out) == (1, ""), (cmd, deg)
+        assert err == f"error: degree {deg} exceeds the packed-exponent limit 255\n", (cmd, deg)
+    code, out, _ = capture(capsys, ["hilbert", *space, "--deg", "255"])
+    assert code == 0 and json.loads(out) == {"dim": 1}
+    code, out, _ = capture(capsys, ["basis", *space, "--deg", "255"])
+    assert code == 0 and json.loads(out) == {"count": 1, "bitableaux": ["[1|1]" * 255]}
+
+
 def test_negative_degree_bounds_exit_one_before_any_work(capsys):
     space = ["--m", "3", "--n", "3", "--r", "2"]
     commands = [

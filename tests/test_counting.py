@@ -16,7 +16,7 @@ from detring.counting import (
 from detring.errors import ParameterError
 from detring.linalg import det_bareiss
 from detring.tableaux import Parameters
-from helpers import parameter_triples
+from helpers import chain_ends, parameter_triples
 
 
 def test_binomial_convention_outside_range():
@@ -50,14 +50,19 @@ def test_rank_one_power_count_is_a_single_binomial():
             params = Parameters(2, n, 1)
             assert mu_power(params, "p", t) == binomial(t + n - 1, n - 1)
             assert mu_power_direct(params, "p", t) == binomial(t + n - 1, n - 1)
+    # Thousands of pinned factors: the chains are carried forward by a loop.
+    assert mu_power_direct(Parameters(2, 3, 1), "p", 1500) == binomial(1502, 2)
 
 
 def test_formula_matches_enumeration_small_sweep():
     for (m, n, r) in parameter_triples(4, 4, proper=True):
         params = Parameters(m, n, r)
         for ideal in ("p", "q"):
+            universe = n if ideal == "p" else m
             for t in (1, 2, 3):
-                assert mu_power(params, ideal, t) == mu_power_direct(params, ideal, t)
+                direct = mu_power_direct(params, ideal, t)
+                assert mu_power(params, ideal, t) == direct, (m, n, r, ideal, t)
+                assert direct == sum(chain_ends(universe, r, t).values()), (m, n, r, ideal, t)
 
 
 def test_power_counts_strictly_increase():

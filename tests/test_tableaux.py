@@ -4,7 +4,9 @@ import gc
 
 import pytest
 
+from detring.counting import mu_power_direct
 from detring.errors import ParameterError, ParseError
+from detring.invariants import _tilde_basis_count
 from detring.tableaux import (
     Bitableau,
     Minor,
@@ -205,11 +207,19 @@ def test_standard_walk_leaves_no_reference_cycle():
 
 
 def test_count_standard_leaves_no_reference_cycle():
+    # The pinned counts of mu_power_direct and _tilde_basis_count share the walk.
+    counts = [
+        lambda: count_standard(Parameters(5, 5, 3), 6),
+        lambda: mu_power_direct(Parameters(4, 5, 2), "q", 4),
+        lambda: _tilde_basis_count(Parameters(4, 5, 2), 7, 3),
+        lambda: _tilde_basis_count(Parameters(4, 5, 2), 1, 5),
+    ]
     gc.collect()
     gc.disable()
     try:
-        assert count_standard(Parameters(5, 5, 3), 6)
-        assert gc.collect() == 0
+        for count in counts:
+            assert count()
+            assert gc.collect() == 0
     finally:
         gc.enable()
 

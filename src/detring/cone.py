@@ -45,7 +45,6 @@ from math import ceil, floor
 from operator import add
 
 from . import kernels
-from .counting import _monomials_of_degree
 from .errors import ParameterError
 from .generic_point import _diagonal_monomial
 from .tableaux import all_minors
@@ -239,6 +238,16 @@ def _pairs(variant, r, degrees):
                 for sa in _monomials_of_degree(r, da):
                     if min(sa) >= c:
                         yield sa, tuple(x - c for x in sa)
+
+
+def _monomials_of_degree(k, d):
+    """Exponent tuples of length k with entry sum d, lexicographic."""
+    if k == 1:
+        yield (d,)
+        return
+    for first in range(d, -1, -1):
+        for rest in _monomials_of_degree(k - 1, d - first):
+            yield (first,) + rest
 
 
 def _point(key, nvars):

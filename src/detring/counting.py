@@ -11,6 +11,7 @@ from __future__ import annotations
 from itertools import combinations_with_replacement
 from math import comb
 
+from .cone import _join, _pairs
 from .errors import ParameterError
 from .generic_point import SubstitutionMap, _check_image_degree
 from .linalg import Eliminator, det_bareiss
@@ -88,8 +89,6 @@ def hilbert_function(params, d, method="bitableaux"):
     if method == "bitableaux":
         return count_standard(params, d)
     if method == "lattice":
-        from .cone import _join, _pairs
-
         return len(_join(params, _pairs("E", params.r, (2 * d,))))
     if method == "rank":
         _check_image_degree(d)
@@ -103,12 +102,3 @@ def hilbert_function(params, d, method="bitableaux"):
         return elim.rank
     raise ParameterError(f"method must be 'bitableaux', 'lattice', or 'rank', got {method!r}")
 
-
-def _monomials_of_degree(k, d):
-    """Exponent tuples of length k with entry sum d, lexicographic."""
-    if k == 1:
-        yield (d,)
-        return
-    for first in range(d, -1, -1):
-        for rest in _monomials_of_degree(k - 1, d - first):
-            yield (first,) + rest

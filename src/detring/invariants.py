@@ -285,7 +285,7 @@ def verify_ladder(params, delta, d_max=3):
     gammas = [
         (g.size, minor_polynomial(g, params, "X").packed,
          minor_polynomial(g, params, "YZ", subst).packed)
-        for g in all_minors(params) if not minor_leq(delta, g)
+        for g in all_minors(params, d_max) if not minor_leq(delta, g)
     ]
     x_keys = [kernels.pack(subst.x_space.unit(p)) for p in range(subst.x_space.nvars)]
     memo = {(): {0: 1}}

@@ -17,7 +17,7 @@ from . import kernels
 from .errors import InternalCheckError, NotInSemigroupError
 from .generic_point import SubstitutionMap, _check_image_degree, decode_standard, eval_bitableau, phi
 from .linalg import clear_denominators
-from .poly import Poly
+from .poly import Poly, format_coefficient
 
 
 @dataclass(frozen=True)
@@ -48,8 +48,6 @@ class StandardCombination:
 
     def as_pairs(self):
         """JSON-ready list of (coefficient string, bitableau string) pairs."""
-        from .poly import format_coefficient
-
         return [
             {"coeff": format_coefficient(c), "bitableau": str(b)} for c, b in self.terms
         ]

@@ -50,14 +50,8 @@ class Parameters:
 
     @cached_property
     def minor_table(self):
-        """``(prev, t)`` -> the minors of size t <= r that prev grows into, by rows
-        then columns; ``(None, t)`` holds all of them, other keys fill on demand."""
-        minors = all_minors(self, self.r)
-        return {(None, t): [d for d in minors if d.size == t] for t in range(1, self.r + 1)}
-
-    @property
-    def max_minor_size(self):
-        return min(self.m, self.n)
+        """The format's one minor table (``_MinorTable``), empty until read."""
+        return _MinorTable(self.m, self.n)
 
     def transposed(self):
         return Parameters(self.n, self.m, self.r)
@@ -206,34 +200,36 @@ def parse_bitableau(text):
         raise ParseError(str(exc)) from None
 
 
+class _MinorTable(dict):
+    """``(None, t)`` -> every size-t minor of an m x n matrix, by rows then
+    columns, so the one at i * C(n, t) + j has the i-th row and j-th column
+    tuple; ``(prev, t)`` -> those prev grows into, read out by position: rows
+    >= prev's entrywise times columns >= prev's.  Each key is filled when
+    first read.  The table keeps (m, n): its ``Parameters`` would be a cycle."""
+
+    def __init__(self, m, n):
+        self.m, self.n = m, n
+
+    def __missing__(self, key):
+        prev, t = key
+        if prev is None:
+            cols = list(combinations(range(1, self.n + 1), t))
+            out = [Minor(rows, c) for rows in combinations(range(1, self.m + 1), t) for c in cols]
+        else:
+            grid, width = self[None, t], comb(self.n, t)
+            rows = [i for i in range(0, len(grid), width) if all(map(ge, grid[i].rows, prev.rows))]
+            cols = [j for j in range(width) if all(map(ge, grid[j].cols, prev.cols))]
+            out = [grid[i + j] for i in rows for j in cols]
+        self[key] = out
+        return out
+
+
 def all_minors(params, max_size=None):
-    """Every minor fitting the format, sizes ascending then lexicographic."""
-    top = params.max_minor_size if max_size is None else min(max_size, params.max_minor_size)
-    out = []
-    for t in range(1, top + 1):
-        for rows in combinations(range(1, params.m + 1), t):
-            for cols in combinations(range(1, params.n + 1), t):
-                out.append(Minor(rows, cols))
-    return out
-
-
-def _successors(table, prev, t):
-    """``table[prev, t]``: the size-t minors prev grows into, filled on first use.
-
-    ``table[None, t]`` lists the size-t minors by rows then columns, so with
-    width = C(n, t) (n is the last minor's last column) the minor at position
-    i * width + j has the i-th row tuple and the j-th column tuple.  The
-    successors are the row tuples >= prev's rows entrywise times the column
-    tuples >= prev's columns, read out by position in that order.
-    """
-    out = table.get((prev, t))
-    if out is None:
-        grid = table[None, t]
-        width = comb(grid[-1].cols[-1], t)
-        rows = [i for i in range(0, len(grid), width) if all(map(ge, grid[i].rows, prev.rows))]
-        cols = [j for j in range(width) if all(map(ge, grid[j].cols, prev.cols))]
-        out = table[prev, t] = [grid[i + j] for i in rows for j in cols]
-    return out
+    """Every minor fitting the format of size <= max_size (default min(m, n)),
+    sizes ascending then lexicographic: the minor table's own size lists."""
+    top = min(params.m, params.n) if max_size is None else min(max_size, params.m, params.n)
+    table = params.minor_table
+    return [d for t in range(1, top + 1) for d in table[None, t]]
 
 
 def _check_degree(degree):
@@ -268,9 +264,9 @@ def _extend_chains(table, piece, out, prefix, prev, top, left):
     out and the table alive after the walk until the cyclic collector ran."""
     for t in range(min(top, left), 0, -1):
         if t == left:
-            out.extend([prefix + piece(d) for d in _successors(table, prev, t)])
+            out.extend([prefix + piece(d) for d in table[prev, t]])
         else:
-            for d in _successors(table, prev, t):
+            for d in table[prev, t]:
                 _extend_chains(table, piece, out, prefix + piece(d), d, t, left - t)
 
 
@@ -309,7 +305,7 @@ def _count_chains(table, r, memo, prev, left):
         total = memo[key] = sum(
             _count_chains(table, r, memo, d, left - t)
             for t in range(min(top, left), 0, -1)
-            for d in _successors(table, prev, t)
+            for d in table[prev, t]
         )
     return total
 
@@ -325,7 +321,7 @@ def _count_pinned(params, side, pins, left):
     for _ in range(pins):
         step = {}
         for prev, c in ends.items():
-            for d in _successors(table, prev, r):
+            for d in table[prev, r]:
                 if getattr(d, side) == base:
                     step[d] = step.get(d, 0) + c
         ends = step

@@ -8,12 +8,12 @@ from itertools import combinations
 
 import detring
 from detring import kernels
-from detring.counting import _monomials_of_degree
+from detring.cone import _monomials_of_degree
 from detring.errors import ParameterError, SpaceMismatchError
 from detring.generic_point import SubstitutionMap, minor_polynomial
 from detring.linalg import Eliminator
 from detring.poly import Poly
-from detring.tableaux import all_minors, enumerate_standard, minor_leq
+from detring.tableaux import Minor, all_minors, enumerate_standard, minor_leq
 
 
 def parameter_triples(max_m=3, max_n=3, proper=False):
@@ -174,9 +174,21 @@ def format_bitableau(bitab):
     return "".join(format_minor(f) for f in bitab.factors)
 
 
+def minors_by_loops(params, max_size=None):
+    """Reference for ``all_minors``: a nested loop over sizes, row tuples and
+    column tuples."""
+    top = min(params.m, params.n) if max_size is None else min(max_size, params.m, params.n)
+    out = []
+    for t in range(1, top + 1):
+        for rows in combinations(range(1, params.m + 1), t):
+            for cols in combinations(range(1, params.n + 1), t):
+                out.append(Minor(rows, cols))
+    return out
+
+
 def successors_by_minor_leq(table, prev, t):
-    """Reference for ``tableaux._successors``: every size-t minor of the table
-    that prev precedes, tested pair by pair, in the table's order."""
+    """Reference for the minor table's ``(prev, t)`` lists: every size-t minor
+    of the table that prev precedes, tested pair by pair, in the table's order."""
     return [d for d in table[None, t] if minor_leq(prev, d)]
 
 

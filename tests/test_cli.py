@@ -3,6 +3,7 @@
 import gc
 import json
 import re
+import resource
 import shlex
 import subprocess
 import sys
@@ -88,6 +89,45 @@ def test_hilbert_bitableaux_fills_successor_lists_by_domination():
                            text=True, env=subprocess_env(), timeout=60)
     assert child.returncode == 0, child.stderr
     assert '"dim": 25807516' in child.stdout
+
+
+def _child_payload(argv):
+    """The JSON a child interpreter prints for argv, its address space capped
+    at 256 MB: each query below peaks near 20 MB resident, and building the
+    minors it never reads would take hundreds of MB or more."""
+    cap = (256 << 20, 256 << 20)
+    child = subprocess.run([sys.executable, "-m", "detring", *argv], capture_output=True,
+                           text=True, env=subprocess_env(), timeout=60,
+                           preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, cap))
+    assert child.returncode == 0, child.stderr[-500:]
+    return json.loads(child.stdout)
+
+
+def test_hilbert_at_degree_one_builds_no_large_minor():
+    # Every minor up to size 15 of a 30 x 30 matrix would never fit in memory.
+    argv = ["hilbert", "--m", "30", "--n", "30", "--r", "15", "--deg", "1"]
+    assert _child_payload(argv) == {"dim": 900}
+
+
+def test_basis_at_degree_one_builds_no_large_minor():
+    # Degree 1 reads the 144 entries; all 1.78 million minors of size <= 6
+    # of a 12 x 12 matrix took 15 s and 364 MB.
+    payload = _child_payload(["basis", "--m", "12", "--n", "12", "--r", "6", "--deg", "1"])
+    assert payload["count"] == 144
+    assert payload["bitableaux"] == [f"[{i}|{j}]" for i in range(1, 13) for j in range(1, 13)]
+
+
+def test_ladder_check_expands_only_minors_up_to_the_bound():
+    # The size-6 minors of a 6 x 6 matrix have 720 terms; bound 2 reads sizes 1 and 2.
+    argv = ["ladder-check", "--m", "6", "--n", "6", "--r", "6", "--delta", "[2|2]", "--deg-bound", "2"]
+    payload = _child_payload(argv)
+    assert payload["ok"] is True and payload["first_mismatch"] is None
+    rows = [(row["degree"], row["initial_space_dim"], row["divisible_count"])
+            for row in payload["degrees"]]
+    assert rows == [(1, 11, 11), (2, 441, 441)]
+    assert payload["variable_set"] == [
+        "y[1,1]", "y[6,2]", "y[5,2]", "y[4,2]", "y[3,2]", "y[2,2]", "y[1,2]", "z[1,1]"
+    ]
 
 
 def test_basis_negative_degree_exits_one_with_nothing_on_stdout(capsys):

@@ -10,6 +10,7 @@ import pytest
 from detring import cone, kernels
 from detring.cone import (
     _join,
+    _monomials_of_degree,
     _pairs,
     _point,
     _shifted_bounds,
@@ -21,7 +22,7 @@ from detring.cone import (
     semigroup_vs_cone,
     witness_vector,
 )
-from detring.counting import _monomials_of_degree, hilbert_function
+from detring.counting import hilbert_function
 from detring.errors import ParameterError
 from detring.poly import YZSpace
 from detring.tableaux import Parameters, count_standard, enumerate_standard

@@ -6,7 +6,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from detring.counting import _monomials_of_degree
+from detring.cone import _monomials_of_degree
 from detring.errors import NotInSemigroupError, NotStandardError, ParameterError, SpaceMismatchError
 from detring.generic_point import (
     SubstitutionMap,

@@ -1,7 +1,7 @@
 """Every module of the package, the test suite and the benchmark uses each name
 it imports, every module-level function or class of the package is used in
-the package or exported from it, and no function of the package defines a
-nested function that calls itself."""
+the package or exported from it, the package imports only at module top, and
+no function of the package defines a nested function that calls itself."""
 
 import ast
 from pathlib import Path
@@ -63,6 +63,19 @@ def test_every_package_definition_is_used_or_exported():
         and (p.name, node.name) != ("kernels.py", "system_holds")
     ]
     assert unused == []
+
+
+def test_package_imports_only_at_module_top():
+    # An import inside a function hides a dependency between modules (often
+    # one worked round because it is a cycle) and runs again on every call.
+    found = [
+        f"{p.relative_to(ROOT)}:{node.lineno}"
+        for p in sorted((ROOT / "src" / "detring").glob("*.py"))
+        for tree in [ast.parse(p.read_text(), str(p))]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and node not in tree.body
+    ]
+    assert found == []
 
 
 def _self_calling_nested_functions(tree):

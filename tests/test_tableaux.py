@@ -12,7 +12,6 @@ from detring.tableaux import (
     Minor,
     Parameters,
     _standard_texts,
-    _successors,
     all_minors,
     count_standard,
     enumerate_standard,
@@ -22,7 +21,13 @@ from detring.tableaux import (
     parse_bitableau,
     parse_minor,
 )
-from helpers import format_bitableau, format_minor, parameter_triples, successors_by_minor_leq
+from helpers import (
+    format_bitableau,
+    format_minor,
+    minors_by_loops,
+    parameter_triples,
+    successors_by_minor_leq,
+)
 
 
 def test_parameters_validate_rank_bounds():
@@ -232,7 +237,35 @@ def test_successor_lists_equal_the_pairwise_filter_in_order():
             for prev in table[None, s]:
                 for t in range(1, s + 1):
                     expect = successors_by_minor_leq(table, prev, t)
-                    assert _successors(table, prev, t) == expect, (m, n, r, prev, t)
+                    assert table[prev, t] == expect, (m, n, r, prev, t)
+
+
+def test_minor_table_fills_only_the_sizes_a_query_reads():
+    # Degree 2 reads sizes 1 and 2; a pinned count reads only size r.
+    params = Parameters(8, 8, 6)
+    assert count_standard(params, 2) == 2080  # every quadric: C(64 + 1, 2)
+    assert max(t for _, t in params.minor_table) == 2
+    params = Parameters(8, 8, 6)
+    assert mu_power_direct(params, "p", 3) == 2520
+    assert [t for prev, t in params.minor_table if prev is None] == [6]
+
+
+def test_all_minors_are_the_tables_own_objects():
+    params = Parameters(4, 5, 2)
+    minors = all_minors(params, 3)
+    table = params.minor_table
+    expect = [d for t in (1, 2, 3) for d in table[None, t]]
+    assert len(minors) == len(expect) == 20 + 60 + 40
+    assert all(a is b for a, b in zip(minors, expect))
+    assert enumerate_standard(params, 1)[0].factors[0] is minors[0]
+
+
+def test_all_minors_match_the_nested_loop():
+    for m in range(1, 6):
+        for n in range(1, 6):
+            params = Parameters(m, n, 1)
+            for k in (None, *range(min(m, n) + 2)):
+                assert all_minors(params, k) == minors_by_loops(params, k), (m, n, k)
 
 
 def test_count_standard_matches_the_enumeration():

@@ -47,9 +47,23 @@ def _eps(text):
     return eps
 
 
+class _Tally:
+    """A list of strings that ``_emit`` writes batch by batch as they arrive,
+    counting the items as they pass."""
+
+    def __init__(self, batches):
+        self.batches, self.count = batches, 0
+
+    def __iter__(self):
+        for batch in self.batches:
+            self.count += len(batch)
+            yield batch
+
+
 def _cmd_basis(args):
-    texts = _standard_texts(_params(args), args.deg)
-    return {"count": len(texts), "bitableaux": texts}, 0
+    # "count" sorts after "bitableaux", so the writer reads it after the stream.
+    texts = _Tally(_standard_texts(_params(args), args.deg))
+    return {"bitableaux": texts, "count": lambda: texts.count}, 0
 
 
 def _cmd_straighten(args):
@@ -162,24 +176,101 @@ def build_parser():
     return parser
 
 
-def _emit_table(payload, prefix="", lines=None):
-    lines = [] if lines is None else lines
-    if isinstance(payload, dict):
-        for key in sorted(payload):
-            _emit_table(payload[key], f"{prefix}{key}." if prefix else f"{key}.", lines)
-    elif isinstance(payload, (list, tuple)):
-        for i, item in enumerate(payload):
-            _emit_table(item, f"{prefix}{i}." if prefix else f"{i}.", lines)
+_encode_str = json.encoder.encode_basestring_ascii
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _flush(out, write):
+    """Write what out holds and empty it, keeping one "" to mark that
+    something was written."""
+    write("".join(out))
+    out[:] = [""]
+
+
+def _json(value, out, write, indent):
+    """Append value as ``json.dumps(value, indent=2, sort_keys=True)`` writes
+    it, nested at indent (keys are strings, as in every payload)."""
+    if callable(value):
+        value = value()
+    if isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{\n" + inner
+        for key in sorted(value):
+            out.append(f"{sep}{_encode_str(key)}: ")
+            _json(value[key], out, write, inner)
+            sep = ",\n" + inner
+        out.append(f"\n{indent}}}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = "[\n" + inner
+        for item in value:
+            out.append(sep)
+            _json(item, out, write, inner)
+            sep = ",\n" + inner
+        out.append(f"\n{indent}]")
+    elif isinstance(value, _Tally):
+        inner = indent + "  "
+        sep, opened = ",\n" + inner, False
+        for batch in value:
+            if batch:
+                out.append((sep if opened else "[\n" + inner) + sep.join(map(_encode_str, batch)))
+                _flush(out, write)
+                opened = True
+        out.append(f"\n{indent}]" if opened else "[]")
+    elif isinstance(value, str):
+        out.append(_encode_str(value))
+    elif value is None or value is True or value is False:
+        out.append(_JSON_CONSTANTS[value])
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
     else:
-        lines.append(f"{prefix[:-1]} = {payload}")
-    return lines
+        out.append(json.dumps(value))
+
+
+def _table(value, out, write, prefix):
+    """Append one ``path = value`` line per scalar of value, under prefix."""
+    if callable(value):
+        value = value()
+    if isinstance(value, dict):
+        for key in sorted(value):
+            _table(value[key], out, write, f"{prefix}{key}.")
+    elif isinstance(value, (list, tuple)):
+        for i, item in enumerate(value):
+            _table(item, out, write, f"{prefix}{i}.")
+    elif isinstance(value, _Tally):
+        start = 0
+        for batch in value:
+            out.append("".join([f"{prefix}{i} = {text}\n" for i, text in enumerate(batch, start)]))
+            _flush(out, write)
+            start += len(batch)
+    else:
+        out.append(f"{prefix[:-1]} = {value}\n")
 
 
 def _emit(payload, fmt):
+    """Write payload to the current ``sys.stdout``: as JSON, the bytes of
+    ``json.dumps(payload, indent=2, sort_keys=True) + "\n"``; as a table, one
+    ``dotted.path = value`` line per scalar, keys sorted (a single newline
+    when there is none).
+
+    Besides dicts, lists, tuples and scalars, a value may be a ``_Tally``, a
+    list of strings arriving in batches, each written as it comes, or a
+    callable, written as what it returns when the writer reaches it (so after
+    every value whose key sorts before its own).
+    """
+    out, write = [], sys.stdout.write
     if fmt == "table":
-        sys.stdout.write("\n".join(_emit_table(payload)) + "\n")
+        _table(payload, out, write, "")
     else:
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _json(payload, out, write, "")
+        out.append("\n")
+    write("".join(out) if out else "\n")
 
 
 @functools.cache

@@ -85,6 +85,12 @@ class Minor:
             raise ValueError("indices are 1-based")
         if not (_strictly_increasing(rows) and _strictly_increasing(cols)):
             raise ValueError(f"indices must be strictly increasing: {rows}, {cols}")
+        object.__setattr__(self, "_hash", hash((rows, cols)))
+
+    def __hash__(self):
+        """The hash of (rows, cols), computed once: minors key every walk's
+        table and memo lookups."""
+        return self._hash
 
     @property
     def size(self):
@@ -241,33 +247,63 @@ def _check_degree(degree):
         raise ParameterError(f"degree {degree} exceeds the packed-exponent limit {MAX_DEGREE}")
 
 
-def _standard_chains(params, degree, piece, empty):
+class _Tails(dict):
+    """``(prev, left)`` -> the standard chains of degree ``left`` that can
+    follow the factor prev, in walk order, each as ``empty`` plus ``piece(d)``
+    per factor d; filled when first read, so a tail shared by many prefixes is
+    built once per walk.  The first factor's own key is never stored: no other
+    chain reaches it, and its list would be a copy of the whole output."""
+
+    def __init__(self, table, piece, empty):
+        self.table, self.piece, self.empty = table, piece, empty
+
+    def after(self, prefix, prev, left):
+        """prefix plus each chain of degree ``left`` that can follow prev; the
+        last factor's successors are added in bulk."""
+        table, piece, out = self.table, self.piece, []
+        for t in range(min(prev.size, left), 0, -1):
+            if t == left:
+                out += [prefix + piece(d) for d in table[prev, t]]
+            else:
+                for d in table[prev, t]:
+                    head = prefix + piece(d)
+                    out += [head + tail for tail in self[d, left - t]]
+        return out
+
+    def __missing__(self, key):
+        out = self[key] = self.after(self.empty, *key)
+        return out
+
+    def batches(self, top, degree):
+        """Every chain of the degree with sizes <= top, in walk order: one
+        list per first factor, and one for the chains of a single factor."""
+        table, piece = self.table, self.piece
+        for t in range(min(top, degree), 0, -1):
+            if t == degree:
+                yield list(map(piece, table[None, t]))
+            else:
+                for d in table[None, t]:
+                    yield self.after(piece(d), d, degree - t)
+
+
+def _chain_batches(params, degree, piece, empty):
     """Every standard chain of the degree with factor sizes <= r, in the order
-    of ``enumerate_standard``, each as ``empty`` plus ``piece(d)`` per factor d.
+    of ``enumerate_standard``, each as ``empty`` plus ``piece(d)`` per factor d,
+    in lists as ``_Tails.batches`` yields them.  The degree is checked before
+    this returns.
 
     Depth first through ``params.minor_table``: larger factors first, then
-    rows, then columns.  The last factor's successors are added in bulk.
+    rows, then columns.
     """
     _check_degree(degree)
-    out = []
-    if degree:
-        _extend_chains(params.minor_table, piece, out, empty, None, params.r, degree)
-    else:
-        out.append(empty)
-    return out
+    if not degree:
+        return iter([[empty]])
+    return _Tails(params.minor_table, piece, empty).batches(params.r, degree)
 
 
-def _extend_chains(table, piece, out, prefix, prev, top, left):
-    """Append to out each chain of degree ``left`` after prefix whose factors
-    follow prev, with sizes <= top.  A module function rather than a closure
-    that calls itself: such a closure is a reference cycle, which would keep
-    out and the table alive after the walk until the cyclic collector ran."""
-    for t in range(min(top, left), 0, -1):
-        if t == left:
-            out.extend([prefix + piece(d) for d in table[prev, t]])
-        else:
-            for d in table[prev, t]:
-                _extend_chains(table, piece, out, prefix + piece(d), d, t, left - t)
+def _standard_chains(params, degree, piece, empty):
+    """``_chain_batches`` as one list."""
+    return [chain for batch in _chain_batches(params, degree, piece, empty) for chain in batch]
 
 
 def enumerate_standard(params, degree):
@@ -283,31 +319,35 @@ def enumerate_standard(params, degree):
 
 
 def _standard_texts(params, degree):
-    """``[str(b) for b in enumerate_standard(params, degree)]``, joined from each
-    minor's cached text in the same walk, with no bitableau built."""
+    """``str(b)`` for b in ``enumerate_standard(params, degree)``, joined from
+    each minor's cached text with no bitableau built, as ``_chain_batches``
+    yields them: one list per first factor.  The degree is checked before
+    this returns."""
     if degree == 0:
-        return ["[|]"]
-    return _standard_chains(params, degree, attrgetter("_text"), "")
+        return iter([["[|]"]])
+    return _chain_batches(params, degree, attrgetter("_text"), "")
 
 
-def _count_chains(table, r, memo, prev, left):
-    """The standard chains of degree ``left`` that can follow the factor prev
-    (any first factor of size <= r when prev is None), counted along the
-    successor lists ``enumerate_standard`` walks and memoised in memo.  A
-    module function, like ``_extend_chains``: a self-calling closure would be a
-    reference cycle holding memo and the table until the cyclic collector ran."""
-    if not left:
-        return 1
-    key = (prev, left)
-    total = memo.get(key)
-    if total is None:
-        top = r if prev is None else prev.size
-        total = memo[key] = sum(
-            _count_chains(table, r, memo, d, left - t)
-            for t in range(min(top, left), 0, -1)
-            for d in table[prev, t]
-        )
-    return total
+class _Counts(dict):
+    """``(prev, left)`` -> the number of standard chains of degree ``left`` that
+    can follow the factor prev (any first factor of size <= r when prev is
+    None), counted along the successor lists ``enumerate_standard`` walks and
+    filled when first read; the chains that end after one more factor are the
+    length of its successor list."""
+
+    def __init__(self, table, r):
+        self.table, self.r = table, r
+
+    def __missing__(self, key):
+        prev, left = key
+        table, total = self.table, 0
+        for t in range(min(self.r if prev is None else prev.size, left), 0, -1):
+            if t == left:
+                total += len(table[prev, t])
+            else:
+                total += sum([self[d, left - t] for d in table[prev, t]])
+        self[key] = total
+        return total
 
 
 def _count_pinned(params, side, pins, left):
@@ -315,7 +355,7 @@ def _count_pinned(params, side, pins, left):
     are size-r minors with ``side`` ('rows' or 'cols') equal to 1..r: carried
     forward factor by factor along the successor lists by a loop (pins may run
     to thousands), then each end weighed by the chains of degree left after it."""
-    table, r, memo = params.minor_table, params.r, {}
+    table, r = params.minor_table, params.r
     base = tuple(range(1, r + 1))
     ends = {None: 1}
     for _ in range(pins):
@@ -325,7 +365,10 @@ def _count_pinned(params, side, pins, left):
                 if getattr(d, side) == base:
                     step[d] = step.get(d, 0) + c
         ends = step
-    return sum(c * _count_chains(table, r, memo, d, left) for d, c in ends.items())
+    if not left:
+        return sum(ends.values())
+    counts = _Counts(table, r)
+    return sum(c * counts[d, left] for d, c in ends.items())
 
 
 def count_standard(params, degree):

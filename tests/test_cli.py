@@ -1,6 +1,8 @@
 """Command-line driver: payloads, exit codes, and deterministic output."""
 
+import contextlib
 import gc
+import io
 import json
 import re
 import resource
@@ -9,9 +11,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+from hypothesis import given, settings, strategies as st
+
+from detring import cli
 from detring.cli import main, run
-from detring.tableaux import Parameters, enumerate_standard
-from helpers import subprocess_env
+from detring.tableaux import Parameters, _standard_texts, count_standard, enumerate_standard
+from helpers import parameter_triples, subprocess_env
 
 
 def capture(capsys, argv):
@@ -128,6 +133,86 @@ def test_ladder_check_expands_only_minors_up_to_the_bound():
     assert payload["variable_set"] == [
         "y[1,1]", "y[6,2]", "y[5,2]", "y[4,2]", "y[3,2]", "y[2,2]", "y[1,2]", "z[1,1]"
     ]
+
+
+def test_basis_streams_in_a_small_address_space():
+    # 520,723 bitableaux, 21 MB of JSON: holding the list, the encoder's
+    # chunks and the joined text at once needed about 145 MB.
+    cap = (80 << 20, 80 << 20)
+    argv = ["basis", "--m", "5", "--n", "5", "--r", "3", "--deg", "6"]
+    child = subprocess.run([sys.executable, "-m", "detring", *argv], capture_output=True,
+                           text=True, env=subprocess_env(), timeout=60,
+                           preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, cap))
+    assert child.returncode == 0, child.stderr[-500:]
+    count = count_standard(Parameters(5, 5, 3), 6)
+    assert child.stdout.startswith('{\n  "bitableaux": [\n    "[1 2 3|1 2 3][1 2 3|1 2 3]",\n')
+    assert child.stdout.endswith(f'"\n  ],\n  "count": {count}\n}}\n')
+    assert child.stdout.count("\n") == count + 5
+
+
+def test_basis_streams_the_enumeration_in_both_formats(capsys):
+    for m, n, r in parameter_triples(4, 4):
+        space = ["--m", str(m), "--n", str(n), "--r", str(r)]
+        for d in range(6):
+            expect = [str(b) for b in enumerate_standard(Parameters(m, n, r), d)]
+            payload = {"bitableaux": expect, "count": len(expect)}
+            code, out, _ = capture(capsys, ["basis", *space, "--deg", str(d)])
+            assert (code, out) == (0, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+            lines = [f"bitableaux.{i} = {text}\n" for i, text in enumerate(expect)]
+            code, out, _ = capture(capsys, ["basis", *space, "--deg", str(d), "--format", "table"])
+            assert (code, out) == (0, "".join(lines) + f"count = {len(expect)}\n"), (m, n, r, d)
+
+
+def test_basis_writes_once_per_batch():
+    # One write per first factor's batch, and one for the rest of the payload.
+    class Writes(list):
+        write = list.append
+
+    batches = len(list(_standard_texts(Parameters(4, 4, 2), 4)))
+    for fmt in ("json", "table"):
+        writes = Writes()
+        with contextlib.redirect_stdout(writes):
+            argv = ["basis", "--m", "4", "--n", "4", "--r", "2", "--deg", "4", "--format", fmt]
+            assert run(argv) == 0
+        assert len(writes) == batches + 1 < count_standard(Parameters(4, 4, 2), 4) // 10
+
+
+_texts = st.text(st.characters(), max_size=6) | st.sampled_from(["", "\"", "\\", "\x00\n\t", "é ✓ \U0001d400"])
+_scalars = (st.none() | st.booleans() | st.integers() | st.integers(-(10 ** 60), 10 ** 60) | _texts)
+_payloads = st.recursive(
+    _scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_texts, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_payloads)
+def test_writer_matches_json_dumps(payload):
+    # The writer reads sys.stdout when it is called, as the benchmark worker
+    # and capsys both replace it.
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit(payload, "json")
+    assert out.getvalue() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def test_mu_and_basis_leave_no_cyclic_garbage(capsys):
+    # json.dumps with an indent runs the standard library's Python encoder,
+    # whose self-calling closures left 33 objects of garbage per run.
+    space = ["--m", "3", "--n", "4", "--r", "2"]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for argv in (["mu", *space, "--t", "1", "--ideal", "p"], ["basis", *space, "--deg", "4"]):
+            for fmt in ("json", "table"):
+                gc.collect()
+                assert capture(capsys, [*argv, "--format", fmt])[0] == 0
+                assert gc.collect() == 0, (argv, fmt)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_basis_negative_degree_exits_one_with_nothing_on_stdout(capsys):

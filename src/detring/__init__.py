@@ -8,7 +8,7 @@ algebra, counting formulas, and the Cohen-Macaulay/Ulrich classification of
 symbolic powers of the two distinguished divisor classes.
 """
 
-from .classify import CertifiedVerdict, Verdict, certify, classify, rank1_mcm_classes
+from .classify import certify, classify, rank1_mcm_classes
 from .cone import (
     conic_equality_check,
     generators_semigroup,

@@ -5,12 +5,11 @@ Ulrich exactly at m - r; the column-pinned class mirrors with n - r.  Verdicts
 carry the exact generator count and the ring multiplicity so the Ulrich
 equality mu = e is visible.  ``certify`` backs the verdict with evidence: the
 shifted-cone check on the Cohen-Macaulay side, the strict inequality mu > e
-beyond it.
+beyond it.  Both return their JSON-ready payloads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .cone import _check_bound, _check_eps, conic_equality_check
@@ -18,31 +17,13 @@ from .counting import _check_ideal, _check_t, multiplicity, mu_power
 from .errors import InternalCheckError
 
 
-@dataclass(frozen=True)
-class Verdict:
-    params: object
-    ideal: str
-    t: int
-    is_cohen_macaulay: bool
-    is_ulrich: bool
-    mu: int
-    e: int
-
-    def to_dict(self):
-        return {
-            "cm": self.is_cohen_macaulay,
-            "ulrich": self.is_ulrich,
-            "mu": self.mu,
-            "e": self.e,
-        }
-
-
 def _bound(params, ideal):
     return (params.m if ideal == "p" else params.n) - params.r
 
 
 def classify(params, ideal, t):
-    """Verdict for the t-th symbolic power of the chosen divisor class."""
+    """Verdict for the t-th symbolic power of the chosen divisor class: the
+    JSON-ready payload ``{"cm", "ulrich", "mu", "e"}``."""
     params.require_proper_rank()
     _check_ideal(ideal)
     _check_t(t)
@@ -59,20 +40,7 @@ def classify(params, ideal, t):
         raise InternalCheckError(
             f"power beyond the boundary should have mu > e, got mu={mu}, e={e}"
         )
-    return Verdict(params, ideal, t, cm, ulrich, mu, e)
-
-
-@dataclass(frozen=True)
-class CertifiedVerdict:
-    verdict: Verdict
-    certificate: dict
-    consistent: bool
-
-    def to_dict(self):
-        out = self.verdict.to_dict()
-        out["certificate"] = self.certificate
-        out["consistent"] = self.consistent
-        return out
+    return {"cm": cm, "ulrich": ulrich, "mu": mu, "e": e}
 
 
 def certify(params, ideal, t, eps=Fraction(1, 2), degree_bound=6):
@@ -81,25 +49,23 @@ def certify(params, ideal, t, eps=Fraction(1, 2), degree_bound=6):
     Cohen-Macaulay powers (t >= 1) get a shifted-cone report, run on the
     transposed format for the column-pinned class; t = 0 is the unit ideal;
     beyond the boundary the certificate is the strict inequality mu > e.
+    Returns the verdict's payload with ``"certificate"`` and ``"consistent"``
+    added.
     """
-    verdict = classify(params, ideal, t)
+    out = classify(params, ideal, t)
     _check_eps(eps)
     _check_bound(degree_bound)
     if t == 0:
-        return CertifiedVerdict(verdict, {"kind": "unit-ideal"}, True)
-    if verdict.is_cohen_macaulay:
+        out["certificate"], out["consistent"] = {"kind": "unit-ideal"}, True
+    elif out["cm"]:
         effective = params if ideal == "p" else params.transposed()
         report = conic_equality_check(effective, t, eps, degree_bound)
-        consistent = report.equal and report.expected_equal
-        return CertifiedVerdict(
-            verdict, {"kind": "conic", "report": report.to_dict()}, consistent
-        )
-    consistent = verdict.mu > verdict.e
-    return CertifiedVerdict(
-        verdict,
-        {"kind": "mu-exceeds-e", "mu": verdict.mu, "e": verdict.e},
-        consistent,
-    )
+        out["certificate"] = {"kind": "conic", "report": report}
+        out["consistent"] = report["equal"] and report["expected_equal"]
+    else:
+        out["certificate"] = {"kind": "mu-exceeds-e", "mu": out["mu"], "e": out["e"]}
+        out["consistent"] = out["mu"] > out["e"]
+    return out
 
 
 def rank1_mcm_classes(params):

@@ -92,28 +92,28 @@ def _cmd_mult(args):
 
 
 def _cmd_classify(args):
-    return classify(_params(args), args.ideal, args.t).to_dict(), 0
+    return classify(_params(args), args.ideal, args.t), 0
 
 
 def _cmd_certify(args):
-    cert = certify(_params(args), args.ideal, args.t, _eps(args.eps), args.deg_bound)
-    return cert.to_dict(), 0 if cert.consistent else 2
+    payload = certify(_params(args), args.ideal, args.t, _eps(args.eps), args.deg_bound)
+    return payload, 0 if payload["consistent"] else 2
 
 
 def _cmd_cone_check(args):
-    report = semigroup_vs_cone(_params(args), "E", args.deg_bound)
-    return report.to_dict(), 0 if report.ok else 2
+    payload = semigroup_vs_cone(_params(args), "E", args.deg_bound)
+    return payload, 0 if payload["ok"] else 2
 
 
 def _cmd_tilde_check(args):
-    report = verify_D_tilde(_params(args), args.deg_bound)
-    return report.to_dict(), 0 if report.ok else 2
+    payload = verify_D_tilde(_params(args), args.deg_bound)
+    return payload, 0 if payload["ok"] else 2
 
 
 def _cmd_ladder_check(args):
     delta = parse_minor(args.delta)
-    report = verify_ladder(_params(args), delta, args.deg_bound)
-    return report.to_dict(), 0 if report.ok else 2
+    payload = verify_ladder(_params(args), delta, args.deg_bound)
+    return payload, 0 if payload["ok"] else 2
 
 
 def _cmd_mcm_classes(args):

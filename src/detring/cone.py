@@ -38,7 +38,6 @@ degree through one comparison (``_compare``), each point one packed int
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations
 from math import ceil, floor
@@ -298,38 +297,6 @@ def _compare(params, layers, sides):
     return sizes, {"vector": exponent_arrays(params, v), "side": sides[0] if in_a else sides[1]}
 
 
-@dataclass(frozen=True)
-class SemigroupConeReport:
-    params: object
-    variant: str
-    bound: int
-    degree_counts: tuple  # ((degree, semigroup_count, lattice_count), ...)
-    equal: bool
-    power_test_ok: bool
-    first_mismatch: object
-
-    @property
-    def ok(self):
-        return self.equal and self.power_test_ok
-
-    def to_dict(self):
-        p = self.params
-        return {
-            "m": p.m,
-            "n": p.n,
-            "r": p.r,
-            "variant": self.variant,
-            "degree_bound": self.bound,
-            "degree_counts": [
-                {"degree": d, "semigroup": s, "lattice": l} for d, s, l in self.degree_counts
-            ],
-            "equal": self.equal,
-            "power_test_ok": self.power_test_ok,
-            "ok": self.ok,
-            "first_mismatch": self.first_mismatch,
-        }
-
-
 def _cone_layers(params, variant, bound):
     """The (semigroup, lattice) points of each degree 0..bound, as packed ints."""
     layers = _semigroup_layers(generators_semigroup(params, variant), bound)
@@ -337,7 +304,7 @@ def _cone_layers(params, variant, bound):
 
 
 def _cone_report(params, variant, bound, layers):
-    """The report comparing the ``_cone_layers`` pairs ``layers``.
+    """The payload comparing the ``_cone_layers`` pairs ``layers``.
 
     A mismatch also gets the saturation probe, on the tuple semigroup: a
     point whose entries k in {2, 3} divides has its k-th root in the
@@ -351,12 +318,29 @@ def _cone_report(params, variant, bound, layers):
         power_ok = all(
             tuple(e // k for e in u) in sg for u in sg for k in (2, 3) if not any(e % k for e in u)
         )
-    counts = tuple((d, s, l) for d, (s, l) in enumerate(sizes))
-    return SemigroupConeReport(params, variant, bound, counts, first is None, power_ok, first)
+    return {
+        "m": params.m,
+        "n": params.n,
+        "r": params.r,
+        "variant": variant,
+        "degree_bound": bound,
+        "degree_counts": [
+            {"degree": d, "semigroup": s, "lattice": l} for d, (s, l) in enumerate(sizes)
+        ],
+        "equal": first is None,
+        "power_test_ok": power_ok,
+        "ok": first is None and power_ok,
+        "first_mismatch": first,
+    }
 
 
 def semigroup_vs_cone(params, variant="E", bound=6):
-    """Compare semigroup points with cone lattice points up to a degree bound."""
+    """Compare semigroup points with cone lattice points up to a degree bound.
+
+    Returns the JSON-ready payload: per-degree counts, ``equal``, the
+    saturation probe's ``power_test_ok``, ``ok`` (both), and the first
+    mismatch named, or None.
+    """
     _check_variant(variant)
     return _cone_report(params, variant, bound, _cone_layers(params, variant, bound))
 
@@ -387,42 +371,6 @@ def witness_vector(params, t, eps):
     return tuple(vec)
 
 
-@dataclass(frozen=True)
-class ConicCheckReport:
-    params: object
-    t: int
-    eps: Fraction
-    bound: int
-    ideal_side_count: int
-    shifted_side_count: int
-    equal: bool
-    expected_equal: bool
-    first_counterexample: object
-    witness: dict
-
-    @property
-    def consistent(self):
-        return self.equal == self.expected_equal
-
-    def to_dict(self):
-        p = self.params
-        return {
-            "m": p.m,
-            "n": p.n,
-            "r": p.r,
-            "t": self.t,
-            "eps": f"{self.eps.numerator}/{self.eps.denominator}",
-            "degree_bound": self.bound,
-            "ideal_side_count": self.ideal_side_count,
-            "shifted_side_count": self.shifted_side_count,
-            "equal": self.equal,
-            "expected_equal": self.expected_equal,
-            "consistent": self.consistent,
-            "first_counterexample": self.first_counterexample,
-            "witness": self.witness,
-        }
-
-
 def conic_equality_check(params, t, eps=Fraction(1, 2), bound=6):
     """Compare the filtered cone with the witness-shifted cone, exactly.
 
@@ -431,8 +379,8 @@ def conic_equality_check(params, t, eps=Fraction(1, 2), bound=6):
     cone, w the witness.  w vanishes on the beta block, so side B joins plain
     beta blocks to alpha blocks shifted by w, and (5) makes their signatures
     equal.  The two agree precisely when the t-th symbolic power is
-    Cohen-Macaulay (t <= m - r); the report records whether the computed
-    outcome matches that expectation.
+    Cohen-Macaulay (t <= m - r); the returned JSON-ready payload records
+    whether the computed outcome matches that expectation (``consistent``).
     """
     w = witness_vector(params, t, eps)
     _check_bound(bound)
@@ -449,5 +397,19 @@ def conic_equality_check(params, t, eps=Fraction(1, 2), bound=6):
 
     sizes, first = _compare(params, sides(), ("ideal-only", "shifted-only"))
     count_a, count_b = map(sum, zip(*sizes))
-    return ConicCheckReport(params, t, Fraction(eps), bound, count_a, count_b, first is None,
-                            t <= params.m - params.r, first, exponent_arrays(params, w))
+    eps, expected = Fraction(eps), t <= params.m - params.r
+    return {
+        "m": params.m,
+        "n": params.n,
+        "r": params.r,
+        "t": t,
+        "eps": f"{eps.numerator}/{eps.denominator}",
+        "degree_bound": bound,
+        "ideal_side_count": count_a,
+        "shifted_side_count": count_b,
+        "equal": first is None,
+        "expected_equal": expected,
+        "consistent": (first is None) == expected,
+        "first_counterexample": first,
+        "witness": exponent_arrays(params, w),
+    }

@@ -11,7 +11,6 @@ which turn out to be generated by an explicit set of variables.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 
 from . import kernels
@@ -88,44 +87,6 @@ def _tilde_basis_count(params, d1, d2):
     return _count_pinned(params, side, abs(d1 - d2) // params.r, min(d1, d2))
 
 
-@dataclass(frozen=True)
-class TildeReport:
-    params: object
-    bound: int
-    cone_report: object
-    bidegree_counts: tuple  # ((d1, d2, lattice, basis), ...)
-    counts_match: bool
-    generator_leads_ok: bool
-    system_difference_ok: bool
-
-    @property
-    def ok(self):
-        return (
-            self.cone_report.ok
-            and self.counts_match
-            and self.generator_leads_ok
-            and self.system_difference_ok
-        )
-
-    def to_dict(self):
-        p = self.params
-        return {
-            "m": p.m,
-            "n": p.n,
-            "r": p.r,
-            "degree_bound": self.bound,
-            "cone": self.cone_report.to_dict(),
-            "bidegree_counts": [
-                {"y_degree": d1, "z_degree": d2, "lattice": a, "basis": b}
-                for d1, d2, a, b in self.bidegree_counts
-            ],
-            "counts_match": self.counts_match,
-            "generator_leading_terms_ok": self.generator_leads_ok,
-            "system_difference_ok": self.system_difference_ok,
-            "ok": self.ok,
-        }
-
-
 def verify_D_tilde(params, bound=6):
     """Desk-scale verification of the extended initial algebra description.
 
@@ -136,7 +97,8 @@ def verify_D_tilde(params, bound=6):
     coupling: over the degrees checked, the E signature pairs (``_pairs``)
     are the Etilde ones with equal alpha column and beta row sums.  The
     lattice is counted by bidegree in the same degree-by-degree walk as the
-    cone comparison, from the y-degree field of each packed point.
+    cone comparison, from the y-degree field of each packed point.  Returns
+    the JSON-ready payload, the cone comparison's nested under ``"cone"``.
     """
     gens = generators_R_tilde(params)
     predicted = [kernels.pack(e) for e in _predicted_generator_leads(params)]
@@ -151,17 +113,29 @@ def verify_D_tilde(params, bound=6):
             by_degree.append(Counter(map(y_degree, lat)))
             yield sg, lat
 
-    cone_report = _cone_report(params, "Etilde", bound, tallied())
-    rows = tuple(
-        (d1, total - d1, by_degree[total][d1], _tilde_basis_count(params, d1, total - d1))
+    cone = _cone_report(params, "Etilde", bound, tallied())
+    rows = [
+        {"y_degree": d1, "z_degree": total - d1, "lattice": by_degree[total][d1],
+         "basis": _tilde_basis_count(params, d1, total - d1)}
         for total in range(bound + 1)
         for d1 in range(total + 1)
-    )
-    match = all(lat == basis for _, _, lat, basis in rows)
+    ]
+    match = all(row["lattice"] == row["basis"] for row in rows)
     degrees = range(bound + 1)
     coupled = {(sa, sb) for sa, sb in _pairs("Etilde", params.r, degrees) if sa == sb}
     system_ok = set(_pairs("E", params.r, degrees)) == coupled
-    return TildeReport(params, bound, cone_report, rows, match, leads_ok, system_ok)
+    return {
+        "m": params.m,
+        "n": params.n,
+        "r": params.r,
+        "degree_bound": bound,
+        "cone": cone,
+        "bidegree_counts": rows,
+        "counts_match": match,
+        "generator_leading_terms_ok": leads_ok,
+        "system_difference_ok": system_ok,
+        "ok": cone["ok"] and match and leads_ok and system_ok,
+    }
 
 
 def _require_full_rank(params):
@@ -198,50 +172,6 @@ def ladder_variable_set(params, delta):
     return tuple(sorted(out))
 
 
-@dataclass(frozen=True)
-class LadderReport:
-    """Degree-by-degree ladder comparison.
-
-    ``prime_ok`` is always true: the degree rows check that the initial ideal
-    is generated by variables, and such an ideal is prime.
-    """
-
-    params: object
-    delta: object
-    d_max: int
-    variable_set: tuple  # variable labels
-    degree_rows: tuple  # ((degree, ideal_dim, divisible_count, match), ...)
-    prime_ok: bool
-    first_mismatch: object
-
-    @property
-    def ok(self):
-        return self.prime_ok and all(row[3] for row in self.degree_rows)
-
-    def to_dict(self):
-        p = self.params
-        return {
-            "m": p.m,
-            "n": p.n,
-            "r": p.r,
-            "delta": str(self.delta),
-            "d_max": self.d_max,
-            "variable_set": list(self.variable_set),
-            "degrees": [
-                {
-                    "degree": d,
-                    "initial_space_dim": a,
-                    "divisible_count": b,
-                    "match": ok,
-                }
-                for d, a, b, ok in self.degree_rows
-            ],
-            "prime_ok": self.prime_ok,
-            "ok": self.ok,
-            "first_mismatch": self.first_mismatch,
-        }
-
-
 def _x_independent(gammas, x_keys, d):
     """(y/z image of gamma, positions of x^a) for each product gamma * x^a of
     degree d whose x-side row (the x-side minor shifted by the key of x^a) is
@@ -262,9 +192,10 @@ def verify_ladder(params, delta, d_max=3):
     Degree by degree: eliminate the spanned family {gamma * monomial : gamma
     a minor delta does not grow into} through the substitution, read off the
     surviving leading monomials, and compare with the closed-form monomials
-    divisible by the predicted variable set.  ``prime_ok`` is always true: an
-    ideal generated by variables is prime, and the degree rows check that
-    generation.
+    divisible by the predicted variable set.  Returns the JSON-ready payload;
+    its ``"prime_ok"`` is always true (an ideal generated by variables is
+    prime, and the degree rows check that generation), so ``"ok"`` is that
+    every degree row matches.
 
     Each product is first reduced on the x side, where its row has at most r!
     terms, and only the independent ones are substituted and reduced on the
@@ -310,6 +241,17 @@ def verify_ladder(params, delta, d_max=3):
                 "monomial": format_monomial(yz, yz.unpack(stray)),
                 "side": "initial-space-only" if stray in pivots else "divisible-only",
             }
-        rows.append((d, len(pivots), len(divisible), ok))
-    labels = tuple(yz.label(p) for p in vset)
-    return LadderReport(params, delta, d_max, labels, tuple(rows), True, mismatch)
+        rows.append({"degree": d, "initial_space_dim": len(pivots),
+                     "divisible_count": len(divisible), "match": ok})
+    return {
+        "m": params.m,
+        "n": params.n,
+        "r": params.r,
+        "delta": str(delta),
+        "d_max": d_max,
+        "variable_set": [yz.label(p) for p in vset],
+        "degrees": rows,
+        "prime_ok": True,
+        "ok": all(row["match"] for row in rows),
+        "first_mismatch": mismatch,
+    }

@@ -65,28 +65,27 @@ def straighten(f, params, subst=None):
     if subst is None:
         subst = SubstitutionMap(params)
     scale, scaled = clear_denominators(f.packed)
-    g = phi(Poly._raw(f.space, scaled), subst)
-    y_degree = subst.yz_space.y_degree
-    components = {}
-    for key, coef in g.packed.items():
-        components.setdefault(y_degree(key), {})[key] = coef
+    # phi's term dict is new, so the loop consumes it.  Every image term of an
+    # x-monomial of degree k has y-degree k and total degree 2k, and the
+    # packed order compares total degree first: the leads come component by
+    # component, highest degree first, and each subtracted image stays in its
+    # own component.
+    rest = phi(Poly._raw(f.space, scaled), subst).packed
     result = []
-    for d in sorted(components, reverse=True):
-        comp = components[d]
-        while comp:
-            lead = kernels.leading_monomial(comp)
-            lam = comp[lead]
-            try:
-                bitab = decode_standard(subst.yz_space.unpack(lead), params)
-            except NotInSemigroupError as exc:
-                raise InternalCheckError(
-                    f"leading monomial of a substituted polynomial failed to decode: {exc}"
-                ) from exc
-            image = eval_bitableau(bitab, params, "YZ", subst)
-            kernels.poly_addmul(comp, -lam, image.packed)
-            if lead in comp:
-                raise InternalCheckError("leading term failed to cancel during straightening")
-            result.append((Fraction(lam, scale), bitab))
+    while rest:
+        lead = kernels.leading_monomial(rest)
+        lam = rest[lead]
+        try:
+            bitab = decode_standard(subst.yz_space.unpack(lead), params)
+        except NotInSemigroupError as exc:
+            raise InternalCheckError(
+                f"leading monomial of a substituted polynomial failed to decode: {exc}"
+            ) from exc
+        image = eval_bitableau(bitab, params, "YZ", subst)
+        kernels.poly_addmul(rest, -lam, image.packed)
+        if lead in rest:
+            raise InternalCheckError("leading term failed to cancel during straightening")
+        result.append((Fraction(lam, scale), bitab))
     return StandardCombination(params, tuple(result))
 
 

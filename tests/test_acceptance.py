@@ -93,7 +93,7 @@ def test_semigroup_equals_cone_lattice_with_power_saturation():
     with gate("semigroup = cone lattice to degree 6, all formats to 4x4", 120):
         for (m, n, r) in parameter_triples(4, 4):
             report = semigroup_vs_cone(Parameters(m, n, r), "E", 6)
-            assert report.equal and report.power_test_ok, (m, n, r)
+            assert report["equal"] and report["power_test_ok"], (m, n, r)
 
 
 def test_generator_count_determinant_matches_direct_enumeration():
@@ -130,19 +130,19 @@ def test_shifted_cone_boundary_matches_classification():
                 top = side.m - side.r
                 for t in range(1, top + 1):
                     rep = conic_equality_check(side, t)
-                    assert rep.equal and rep.consistent, (side, t)
+                    assert rep["equal"] and rep["consistent"], (side, t)
                 rep = conic_equality_check(side, top + 1)
-                assert not rep.equal and rep.consistent, side
-                assert rep.first_counterexample is not None, side
+                assert not rep["equal"] and rep["consistent"], side
+                assert rep["first_counterexample"] is not None, side
             for ideal in ("p", "q"):
                 bound = (params.m if ideal == "p" else params.n) - params.r
                 ulrich_count = 0
                 for t in range(bound + 2):
                     verdict = classify(params, ideal, t)
                     certified = certify(params, ideal, t)
-                    assert certified.consistent, (m, n, r, ideal, t)
-                    assert certified.verdict.to_dict() == verdict.to_dict()
-                    ulrich_count += verdict.is_ulrich
+                    assert certified["consistent"], (m, n, r, ideal, t)
+                    assert {key: certified[key] for key in verdict} == verdict
+                    ulrich_count += verdict["ulrich"]
                 assert ulrich_count == 1, (m, n, r, ideal)
 
 
@@ -150,10 +150,10 @@ def test_extended_invariant_algebra_description_holds():
     with gate("extended initial algebra: leads, lattice counts, coupling drop", 60):
         for (m, n, r) in parameter_triples(3, 3):
             report = verify_D_tilde(Parameters(m, n, r), 6)
-            assert report.generator_leads_ok, (m, n, r)
-            assert report.cone_report.ok, (m, n, r)
-            assert report.counts_match, (m, n, r)
-            assert report.system_difference_ok, (m, n, r)
+            assert report["generator_leading_terms_ok"], (m, n, r)
+            assert report["cone"]["ok"], (m, n, r)
+            assert report["counts_match"], (m, n, r)
+            assert report["system_difference_ok"], (m, n, r)
 
 
 def test_ladder_checks_pass_and_mismatches_exit_with_code_two(capsys):
@@ -162,21 +162,17 @@ def test_ladder_checks_pass_and_mismatches_exit_with_code_two(capsys):
             params = Parameters(m, n, min(m, n))
             for delta in all_minors(params):
                 report = verify_ladder(params, delta, d_max=3)
-                assert report.ok, (m, n, str(delta))
-                assert report.first_mismatch is None
+                assert report["ok"], (m, n, str(delta))
+                assert report["first_mismatch"] is None
         # A failing report must surface through the driver as exit code 2
         # with the counterexample in the payload; genuine inputs never
         # produce one, so substitute a fabricated report at the seam.
         from detring import cli
 
-        class _Broken:
-            ok = False
-
-            def to_dict(self):
-                return {"ok": False, "first_mismatch": {"degree": 2}}
+        broken = {"ok": False, "first_mismatch": {"degree": 2}}
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(cli, "verify_ladder", lambda *a, **k: _Broken())
+            mp.setattr(cli, "verify_ladder", lambda *a, **k: broken)
             code = cli.run(
                 ["ladder-check", "--m", "2", "--n", "2", "--r", "2", "--delta", "[2|2]"]
             )

@@ -12,21 +12,21 @@ from helpers import parameter_triples
 
 def test_boundary_power_is_ulrich():
     v = classify(Parameters(3, 3, 2), "p", 1)
-    assert v.is_cohen_macaulay and v.is_ulrich
-    assert v.mu == 3 and v.e == 3
+    assert v["cm"] and v["ulrich"]
+    assert v["mu"] == 3 and v["e"] == 3
 
 
 def test_power_above_boundary_fails():
     v = classify(Parameters(3, 3, 2), "p", 2)
-    assert not v.is_cohen_macaulay and not v.is_ulrich
-    assert v.mu == 6 and v.e == 3
-    assert v.to_dict() == {"cm": False, "ulrich": False, "mu": 6, "e": 3}
+    assert not v["cm"] and not v["ulrich"]
+    assert v["mu"] == 6 and v["e"] == 3
+    assert v == {"cm": False, "ulrich": False, "mu": 6, "e": 3}
 
 
 def test_zeroth_power_is_the_ring_itself():
     v = classify(Parameters(3, 3, 2), "p", 0)
-    assert v.is_cohen_macaulay and not v.is_ulrich
-    assert v.mu == 1
+    assert v["cm"] and not v["ulrich"]
+    assert v["mu"] == 1
 
 
 def test_classification_requires_proper_rank():
@@ -45,14 +45,14 @@ def test_verdict_invariants_across_small_sweep():
             ulrich_count = 0
             for t in range(0, bound + 2):
                 v = classify(params, ideal, t)
-                assert v.is_cohen_macaulay == (t <= bound)
-                if v.is_ulrich:
-                    assert v.is_cohen_macaulay and v.mu == v.e
+                assert v["cm"] == (t <= bound)
+                if v["ulrich"]:
+                    assert v["cm"] and v["mu"] == v["e"]
                     ulrich_count += 1
-                if not v.is_cohen_macaulay:
-                    assert v.mu > v.e
+                if not v["cm"]:
+                    assert v["mu"] > v["e"]
             assert ulrich_count == 1
-            assert classify(params, ideal, bound).is_ulrich
+            assert classify(params, ideal, bound)["ulrich"]
 
 
 def test_equal_side_ulrich_powers_have_equal_size():
@@ -60,30 +60,30 @@ def test_equal_side_ulrich_powers_have_equal_size():
         params = Parameters(m, m, r)
         vp = classify(params, "p", m - r)
         vq = classify(params, "q", m - r)
-        assert vp.mu == vq.mu == multiplicity(params)
+        assert vp["mu"] == vq["mu"] == multiplicity(params)
 
 
 def test_certificate_kinds():
     params = Parameters(3, 3, 2)
     cm = certify(params, "p", 1)
-    assert cm.consistent
-    assert cm.certificate["kind"] == "conic"
-    assert cm.certificate["report"]["equal"] is True
-    assert cm.certificate["report"]["eps"] == "1/2"
+    assert cm["consistent"]
+    assert cm["certificate"]["kind"] == "conic"
+    assert cm["certificate"]["report"]["equal"] is True
+    assert cm["certificate"]["report"]["eps"] == "1/2"
     over = certify(params, "p", 2)
-    assert over.consistent
-    assert over.certificate["kind"] == "mu-exceeds-e"
-    assert over.certificate["mu"] == 6 and over.certificate["e"] == 3
+    assert over["consistent"]
+    assert over["certificate"]["kind"] == "mu-exceeds-e"
+    assert over["certificate"]["mu"] == 6 and over["certificate"]["e"] == 3
     unit = certify(params, "p", 0)
-    assert unit.consistent
-    assert unit.certificate["kind"] == "unit-ideal"
+    assert unit["consistent"]
+    assert unit["certificate"]["kind"] == "unit-ideal"
 
 
 def test_certificate_for_the_other_ideal_uses_transposition():
     rep = certify(Parameters(2, 4, 1), "q", 3)
-    assert rep.consistent
-    assert rep.certificate["kind"] == "conic"
-    assert rep.verdict.is_ulrich
+    assert rep["consistent"]
+    assert rep["certificate"]["kind"] == "conic"
+    assert rep["ulrich"]
 
 
 def test_certificates_agree_with_verdicts_on_a_sweep():
@@ -92,8 +92,9 @@ def test_certificates_agree_with_verdicts_on_a_sweep():
         for ideal, bound in (("p", m - r), ("q", n - r)):
             for t in range(0, bound + 2):
                 rep = certify(params, ideal, t)
-                assert rep.consistent
-                assert rep.verdict == classify(params, ideal, t)
+                assert rep["consistent"]
+                verdict = classify(params, ideal, t)
+                assert {key: rep[key] for key in verdict} == verdict
 
 
 def test_rank_one_class_catalogue():

@@ -11,11 +11,22 @@ import subprocess
 import sys
 from pathlib import Path
 
+from fractions import Fraction
+
 from hypothesis import given, settings, strategies as st
 
-from detring import cli
+from detring import cli, cone, invariants
+from detring.classify import certify, classify
 from detring.cli import main, run
-from detring.tableaux import Parameters, _standard_texts, count_standard, enumerate_standard
+from detring.cone import conic_equality_check, semigroup_vs_cone
+from detring.invariants import verify_D_tilde, verify_ladder
+from detring.tableaux import (
+    Parameters,
+    _standard_texts,
+    count_standard,
+    enumerate_standard,
+    parse_minor,
+)
 from helpers import parameter_triples, subprocess_env
 
 
@@ -302,6 +313,56 @@ def test_ladder_check_payload(capsys):
     payload = json.loads(out)
     assert payload["ok"] is True and payload["prime_ok"] is True
     assert set(payload["variable_set"]) == {"y[1,1]", "y[2,2]", "y[1,2]", "z[1,1]"}
+
+
+def _payloads():
+    """What each check returns on a small grid: equal and unequal sides, a
+    named counterexample, t = 0 and each certificate kind."""
+    p321, p332, p221 = Parameters(3, 2, 1), Parameters(3, 3, 2), Parameters(2, 2, 1)
+    for params, variant, bound in ((p221, "E", 4), (p332, "E", 3), (p332, "Etilde", 3)):
+        yield semigroup_vs_cone(params, variant, bound)
+    for params, t, eps in ((p332, 1, Fraction(1, 2)), (p332, 2, Fraction(1, 3)),
+                           (Parameters(2, 3, 1), 2, Fraction(1, 2))):
+        yield conic_equality_check(params, t, eps, 4)
+    yield verify_D_tilde(p221, 4)
+    yield verify_D_tilde(p321, 3)
+    yield verify_ladder(Parameters(2, 3, 2), parse_minor("[1 2|1 3]"), 3)
+    for params in (p332, p321, Parameters(2, 4, 1)):
+        for ideal in "pq":
+            for t in range(4):
+                yield classify(params, ideal, t)
+                yield certify(params, ideal, t, Fraction(1, 3), 4)
+
+
+def _mismatched_payloads(monkeypatch):
+    """What the cone and ladder checks return when their two sides differ."""
+    real_gens, real_vset = cone.generators_semigroup, invariants.ladder_variable_set
+
+    def without_least(params, variant="E"):
+        gens = real_gens(params, variant)
+        return [g for g in gens if g != min(gens)]
+
+    monkeypatch.setattr(cone, "generators_semigroup", without_least)
+    monkeypatch.setattr(invariants, "ladder_variable_set",
+                        lambda params, delta: real_vset(params, delta)[1:])
+    out = [semigroup_vs_cone(Parameters(2, 2, 1), "E", 4),
+           verify_D_tilde(Parameters(2, 2, 1), 3),
+           verify_ladder(Parameters(2, 2, 2), parse_minor("[2|2]"), 2)]
+    monkeypatch.undo()
+    return out
+
+
+def test_checks_return_json_payloads(monkeypatch):
+    # A tuple, a Fraction or an object in a payload would not survive the round trip.
+    payloads = list(_payloads())
+    mismatched = _mismatched_payloads(monkeypatch)
+    assert [p["ok"] for p in mismatched] == [False, False, False]
+    assert mismatched[0]["first_mismatch"] is not None
+    assert mismatched[2]["first_mismatch"] is not None
+    assert any(p.get("first_counterexample") for p in payloads)
+    for p in payloads + mismatched:
+        assert isinstance(p, dict)
+        assert json.loads(json.dumps(p)) == p
 
 
 def test_table_format(capsys):

@@ -103,16 +103,21 @@ def test_pure_factor_generators_only_in_the_relaxed_cone():
     assert not cone_membership(pure, params, "E")
 
 
+def _counts(rep):
+    """{degree: (semigroup count, lattice count)}."""
+    return {c["degree"]: (c["semigroup"], c["lattice"]) for c in rep["degree_counts"]}
+
+
 def test_semigroup_equals_lattice_small_square():
     rep = semigroup_vs_cone(Parameters(2, 2, 1), "E", 4)
-    assert rep.equal and rep.power_test_ok
-    assert rep.first_mismatch is None
-    counts = dict((d, (s, l)) for d, s, l in rep.degree_counts)
+    assert rep["equal"] and rep["power_test_ok"]
+    assert rep["first_mismatch"] is None
+    counts = _counts(rep)
     assert counts[4] == (9, 9)
     assert counts[2] == (4, 4)
     assert counts[1] == (0, 0)
     rep2 = semigroup_vs_cone(Parameters(2, 2, 2), "E", 4)
-    assert rep2.equal and rep2.power_test_ok
+    assert rep2["equal"] and rep2["power_test_ok"]
 
 
 def test_semigroup_report_names_the_first_mismatch_and_runs_the_probe(monkeypatch):
@@ -123,10 +128,10 @@ def test_semigroup_report_names_the_first_mismatch_and_runs_the_probe(monkeypatc
     doubled = [tuple(2 * e for e in g)] + [h for h in gens if h != g]
     monkeypatch.setattr(cone, "generators_semigroup", lambda params, variant="E": doubled)
     rep = semigroup_vs_cone(params, "E", 4)
-    assert not rep.equal and not rep.ok
-    assert not rep.power_test_ok
-    assert rep.first_mismatch == {"vector": exponent_arrays(params, g), "side": "lattice-only"}
-    counts = {d: (s, l) for d, s, l in rep.degree_counts}
+    assert not rep["equal"] and not rep["ok"]
+    assert not rep["power_test_ok"]
+    assert rep["first_mismatch"] == {"vector": exponent_arrays(params, g), "side": "lattice-only"}
+    counts = _counts(rep)
     assert counts[2] == (3, 4)
     # Degree 4 misses g + h for the two generators h sharing a row or a column with g.
     assert counts[4] == (7, 9)
@@ -183,21 +188,21 @@ def test_exponent_arrays_renders_integers_plainly():
 
 def test_shifted_comparison_passes_below_the_boundary():
     rep = conic_equality_check(Parameters(3, 3, 2), 1)
-    assert rep.equal and rep.expected_equal and rep.consistent
-    assert rep.ideal_side_count == rep.shifted_side_count == 27
-    assert rep.first_counterexample is None
+    assert rep["equal"] and rep["expected_equal"] and rep["consistent"]
+    assert rep["ideal_side_count"] == rep["shifted_side_count"] == 27
+    assert rep["first_counterexample"] is None
 
 
 def test_shifted_comparison_fails_above_the_boundary():
     rep = conic_equality_check(Parameters(3, 3, 2), 2)
-    assert not rep.equal and not rep.expected_equal and rep.consistent
-    assert rep.first_counterexample is not None
+    assert not rep["equal"] and not rep["expected_equal"] and rep["consistent"]
+    assert rep["first_counterexample"] is not None
 
 
 def test_shifted_comparison_counterexample_is_explicit():
     rep = conic_equality_check(Parameters(2, 3, 1), 2)
-    assert not rep.equal and rep.consistent
-    assert rep.first_counterexample == {
+    assert not rep["equal"] and rep["consistent"]
+    assert rep["first_counterexample"] == {
         "vector": {"alpha": [[2], [-1]], "beta": [[1, 0, 0]]},
         "side": "shifted-only",
     }
@@ -219,9 +224,9 @@ def test_transposed_parameters_cover_the_other_ideal():
     assert (flipped.m, flipped.n, flipped.r) == (4, 2, 1)
     for t in (1, 2, 3):
         rep = conic_equality_check(flipped, t)
-        assert rep.equal and rep.consistent
+        assert rep["equal"] and rep["consistent"]
     rep = conic_equality_check(flipped, 4)
-    assert not rep.equal and rep.consistent
+    assert not rep["equal"] and rep["consistent"]
 
 
 def test_semigroup_points_refuses_bounds_past_the_packed_limit():
@@ -344,7 +349,8 @@ def _cone_reference(params, variant, bound, gens):
 
 def test_streamed_report_equals_the_tuple_reference(monkeypatch):
     def fields(rep):
-        return rep.degree_counts, rep.equal, rep.power_test_ok, rep.first_mismatch
+        counts = tuple((c["degree"], c["semigroup"], c["lattice"]) for c in rep["degree_counts"])
+        return counts, rep["equal"], rep["power_test_ok"], rep["first_mismatch"]
 
     for (m, n, r) in parameter_triples(4, 4):
         params = Parameters(m, n, r)
@@ -352,7 +358,7 @@ def test_streamed_report_equals_the_tuple_reference(monkeypatch):
         for bound in range(7):
             rep = semigroup_vs_cone(params, "E", bound)
             assert fields(rep) == _cone_reference(params, "E", bound, gens), (params, bound)
-            assert rep.equal
+            assert rep["equal"]
     # Without its least generator the semigroup misses points, so the report
     # takes the mismatch path.
     real = cone.generators_semigroup
@@ -369,7 +375,7 @@ def test_streamed_report_equals_the_tuple_reference(monkeypatch):
             for bound in range(2, 7):
                 rep = semigroup_vs_cone(params, variant, bound)
                 expect = _cone_reference(params, variant, bound, gens)
-                assert not rep.equal
+                assert not rep["equal"]
                 assert fields(rep) == expect, (params, variant, bound)
 
 
@@ -386,6 +392,11 @@ def _conic_reference(params, t, eps, bound):
     return len(side_a), len(side_b), side_a == side_b, first
 
 
+def _conic_fields(rep):
+    keys = ("ideal_side_count", "shifted_side_count", "equal", "first_counterexample")
+    return tuple(rep[key] for key in keys)
+
+
 def test_conic_check_equals_a_tuple_reference():
     # t = m - r + 1 is past the boundary, where shifted points have negative entries.
     mismatches = 0
@@ -395,15 +406,14 @@ def test_conic_check_equals_a_tuple_reference():
             for eps in (Fraction(1, 2), Fraction(1, 3)):
                 for bound in range(2, 7):
                     rep = conic_equality_check(params, t, eps, bound)
-                    got = (rep.ideal_side_count, rep.shifted_side_count, rep.equal,
-                           rep.first_counterexample)
+                    got = _conic_fields(rep)
                     assert got == _conic_reference(params, t, eps, bound), (params, t, eps, bound)
-                    mismatches += not rep.equal
+                    mismatches += not rep["equal"]
     assert mismatches > 0
     # Past degree 255 a point has no packed int and takes the tuple route.
     params = Parameters(2, 2, 1)
     rep = conic_equality_check(params, 1, Fraction(1, 2), 256)
-    got = (rep.ideal_side_count, rep.shifted_side_count, rep.equal, rep.first_counterexample)
+    got = _conic_fields(rep)
     assert got == _conic_reference(params, 1, Fraction(1, 2), 256)
 
 

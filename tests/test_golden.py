@@ -5,8 +5,12 @@ for both classes, `tilde-check` and `hilbert --method lattice`), another every
 byte the tableaux commands print (`basis` in both formats and `hilbert
 --method bitableaux`), each on every format with m, n <= 4, and a third every
 byte the elimination commands print (`ladder-check` and `hilbert --method
-rank`) on every format with m, n <= 3.  A change to the cone, tableaux or
-elimination code that moves any payload, message or exit code shows up here.
+rank`) on every format with m, n <= 3.  Two more pin the classification
+commands (`classify`, `mu`, `mult`, `mcm-classes`) on every format with
+m, n <= 4, and `straighten` and `member` over a fixed list of polynomial
+texts on every format with m, n <= 3.  A change to the cone, tableaux,
+elimination, classification or straightening code that moves any payload,
+message or exit code shows up here.
 When a change is meant to move output, print the new digest with
 ``golden_digest(argvs)`` and say why it moved.
 """
@@ -23,6 +27,29 @@ from helpers import parameter_triples
 GOLDEN_TABLEAUX = "717fb8a07c7b3b5458e9a7c5af5c3838721ff901ca71beb206bdcb64a6859478"
 GOLDEN = "405d3dc06ae4c81786cf6fac603f82fea498c861b9b222f6e1d6f457b442bfbf"
 GOLDEN_ELIMINATION = "a5a6ac16fd57d571d1d002b0f157444a9574e5b9c621f2d03959fafd6a325458"
+GOLDEN_CLASSIFY = "a5ae70e9dc03849dc06452ea50b156629fbe5b87e0d599c88cd89b61cce6c10b"
+GOLDEN_STRAIGHTEN = "b22c1bbce14e58eb7dfbabf3c9782dde17b12a4b7f1db556e8b28e346c5b6076"
+
+# Zero, a constant, rational coefficients, mixed degrees, the 2- and 3-minors
+# [1 2|1 2] and [1 2 3|1 2 3] times a variable, a non-standard product, a
+# degree-128 monomial (its image passes the packed limit: exit 1), a y
+# variable and a variable off the smaller formats (exit 1).
+POLY_TEXTS = (
+    "0",
+    "7",
+    "1/2*x[1,1]^2 - 3/4*x[1,1]",
+    "x[1,1]^3 - 2/3*x[1,1] + 5",
+    "x[1,1]^2*x[2,2] - x[1,1]*x[1,2]*x[2,1]",
+    "x[1,1]*x[2,2]*x[3,3]*x[1,1] - x[1,1]*x[2,3]*x[3,2]*x[1,1]"
+    " - x[1,2]*x[2,1]*x[3,3]*x[1,1] + x[1,2]*x[2,3]*x[3,1]*x[1,1]"
+    " + x[1,3]*x[2,1]*x[3,2]*x[1,1] - x[1,3]*x[2,2]*x[3,1]*x[1,1]",
+    "x[1,2]*x[2,1] + 1/3*x[1,1]*x[2,2]",
+    "x[2,2]^2*x[1,3]*x[3,1] - x[1,1]*x[3,3]",
+    "x[1,2]*x[2,1]*x[2,2] - 2*x[2,1]*x[1,2] + x[2,2]",
+    "x[1,1]^128",
+    "y[1,1]",
+    "x[3,3]",
+)
 
 
 def _space(m, n, r):
@@ -78,6 +105,28 @@ def elimination_argvs():
     return argvs
 
 
+def classify_argvs():
+    """The grid: `classify` and `mu` for both ideals and t -1..4, `mult` and
+    `mcm-classes`, on every format with m, n <= 4."""
+    argvs = []
+    for f in parameter_triples(4, 4):
+        for ideal in "pq":
+            for t in range(-1, 5):
+                for cmd in ("classify", "mu"):
+                    argvs.append([cmd, *_space(*f), "--ideal", ideal, "--t", str(t)])
+        argvs.append(["mult", *_space(*f)])
+        argvs.append(["mcm-classes", *_space(*f)])
+    return argvs
+
+
+def straighten_argvs():
+    """The grid: `straighten` and `member` on every format with m, n <= 3,
+    over ``POLY_TEXTS``."""
+    return [[cmd, *_space(*f), "--poly", text]
+            for f in parameter_triples(3, 3) for text in POLY_TEXTS
+            for cmd in ("straighten", "member")]
+
+
 def golden_digest(argvs):
     digest = hashlib.sha256()
     for argv in argvs:
@@ -98,3 +147,11 @@ def test_tableaux_commands_print_the_recorded_bytes():
 
 def test_elimination_commands_print_the_recorded_bytes():
     assert golden_digest(elimination_argvs()) == GOLDEN_ELIMINATION
+
+
+def test_classification_commands_print_the_recorded_bytes():
+    assert golden_digest(classify_argvs()) == GOLDEN_CLASSIFY
+
+
+def test_straightening_commands_print_the_recorded_bytes():
+    assert golden_digest(straighten_argvs()) == GOLDEN_STRAIGHTEN

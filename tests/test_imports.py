@@ -1,7 +1,8 @@
 """Every module of the package, the test suite and the benchmark uses each name
 it imports, every module-level function or class of the package is used in
-the package or exported from it, the package imports only at module top, and
-no function of the package defines a nested function that calls itself."""
+the package or exported from it, the package imports only at module top, no
+function of the package defines a nested function that calls itself, and no
+class of the package mirrors a payload by a ``to_dict``."""
 
 import ast
 from pathlib import Path
@@ -103,5 +104,19 @@ def test_no_package_function_nests_a_self_calling_function():
         f"{p.relative_to(ROOT)}:{line}: {name}"
         for p in paths
         for line, name in _self_calling_nested_functions(ast.parse(p.read_text(), str(p)))
+    ]
+    assert found == []
+
+
+def test_no_package_class_defines_to_dict():
+    # A check builds and returns its JSON-ready payload.  A class that mirrors
+    # one names each field three times: in the class, at the constructor call
+    # and in a hand-written to_dict.
+    found = [
+        f"{p.relative_to(ROOT)}:{node.lineno}: {node.name}"
+        for p in sorted((ROOT / "src" / "detring").glob("*.py"))
+        for node in ast.walk(ast.parse(p.read_text(), str(p)))
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(f, ast.FunctionDef) and f.name == "to_dict" for f in node.body)
     ]
     assert found == []

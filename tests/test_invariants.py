@@ -94,18 +94,24 @@ def test_system_difference_fails_when_e_admits_a_decoupled_pair(monkeypatch, cap
 
     monkeypatch.setattr(invariants, "_pairs", leaky)
     rep = verify_D_tilde(Parameters(2, 2, 1), 4)
-    assert not rep.system_difference_ok and not rep.ok
-    assert rep.cone_report.ok and rep.counts_match and rep.generator_leads_ok
+    assert not rep["system_difference_ok"] and not rep["ok"]
+    assert rep["cone"]["ok"] and rep["counts_match"] and rep["generator_leading_terms_ok"]
     assert run(["tilde-check", "--m", "2", "--n", "2", "--r", "1", "--deg-bound", "4"]) == 2
     assert json.loads(capsys.readouterr().out)["system_difference_ok"] is False
 
 
+def _bidegree_rows(rep):
+    """{(y-degree, z-degree): (lattice count, basis count)}."""
+    return {(c["y_degree"], c["z_degree"]): (c["lattice"], c["basis"])
+            for c in rep["bidegree_counts"]}
+
+
 def test_invariant_semigroup_verification_small():
     rep = verify_D_tilde(Parameters(2, 2, 1), 4)
-    assert rep.ok
-    assert rep.generator_leads_ok and rep.counts_match and rep.system_difference_ok
-    assert rep.cone_report.equal and rep.cone_report.power_test_ok
-    rows = {(d1, d2): (a, b) for d1, d2, a, b in rep.bidegree_counts}
+    assert rep["ok"]
+    assert rep["generator_leading_terms_ok"] and rep["counts_match"] and rep["system_difference_ok"]
+    assert rep["cone"]["equal"] and rep["cone"]["power_test_ok"]
+    rows = _bidegree_rows(rep)
     assert rows[(0, 0)] == (1, 1)
     assert rows[(1, 0)] == (2, 2)
     assert rows[(0, 1)] == (2, 2)
@@ -114,7 +120,7 @@ def test_invariant_semigroup_verification_small():
 def test_invariant_semigroup_diagonal_matches_plain_lattice():
     params = Parameters(2, 2, 1)
     rep = verify_D_tilde(params, 4)
-    rows = {(d1, d2): (a, b) for d1, d2, a, b in rep.bidegree_counts}
+    rows = _bidegree_rows(rep)
     for d in (1, 2):
         expect = len(lattice_points(params, "E", y_degree=d))
         assert rows[(d, d)] == (expect, expect)
@@ -128,8 +134,8 @@ def test_invariant_semigroup_verification_unpacks_no_point(monkeypatch):
     params = Parameters(2, 3, 2)
     rep = verify_D_tilde(params, 4)
     monkeypatch.undo()
-    assert rep.ok
-    assert rep.cone_report == semigroup_vs_cone(params, "Etilde", 4)
+    assert rep["ok"]
+    assert rep["cone"] == semigroup_vs_cone(params, "Etilde", 4)
 
 
 def test_bidegree_counts_equal_the_tuple_lattice():
@@ -139,18 +145,18 @@ def test_bidegree_counts_equal_the_tuple_lattice():
         for b in range(7):
             expect = Counter(map(bidegree, lattice_points(params, "Etilde", bound=b)))
             rep = verify_D_tilde(params, b)
-            got = Counter({(d1, d2): a for d1, d2, a, _ in rep.bidegree_counts})
+            got = Counter({key: a for key, (a, _) in _bidegree_rows(rep).items()})
             assert got == expect, (params, b)
 
 
 def test_invariant_semigroup_verification_rank_two():
     rep = verify_D_tilde(Parameters(2, 2, 2), 6)
-    assert rep.ok
+    assert rep["ok"]
     # occupied bidegrees only differ by multiples of the factor size
-    for d1, d2, a, b in rep.bidegree_counts:
-        assert a == b
-        if a:
-            assert (d1 - d2) % 2 == 0
+    for c in rep["bidegree_counts"]:
+        assert c["lattice"] == c["basis"]
+        if c["lattice"]:
+            assert (c["y_degree"] - c["z_degree"]) % 2 == 0
 
 
 def test_ladder_variables_empty_for_the_least_corner():
@@ -173,30 +179,36 @@ def test_ladder_requires_square_embedding_rank():
         ladder_variable_set(Parameters(2, 2, 2), parse_minor("[3|1]"))
 
 
+def _dims(rep):
+    """(degree, initial space dimension, divisible count) of each degree row."""
+    return tuple((row["degree"], row["initial_space_dim"], row["divisible_count"])
+                 for row in rep["degrees"])
+
+
 def test_ladder_verification_trivial_ideal():
     rep = verify_ladder(Parameters(2, 2, 2), parse_minor("[1 2|1 2]"), 3)
-    assert rep.ok and rep.prime_ok
-    for d, rank, count, match in rep.degree_rows:
-        assert rank == 0 and count == 0 and match
+    assert rep["ok"] and rep["prime_ok"]
+    for row in rep["degrees"]:
+        assert row["initial_space_dim"] == 0 and row["divisible_count"] == 0 and row["match"]
 
 
 def test_ladder_verification_corner_case():
     rep = verify_ladder(Parameters(2, 2, 2), parse_minor("[2|2]"), 3)
-    assert rep.ok and rep.prime_ok and rep.first_mismatch is None
-    assert tuple(row[:3] for row in rep.degree_rows) == ((1, 3, 3), (2, 9, 9), (3, 19, 19))
+    assert rep["ok"] and rep["prime_ok"] and rep["first_mismatch"] is None
+    assert _dims(rep) == ((1, 3, 3), (2, 9, 9), (3, 19, 19))
 
 
 def test_ladder_verification_rectangular_case():
     rep = verify_ladder(Parameters(2, 3, 2), parse_minor("[1 2|1 3]"), 3)
-    assert rep.ok
-    assert tuple(row[:3] for row in rep.degree_rows) == ((1, 0, 0), (2, 1, 1), (3, 6, 6))
+    assert rep["ok"]
+    assert _dims(rep) == ((1, 0, 0), (2, 1, 1), (3, 6, 6))
 
 
 def test_ladder_verification_all_corners_tiny():
     params = Parameters(2, 2, 2)
     for delta in all_minors(params):
         rep = verify_ladder(params, delta, 2)
-        assert rep.ok, str(delta)
+        assert rep["ok"], str(delta)
 
 
 def test_ladder_dimensions_equal_the_unfiltered_elimination():
@@ -204,7 +216,7 @@ def test_ladder_dimensions_equal_the_unfiltered_elimination():
         params = Parameters(m, n, r)
         for delta in all_minors(params):
             rep = verify_ladder(params, delta, 3)
-            got = [dim for _, dim, _, _ in rep.degree_rows]
+            got = [row["initial_space_dim"] for row in rep["degrees"]]
             want = [len(ladder_pivots_by_all_products(params, delta, d)) for d in (1, 2, 3)]
             assert got == want, (m, n, r, str(delta))
 
@@ -254,7 +266,7 @@ def test_ladder_verification_leaves_no_reference_cycle():
     gc.collect()
     gc.disable()
     try:
-        assert verify_ladder(Parameters(3, 3, 3), parse_minor("[2|2]"), 3).ok
+        assert verify_ladder(Parameters(3, 3, 3), parse_minor("[2|2]"), 3)["ok"]
         assert gc.collect() == 0
     finally:
         gc.enable()

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import compress, count, permutations
+from itertools import combinations, compress, count, permutations
 
 from . import kernels
 from .errors import NotInSemigroupError, NotStandardError, SpaceMismatchError
@@ -140,6 +140,19 @@ def _add(acc, b):
     return kernels.poly_addmul(acc, 1, b) if acc else b
 
 
+def _signed_permutations(t):
+    """(permutation of range(t), its sign) pairs, in ``permutations`` order."""
+    out = []
+    for perm in permutations(range(t)):
+        sign = 1
+        for i in range(t):  # parity by counting inversions
+            for j in range(i + 1, t):
+                if perm[i] > perm[j]:
+                    sign = -sign
+        out.append((perm, sign))
+    return out
+
+
 def _det_expand(matrix, space):
     """Exact determinant of a square matrix of polynomials, by permutations."""
     t = len(matrix)
@@ -147,13 +160,7 @@ def _det_expand(matrix, space):
         return Poly.constant(space, 1)
     limit = space.key_limit
     acc = {}
-    for perm in permutations(range(t)):
-        sign = 1
-        seen = list(perm)
-        for i in range(t):  # parity by counting inversions
-            for j in range(i + 1, t):
-                if seen[i] > seen[j]:
-                    sign = -sign
+    for perm, sign in _signed_permutations(t):
         prod = matrix[0][perm[0]].packed
         for i in range(1, t):
             prod = kernels.poly_mul(prod, matrix[i][perm[i]].packed, limit)
@@ -161,8 +168,28 @@ def _det_expand(matrix, space):
     return Poly._raw(space, acc)
 
 
+def _cauchy_binet(minor, yz):
+    """Packed image of the minor [R|C] through the substitution: the sum over
+    r-column sets K of det Y[R,K] * det Z[K,C] (Cauchy-Binet).  A term's
+    y-part names K and the permutation of its Y factor, its z-part those of
+    its Z factor, so no two products share a monomial: no term cancels."""
+    units, t = yz.unit_keys, minor.size
+    perms = _signed_permutations(t)
+    out = {}
+    for ks in combinations(range(1, yz.r + 1), t):
+        ys = [[units[yz.y(a, k)] for k in ks] for a in minor.rows]
+        zs = [[units[yz.z(k, b)] for b in minor.cols] for k in ks]
+        z_terms = [(sum([zs[i][p[i]] for i in range(t)]), s) for p, s in perms]
+        for p, sy in perms:
+            ky = sum([ys[i][p[i]] for i in range(t)])
+            for kz, sz in z_terms:
+                out[ky + kz] = sy * sz
+    return out
+
+
 def minor_polynomial(minor, params, side, subst=None):
-    """The minor as a polynomial: on the x variables, or through the substitution."""
+    """The minor as a polynomial: on the x variables, or through the
+    substitution (on the map's y/z space when one is given)."""
     minor.check_bounds(params)
     if side == "X":
         space = params.x_space
@@ -171,19 +198,18 @@ def minor_polynomial(minor, params, side, subst=None):
         ]
         return _det_expand(matrix, space)
     if side == "YZ":
-        if subst is None:
-            subst = SubstitutionMap(params)
-        matrix = [[subst.entry(i, j) for j in minor.cols] for i in minor.rows]
-        return _det_expand(matrix, subst.yz_space)
+        yz = params.yz_space if subst is None else subst.yz_space
+        return Poly._raw(yz, _cauchy_binet(minor, yz))
     raise ValueError(f"side must be 'X' or 'YZ', got {side!r}")
 
 
 def eval_bitableau(bitab, params, side, subst=None):
     """Product of the factor minors as a polynomial; empty product is 1."""
     bitab.check_bounds(params)
-    if side == "YZ" and subst is None:
-        subst = SubstitutionMap(params)
-    space = subst.yz_space if side == "YZ" else params.x_space
+    if side != "YZ":
+        space = params.x_space
+    else:
+        space = params.yz_space if subst is None else subst.yz_space
     acc = Poly.constant(space, 1)
     for f in bitab.factors:
         acc = acc * minor_polynomial(f, params, side, subst)

@@ -218,7 +218,7 @@ def verify_ladder(params, delta, d_max=3):
          minor_polynomial(g, params, "YZ", subst).packed)
         for g in all_minors(params, d_max) if not minor_leq(delta, g)
     ]
-    x_keys = [kernels.pack(subst.x_space.unit(p)) for p in range(subst.x_space.nvars)]
+    x_keys = subst.x_space.unit_keys
     memo = {(): {0: 1}}
     rows = []
     mismatch = None

@@ -91,6 +91,34 @@ def poly_mul(a, b, limit):
     return out
 
 
+def poly_mul_above(a, b, floor):
+    """The terms of a * b whose packed monomial is at least ``floor``.
+
+    ``a`` is a term dict and ``b`` a list of (key, coefficient) pairs, largest
+    key first, so each row of the convolution stops at its first product
+    below the floor.  Unlike ``poly_mul`` it checks no limit: the caller
+    bounds the product's degree.
+    """
+    out = {}
+    get = out.get
+    for ea, ca in a.items():
+        cut = floor - ea
+        for eb, cb in b:
+            if eb < cut:
+                break
+            e = ea + eb
+            c = get(e)
+            if c is None:
+                out[e] = ca * cb
+            else:
+                c = c + ca * cb
+                if c:
+                    out[e] = c
+                else:
+                    del out[e]
+    return out
+
+
 def poly_addmul(acc, scale, b):
     """In place: acc += scale * b.  Mutates and returns acc."""
     if not scale:

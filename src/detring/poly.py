@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import cached_property
 from operator import itemgetter
 
 from . import kernels
@@ -62,6 +63,12 @@ class VariableSpace:
 
     def unpack(self, key):
         return kernels.unpack(key, self.nvars)
+
+    @cached_property
+    def unit_keys(self):
+        """The packed key of each variable by rank position: adding it to a
+        packed monomial multiplies by that variable."""
+        return tuple(kernels.pack(self.unit(p)) for p in range(self.nvars))
 
 
 class XSpace(VariableSpace):

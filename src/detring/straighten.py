@@ -6,16 +6,39 @@ image (which is monic with exactly that leading monomial).  The leading
 monomial strictly drops each round, so the loop terminates; what remains at
 zero is the standard expansion.  Polynomials in the kernel of the substitution
 straighten to the empty combination.
+
+The loop runs inside a window.  The substitution x[i,j] -> sum_k y[i,k]*z[k,j]
+keeps a term's row content (how many of its variables lie in each row) as the
+y-part's and its column content as the z-part's, and so does the image of a
+bitableau with the bitableau's own contents.  So every peeled lead is the
+closed-form lead of a standard bitableau with the contents of one of f's terms,
+a candidate, and none lies below the floor, the least candidate lead.  Dropping
+the terms below the floor from phi(f) and from every image is exact: the
+packed order is additive, a truncated sum is the sum of the truncations, and
+the truncated remainder has the full one's lead as long as that lead is at or
+above the floor, which it always is.  The floor comes from one small dynamic
+program per side and content (``_floor``), each image from its factors' images
+cut factor by factor (``_image_above``), and every decoded bitableau's
+contents are checked against f's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from operator import add, mul, sub
 
 from . import kernels
 from .errors import InternalCheckError, NotInSemigroupError
-from .generic_point import SubstitutionMap, _check_image_degree, decode_standard, eval_bitableau, phi
+from .generic_point import (
+    SubstitutionMap,
+    _check_image_degree,
+    decode_standard,
+    eval_bitableau,
+    minor_polynomial,
+    phi,
+)
 from .linalg import clear_denominators
 from .poly import Poly, format_coefficient
 
@@ -60,7 +83,8 @@ def straighten(f, params, subst=None):
     is bounded by the number of standard bitableaux of that degree.  The
     substituted standard bitableaux are monic with integer coefficients, so
     the loop runs over Z on f times the lcm of its denominators, and the
-    coefficients are divided by that scale at the end.
+    coefficients are divided by that scale at the end.  Every term below the
+    floor of f's contents is dropped (see the module docstring).
     """
     if subst is None:
         subst = SubstitutionMap(params)
@@ -71,6 +95,11 @@ def straighten(f, params, subst=None):
     # component, highest degree first, and each subtracted image stays in its
     # own component.
     rest = phi(Poly._raw(f.space, scaled), subst).packed
+    if rest:
+        contents = _contents(f)
+        floor = _floor(contents, subst.yz_space)
+        rest = {key: c for key, c in rest.items() if key >= floor}
+    images = {}
     result = []
     while rest:
         lead = kernels.leading_monomial(rest)
@@ -81,12 +110,111 @@ def straighten(f, params, subst=None):
             raise InternalCheckError(
                 f"leading monomial of a substituted polynomial failed to decode: {exc}"
             ) from exc
-        image = eval_bitableau(bitab, params, "YZ", subst)
-        kernels.poly_addmul(rest, -lam, image.packed)
+        if _content(bitab, params) not in contents:
+            raise InternalCheckError(f"{bitab} has a content no term of the polynomial has")
+        kernels.poly_addmul(rest, -lam, _image_above(bitab, floor, images, params, subst))
         if lead in rest:
             raise InternalCheckError("leading term failed to cancel during straightening")
         result.append((Fraction(lam, scale), bitab))
     return StandardCombination(params, tuple(result))
+
+
+def _contents(f):
+    """The distinct (row content, column content) pairs of f's terms: how
+    many of a term's variables lie in each row, and in each column."""
+    space = f.space
+    m, n = space.m, space.n
+    out = set()
+    for key in f.packed:
+        e = space.unpack(key)  # row-major
+        out.add((tuple([sum(e[i * n:i * n + n]) for i in range(m)]),
+                 tuple([sum(e[j::n]) for j in range(n)])))
+    return out
+
+
+def _content(bitab, params):
+    """The (row content, column content) of a bitableau: how often each row
+    and each column index occurs among its factors."""
+    rows, cols = [0] * params.m, [0] * params.n
+    for d in bitab.factors:
+        for a in d.rows:
+            rows[a - 1] += 1
+        for b in d.cols:
+            cols[b - 1] += 1
+    return tuple(rows), tuple(cols)
+
+
+def _floor(contents, yz):
+    """The least closed-form lead of a standard bitableau with one of the
+    contents, as a packed key.
+
+    The lead is a y-part read off the factors' rows plus a z-part read off
+    their columns, and the rows and the columns are standard on their own
+    given the shape, so per content it is the least over shapes of the least
+    y-part plus the least z-part (``_least_keys``)."""
+    units, r = yz.unit_keys, yz.r
+    y_units = [[units[yz.y(a, j)] for j in range(1, r + 1)] for a in range(1, yz.m + 1)]
+    z_units = [[units[yz.z(j, b)] for j in range(1, r + 1)] for b in range(1, yz.n + 1)]
+    floors = []
+    for rows, cols in contents:
+        left = _least_keys(rows, y_units)
+        right = _least_keys(cols, z_units)
+        floors.append(min([key + right[mu] for mu, key in left.items() if mu in right]))
+    return min(floors)
+
+
+def _least_keys(content, units):
+    """Shape -> the least packed key of one side of a standard bitableau with
+    that shape and ``content``; shapes are conjugates, as r-tuples.
+
+    Transposed, one side is a semistandard tableau of the conjugate shape:
+    its row j is the side's column j.  Letter a fills a horizontal strip of
+    content[a] cells, and a cell in row j costs units[a][j] (y[a, j+1] on the
+    left, z[j+1, a] on the right)."""
+    states = {(0,) * len(units[0]): 0}
+    for size, unit in zip(content, units):
+        if not size:
+            continue
+        step = {}
+        for nu, key in states.items():
+            for plus, adds in _strips(nu, size):
+                k = key + sum(map(mul, adds, unit))
+                if k < step.get(plus, k + 1):
+                    step[plus] = k
+        states = step
+    return states
+
+
+@cache
+def _strips(nu, size):
+    """(nu plus the strip, cells per row) for each horizontal strip of
+    ``size`` cells on the partition nu (an r-tuple): row j > 0 takes at most
+    nu[j-1] - nu[j] cells.  Memoised for the process, keyed by partitions no
+    larger than the degrees straightened: every call shares the small ones."""
+    adds = [()]
+    for cap in (size, *map(sub, nu[:-1], nu[1:])):
+        adds = [a + (c,) for a in adds for c in range(min(cap, size - sum(a)) + 1)]
+    return tuple([(tuple(map(add, nu, a)), a) for a in adds if sum(a) == size])
+
+
+def _image_above(bitab, floor, images, params, subst):
+    """The terms at or above ``floor`` of the bitableau's image.  ``images``
+    holds each factor minor's image terms, largest first, built when first
+    read.  A partial product is cut at the floor less the largest keys of the
+    factors still to come: no later factor can lift a term by more."""
+    factors = []
+    for d in bitab.factors:
+        terms = images.get(d)
+        if terms is None:
+            image = minor_polynomial(d, params, "YZ", subst).packed
+            terms = images[d] = sorted(image.items(), reverse=True)
+        factors.append(terms)
+    top = sum([terms[0][0] for terms in factors])
+    acc = {0: 1}
+    for terms in factors:
+        top -= terms[0][0]
+        acc = kernels.poly_mul_above(acc, terms, floor - top)
+    return acc
 
 
 def is_in_ideal(f, params, subst=None):

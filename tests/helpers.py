@@ -9,10 +9,22 @@ from itertools import combinations
 import detring
 from detring import kernels
 from detring.cone import _monomials_of_degree
-from detring.errors import ParameterError, SpaceMismatchError
-from detring.generic_point import SubstitutionMap, minor_polynomial
-from detring.linalg import Eliminator
+from detring.errors import (
+    InternalCheckError,
+    NotInSemigroupError,
+    ParameterError,
+    SpaceMismatchError,
+)
+from detring.generic_point import (
+    SubstitutionMap,
+    decode_standard,
+    eval_bitableau,
+    minor_polynomial,
+    phi,
+)
+from detring.linalg import Eliminator, clear_denominators
 from detring.poly import Poly
+from detring.straighten import StandardCombination
 from detring.tableaux import Minor, all_minors, enumerate_standard, minor_leq
 
 
@@ -83,6 +95,31 @@ def phi_by_terms(f, subst):
     for key, coef in f.packed.items():
         kernels.poly_addmul(out, coef, monomial_image(subst, f.space.unpack(key)))
     return Poly._raw(subst.yz_space, out)
+
+
+def straighten_full(f, params, subst=None):
+    """Reference for ``straighten``: the same loop with no window, each image
+    expanded in full by ``eval_bitableau``."""
+    if subst is None:
+        subst = SubstitutionMap(params)
+    scale, scaled = clear_denominators(f.packed)
+    rest = phi(Poly._raw(f.space, scaled), subst).packed
+    result = []
+    while rest:
+        lead = kernels.leading_monomial(rest)
+        lam = rest[lead]
+        try:
+            bitab = decode_standard(subst.yz_space.unpack(lead), params)
+        except NotInSemigroupError as exc:
+            raise InternalCheckError(
+                f"leading monomial of a substituted polynomial failed to decode: {exc}"
+            ) from exc
+        image = eval_bitableau(bitab, params, "YZ", subst)
+        kernels.poly_addmul(rest, -lam, image.packed)
+        if lead in rest:
+            raise InternalCheckError("leading term failed to cancel during straightening")
+        result.append((Fraction(lam, scale), bitab))
+    return StandardCombination(params, tuple(result))
 
 
 def ladder_family(params, delta, d, side):

@@ -64,6 +64,17 @@ def test_full_determinant_dies_at_low_rank_and_survives_at_full_rank():
     assert e == tuple(expect)
 
 
+def test_minor_images_by_cauchy_binet_equal_the_substituted_minors():
+    # Cauchy-Binet against the x-side determinant pushed through phi.
+    for (m, n, r) in parameter_triples(4, 4):
+        params = Parameters(m, n, r)
+        subst = SubstitutionMap(params)
+        for d in all_minors(params):
+            image = minor_polynomial(d, params, "YZ", subst)
+            assert image.space is subst.yz_space
+            assert image == phi(minor_polynomial(d, params, "X"), subst), (m, n, r, d)
+
+
 def test_oversize_minor_images_vanish():
     for (m, n, r) in parameter_triples(4, 4, proper=True):
         params = Parameters(m, n, r)

@@ -106,6 +106,18 @@ def test_poly_mul_matches_tuple_convolution(pair):
 
 
 @SETTINGS
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.tuples(term_dicts(n), term_dicts(n), exponent_tuples(n, 8))
+))
+def test_poly_mul_above_keeps_the_product_at_or_above_the_floor(args):
+    a, b, low = args
+    floor = kernels.pack(low)
+    full = packed(reference_product(a, b))
+    got = kernels.poly_mul_above(packed(a), sorted(packed(b).items(), reverse=True), floor)
+    assert got == {e: c for e, c in full.items() if e >= floor}
+
+
+@SETTINGS
 @given(st.integers(1, 8), st.data())
 def test_overflow_guard_raises(nvars, data):
     limit = kernels.key_limit(nvars)

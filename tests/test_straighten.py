@@ -1,16 +1,36 @@
 """Rewriting polynomials as combinations of standard products."""
 
+import gc
 from fractions import Fraction
 from importlib import import_module
+from itertools import product
 
 import pytest
 
-from detring.errors import ParameterError, SpaceMismatchError
+from detring import kernels
+from detring.errors import InternalCheckError, ParameterError, SpaceMismatchError
 from detring.generic_point import SubstitutionMap, eval_bitableau, initial_monomial_closed_form, phi
 from detring.poly import Poly, XSpace, YZSpace, parse_polynomial
-from detring.straighten import is_in_ideal, straighten
+from detring.straighten import _content, _floor, is_in_ideal, straighten
 from detring.tableaux import Parameters, all_minors, enumerate_standard, parse_bitableau
-from helpers import compare_monomials, parameter_triples, random_poly, seeded
+from helpers import (
+    compare_monomials,
+    parameter_triples,
+    random_poly,
+    seeded,
+    straighten_full,
+)
+
+# The benchmark's four pinned degree-6 stretch monomials at (5,5,4), and two
+# that took about 1 s each with every image expanded in full.
+MONOMIALS_554 = (
+    "x[4,5]*x[1,2]*x[5,4]*x[3,4]*x[1,4]*x[1,3]",
+    "x[2,5]*x[1,3]*x[1,4]*x[4,4]*x[4,2]*x[1,4]",
+    "x[3,2]*x[3,3]*x[5,1]*x[3,3]*x[3,2]*x[1,2]",
+    "x[1,1]*x[3,4]*x[4,3]*x[1,1]*x[2,2]*x[5,4]",
+    "x[2,2]*x[5,4]*x[3,1]*x[1,3]*x[4,3]*x[2,5]",
+    "x[3,1]*x[4,3]*x[2,5]*x[1,4]*x[1,2]*x[3,2]",
+)
 
 
 def expand(comb, params, subst):
@@ -162,3 +182,113 @@ def test_combination_serializes_to_pairs():
         {"coeff": "1", "bitableau": "[1|1][2|2]"},
         {"coeff": "-1", "bitableau": "[1 2|1 2]"},
     ]
+
+
+def oracle_cases(max_m=4, max_n=4, per_format=3):
+    """Random polynomials of degree <= 5 with mixed contents and rational
+    coefficients on every format up to max_m x max_n, each rank."""
+    rng = seeded(211)
+    for m, n, r in parameter_triples(max_m, max_n):
+        params = Parameters(m, n, r)
+        for _ in range(per_format):
+            yield params, random_poly(params.x_space, rng, max_degree=5, max_terms=4)
+
+
+def expansion(comb):
+    return [(c, str(b)) for c, b in comb.terms]
+
+
+def test_straighten_equals_the_loop_without_a_window():
+    for params, f in oracle_cases():
+        assert expansion(straighten(f, params)) == expansion(straighten_full(f, params)), (params, f)
+    params = Parameters(5, 5, 4)
+    for text in MONOMIALS_554:
+        f = parse_polynomial(text, params.x_space)
+        assert expansion(straighten(f, params)) == expansion(straighten_full(f, params)), text
+
+
+def compositions(total, parts):
+    return [c for c in product(range(total + 1), repeat=parts) if sum(c) == total]
+
+
+def by_content(params, degree):
+    """(row content, column content) -> the standard bitableaux of the degree
+    with those contents."""
+    out = {}
+    for b in enumerate_standard(params, degree):
+        out.setdefault(_content(b, params), []).append(b)
+    return out
+
+
+def leads(params, bitableaux):
+    """The sorted packed closed-form leads of the bitableaux."""
+    return sorted(kernels.pack(initial_monomial_closed_form(b, params)) for b in bitableaux)
+
+
+def test_floor_is_the_least_candidate_lead_of_every_small_content():
+    for m, n, r in parameter_triples(3, 3):
+        params = Parameters(m, n, r)
+        for d in range(5):
+            candidates = by_content(params, d)
+            # Every pair of contents of one degree has a candidate: a chain of 1-minors.
+            assert set(candidates) == set(product(compositions(d, m), compositions(d, n)))
+            for content, bs in candidates.items():
+                assert _floor({content}, params.yz_space) == leads(params, bs)[0], (params, content)
+
+
+def test_floor_is_the_least_candidate_lead_on_a_sample_of_larger_contents():
+    rng = seeded(307)
+    for m, n, r, d in ((4, 4, 3, 5), (5, 4, 2, 5), (5, 5, 4, 5)):
+        params = Parameters(m, n, r)
+        candidates = by_content(params, d)
+        sample = rng.sample(sorted(candidates), 25)
+        least = {c: leads(params, candidates[c])[0] for c in sample}
+        for content in sample:
+            assert _floor({content}, params.yz_space) == least[content], (params, content)
+        # The floor of several contents is the least of theirs.
+        assert _floor(set(sample), params.yz_space) == min(least.values())
+
+
+def test_a_floor_one_candidate_too_high_changes_some_expansion(monkeypatch):
+    # The mutation: the second-least candidate lead of f's contents as the floor.
+    module = import_module("detring.straighten")
+
+    def second_least(contents, yz):
+        keys = []
+        for rows, cols in contents:
+            params = Parameters(len(rows), len(cols), yz.r)
+            keys += leads(params, by_content(params, sum(rows)).get((rows, cols), ()))
+        keys.sort()
+        return keys[min(1, len(keys) - 1)]
+
+    monkeypatch.setattr(module, "_floor", second_least)
+    changed = 0
+    for params, f in oracle_cases(3, 3, 2):
+        try:
+            changed += expansion(straighten(f, params)) != expansion(straighten_full(f, params))
+        except InternalCheckError:
+            changed += 1
+    assert changed > 0
+
+
+def test_a_decoded_bitableau_of_a_foreign_content_is_refused(monkeypatch):
+    module = import_module("detring.straighten")
+    monkeypatch.setattr(module, "decode_standard", lambda exps, params: parse_bitableau("[1|1][1|1]"))
+    params = Parameters(2, 2, 2)
+    f = parse_polynomial("x[1,2]*x[2,1]", params.x_space)
+    with pytest.raises(InternalCheckError, match="content"):
+        straighten(f, params)
+
+
+def test_straighten_leaves_no_reference_cycle():
+    # A cycle would hold the remainder and the image cache until the cyclic
+    # collector ran, so peak memory would depend on when that happened.
+    params = Parameters(4, 4, 3)
+    f = parse_polynomial("x[1,2]*x[2,1]*x[3,4]*x[4,3] - 2/3*x[1,1]*x[2,3]*x[4,4]", params.x_space)
+    gc.collect()
+    gc.disable()
+    try:
+        assert straighten(f, params).terms
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -13,7 +13,7 @@ from math import comb
 
 from .cone import _join, _pairs
 from .errors import ParameterError
-from .generic_point import SubstitutionMap, _check_image_degree
+from .generic_point import _check_image_degree, shared_substitution
 from .linalg import Eliminator, det_bareiss
 from .tableaux import _count_pinned, count_standard
 
@@ -92,7 +92,7 @@ def hilbert_function(params, d, method="bitableaux"):
         return len(_join(params, _pairs("E", params.r, (2 * d,))))
     if method == "rank":
         _check_image_degree(d)
-        subst = SubstitutionMap(params)
+        subst = shared_substitution(params)
         elim = Eliminator()
         memo = {(): {0: 1}}
         for positions in combinations_with_replacement(range(subst.x_space.nvars), d):

@@ -17,11 +17,11 @@ from . import kernels
 from .cone import _check_bound, _cone_layers, _cone_report, _pairs
 from .errors import ParameterError
 from .generic_point import (
-    SubstitutionMap,
     _check_image_degree,
     _det_expand,
     _diagonal_monomial,
     minor_polynomial,
+    shared_substitution,
 )
 from .linalg import Eliminator
 from .poly import Poly, format_monomial
@@ -41,7 +41,7 @@ def generators_R_tilde(params, subst=None):
     factor (rows choose r), then of the right factor (columns choose r).
     """
     if subst is None:
-        subst = SubstitutionMap(params)
+        subst = shared_substitution(params)
     yz, base = subst.yz_space, range(1, params.r + 1)
     gens = []
     for i in range(1, params.m + 1):
@@ -209,7 +209,7 @@ def verify_ladder(params, delta, d_max=3):
     delta.check_bounds(params)
     _check_bound(d_max)
     _check_image_degree(d_max - 1)
-    subst = SubstitutionMap(params)
+    subst = shared_substitution(params)
     vset = ladder_variable_set(params, delta)
     vpos = set(vset)
     yz = subst.yz_space

@@ -24,7 +24,6 @@ contents are checked against f's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from operator import add, mul, sub
@@ -32,23 +31,25 @@ from operator import add, mul, sub
 from . import kernels
 from .errors import InternalCheckError, NotInSemigroupError
 from .generic_point import (
-    SubstitutionMap,
     _check_image_degree,
     decode_standard,
     eval_bitableau,
     minor_polynomial,
     phi,
+    shared_substitution,
 )
 from .linalg import clear_denominators
 from .poly import Poly, format_coefficient
+from .tableaux import _Frozen
 
 
-@dataclass(frozen=True)
-class StandardCombination:
+class StandardCombination(_Frozen):
     """Coefficients and standard bitableaux, largest leading monomial first."""
 
-    params: object
-    terms: tuple  # ((coefficient, Bitableau), ...)
+    _fields = ("params", "terms")  # terms: ((coefficient, Bitableau), ...)
+
+    def __init__(self, params, terms):
+        self._set(params, terms)
 
     def __len__(self):
         return len(self.terms)
@@ -62,7 +63,7 @@ class StandardCombination:
     def evaluate(self, side, subst=None):
         """Reassemble the combination as a polynomial on the chosen side."""
         if subst is None:
-            subst = SubstitutionMap(self.params)
+            subst = shared_substitution(self.params)
         space = subst.x_space if side == "X" else subst.yz_space
         acc = Poly.zero(space)
         for coef, bitab in self.terms:
@@ -87,7 +88,7 @@ def straighten(f, params, subst=None):
     floor of f's contents is dropped (see the module docstring).
     """
     if subst is None:
-        subst = SubstitutionMap(params)
+        subst = shared_substitution(params)
     scale, scaled = clear_denominators(f.packed)
     # phi's term dict is new, so the loop consumes it.  Every image term of an
     # x-monomial of degree k has y-degree k and total degree 2k, and the
@@ -99,7 +100,6 @@ def straighten(f, params, subst=None):
         contents = _contents(f)
         floor = _floor(contents, subst.yz_space)
         rest = {key: c for key, c in rest.items() if key >= floor}
-    images = {}
     result = []
     while rest:
         lead = kernels.leading_monomial(rest)
@@ -112,7 +112,7 @@ def straighten(f, params, subst=None):
             ) from exc
         if _content(bitab, params) not in contents:
             raise InternalCheckError(f"{bitab} has a content no term of the polynomial has")
-        kernels.poly_addmul(rest, -lam, _image_above(bitab, floor, images, params, subst))
+        kernels.poly_addmul(rest, -lam, _image_above(bitab, floor, params, subst))
         if lead in rest:
             raise InternalCheckError("leading term failed to cancel during straightening")
         result.append((Fraction(lam, scale), bitab))
@@ -197,12 +197,13 @@ def _strips(nu, size):
     return tuple([(tuple(map(add, nu, a)), a) for a in adds if sum(a) == size])
 
 
-def _image_above(bitab, floor, images, params, subst):
-    """The terms at or above ``floor`` of the bitableau's image.  ``images``
-    holds each factor minor's image terms, largest first, built when first
-    read.  A partial product is cut at the floor less the largest keys of the
-    factors still to come: no later factor can lift a term by more."""
-    factors = []
+def _image_above(bitab, floor, params, subst):
+    """The terms at or above ``floor`` of the bitableau's image.  The map's
+    ``minor_images`` holds each factor minor's image terms, largest first,
+    built when first read.  A partial product is cut at the floor less the
+    largest keys of the factors still to come: no later factor can lift a
+    term by more."""
+    images, factors = subst.minor_images, []
     for d in bitab.factors:
         terms = images.get(d)
         if terms is None:
@@ -229,6 +230,6 @@ def is_in_ideal(f, params, subst=None):
         _check_image_degree(f.degree())
         return f.is_zero()
     if subst is None:
-        subst = SubstitutionMap(params)
+        subst = shared_substitution(params)
     _, scaled = clear_denominators(f.packed)
     return phi(Poly._raw(f.space, scaled), subst).is_zero()

@@ -11,7 +11,6 @@ restricts factor sizes to at most r.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from math import comb
@@ -22,21 +21,54 @@ from .kernels import MAX_DEGREE
 from .poly import XSpace, YZSpace
 
 
-@dataclass(frozen=True)
-class Parameters:
+class _Frozen:
+    """An immutable value: its ``_fields`` are set once, by ``_set``, and it
+    is equal to, hashed by and shown as the tuple of their values.  It does
+    what a frozen dataclass would without importing ``dataclasses``, which
+    pulls ``inspect``, ``ast`` and ``dis`` into every process (0.8 MB
+    resident)."""
+
+    __slots__ = ()
+    _fields = ()
+
+    def _set(self, *values):
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self):
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        args = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__name__}({args})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Parameters(_Frozen):
     """Matrix format m x n and rank bound r, with 1 <= r <= min(m, n)."""
 
-    m: int
-    n: int
-    r: int
+    _fields = ("m", "n", "r")
 
-    def __post_init__(self):
-        for name in ("m", "n", "r"):
-            v = getattr(self, name)
+    def __init__(self, m, n, r):
+        for name, v in zip(self._fields, (m, n, r)):
             if not isinstance(v, int) or v < 1:
                 raise ParameterError(f"{name} must be a positive integer, got {v!r}")
-        if self.r > min(self.m, self.n):
-            raise ParameterError(f"rank bound r={self.r} exceeds min(m, n)={min(self.m, self.n)}")
+        if r > min(m, n):
+            raise ParameterError(f"rank bound r={r} exceeds min(m, n)={min(m, n)}")
+        self._set(m, n, r)
 
     @cached_property
     def x_space(self):
@@ -69,22 +101,19 @@ def _strictly_increasing(t):
     return all(t[i] < t[i + 1] for i in range(len(t) - 1))
 
 
-@dataclass(frozen=True)
-class Minor:
-    rows: tuple
-    cols: tuple
+class Minor(_Frozen):
+    _fields = ("rows", "cols")
 
-    def __post_init__(self):
-        rows = tuple(self.rows)
-        cols = tuple(self.cols)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
+    def __init__(self, rows, cols):
+        rows = tuple(rows)
+        cols = tuple(cols)
         if len(rows) != len(cols):
             raise ValueError(f"row and column lists differ in length: {rows} vs {cols}")
         if rows and (rows[0] < 1 or cols[0] < 1):
             raise ValueError("indices are 1-based")
         if not (_strictly_increasing(rows) and _strictly_increasing(cols)):
             raise ValueError(f"indices must be strictly increasing: {rows}, {cols}")
+        self._set(rows, cols)
         object.__setattr__(self, "_hash", hash((rows, cols)))
 
     def __hash__(self):
@@ -119,19 +148,18 @@ def minor_leq(d1, d2):
     return all(d1.rows[i] <= d2.rows[i] and d1.cols[i] <= d2.cols[i] for i in range(u))
 
 
-@dataclass(frozen=True, slots=True)
-class Bitableau:
-    factors: tuple
+class Bitableau(_Frozen):
+    __slots__ = _fields = ("factors",)
 
-    def __post_init__(self):
-        factors = tuple(self.factors)
-        object.__setattr__(self, "factors", factors)
+    def __init__(self, factors):
+        factors = tuple(factors)
         for f in factors:
             if f.size == 0:
                 raise ValueError("empty minors cannot appear as factors")
         sizes = [f.size for f in factors]
         if any(sizes[i] < sizes[i + 1] for i in range(len(sizes) - 1)):
             raise ValueError(f"factor sizes must be weakly decreasing, got {sizes}")
+        self._set(factors)
 
     @property
     def degree(self):
@@ -157,7 +185,7 @@ _set_factors = Bitableau.factors.__set__
 
 def _raw_bitableau(factors):
     """Wrap a factor tuple already known to hold nonempty minors of weakly
-    decreasing sizes, skipping the checks of ``__post_init__`` (the slot is set
+    decreasing sizes, skipping the checks of ``__init__`` (the slot is set
     through its own descriptor, past the frozen ``__setattr__``)."""
     b = object.__new__(Bitableau)
     _set_factors(b, factors)

@@ -1,6 +1,7 @@
 """Rewriting polynomials as combinations of standard products."""
 
 import gc
+import operator
 from fractions import Fraction
 from importlib import import_module
 from itertools import product
@@ -9,7 +10,17 @@ import pytest
 
 from detring import kernels
 from detring.errors import InternalCheckError, ParameterError, SpaceMismatchError
-from detring.generic_point import SubstitutionMap, eval_bitableau, initial_monomial_closed_form, phi
+from detring.generic_point import (
+    FORMATS,
+    SubstitutionMap,
+    _shared_map,
+    decode_standard,
+    eval_bitableau,
+    initial_monomial_closed_form,
+    minor_polynomial,
+    phi,
+    shared_substitution,
+)
 from detring.poly import Poly, XSpace, YZSpace, parse_polynomial
 from detring.straighten import _content, _floor, is_in_ideal, straighten
 from detring.tableaux import Parameters, all_minors, enumerate_standard, parse_bitableau
@@ -289,6 +300,57 @@ def test_straighten_leaves_no_reference_cycle():
     gc.disable()
     try:
         assert straighten(f, params).terms
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_shared_maps_keep_interleaved_formats_apart():
+    # Formats in turn with their transposes and with two ranks of one size,
+    # each query on a Parameters of its own as the command line builds them:
+    # a map, or a minor image, shared by two of them would answer for the
+    # wrong space.
+    rng = seeded(307)
+    for m, n, r in [(4, 4, 3), (3, 3, 2), (3, 4, 2), (4, 3, 2), (4, 4, 2), (3, 3, 2), (4, 4, 3)]:
+        params, fresh = Parameters(m, n, r), SubstitutionMap(Parameters(m, n, r))
+        det = minor_polynomial(all_minors(params, r + 1)[-1], params, "X")
+        f, g, h = (random_poly(params.x_space, rng, max_degree=3) for _ in range(3))
+        for p in (f, g, h, f * det, f * det + g):
+            assert expansion(straighten(p, Parameters(m, n, r))) == expansion(
+                straighten_full(p, params, fresh)
+            ), ((m, n, r), p)
+            assert is_in_ideal(p, Parameters(m, n, r)) == phi(p, fresh).is_zero(), ((m, n, r), p)
+    shared = shared_substitution(Parameters(3, 3, 2))
+    assert shared is shared_substitution(Parameters(3, 3, 2)) and shared.minor_images
+    # Decoded factors are the format's shared minors, whatever Parameters asks.
+    lead = initial_monomial_closed_form(parse_bitableau("[1 2|1 3][3|3]"), Parameters(4, 4, 3))
+    assert all(map(operator.is_, decode_standard(lead, Parameters(4, 4, 3)).factors,
+                   decode_standard(lead, Parameters(4, 4, 3)).factors))
+
+
+def test_the_shared_maps_are_bounded():
+    for m, n, r in list(parameter_triples(4, 4))[:FORMATS + 2]:
+        params = Parameters(m, n, r)
+        xs = params.x_space
+        f = Poly.variable(xs, 0) * Poly.variable(xs, xs.nvars - 1)
+        assert straighten(f, params).terms
+    assert _shared_map.cache_info().currsize == FORMATS
+
+
+def test_a_shared_map_is_no_reference_cycle():
+    # A dropped map that formed a cycle would hold its images until the
+    # cyclic collector ran.
+    _shared_map.cache_clear()
+    params = Parameters(3, 4, 2)
+    f = parse_polynomial("x[1,2]*x[2,1]*x[3,4] - 1/2*x[1,1]*x[2,3]", params.x_space)
+    gc.collect()
+    gc.disable()
+    try:
+        assert straighten(f, params).terms
+        assert is_in_ideal(f, params) is False
+        assert _shared_map.cache_info().currsize == 1
+        assert gc.collect() == 0
+        _shared_map.cache_clear()  # as the cache drops its oldest map
         assert gc.collect() == 0
     finally:
         gc.enable()

@@ -7,6 +7,7 @@ import pytest
 from detring.counting import mu_power_direct
 from detring.errors import ParameterError, ParseError
 from detring.invariants import _tilde_basis_count
+from detring.straighten import StandardCombination
 from detring.tableaux import (
     Bitableau,
     Minor,
@@ -41,6 +42,30 @@ def test_parameters_validate_rank_bounds():
     Parameters(2, 2, 1).require_proper_rank()
     with pytest.raises(ParameterError):
         Parameters(2, 2, 2).require_proper_rank()
+
+
+def test_value_classes_are_immutable_and_compare_by_their_fields():
+    params = Parameters(3, 3, 2)
+    minor = Minor([1, 2], (2, 3))
+    bitab = parse_bitableau("[1 2|2 3][3|3]")
+    combo = StandardCombination(params, ((1, bitab),))
+    values = [
+        (params, Parameters(3, 3, 2), Parameters(3, 3, 1), "Parameters(m=3, n=3, r=2)"),
+        (minor, parse_minor("[1 2|2 3]"), Minor((1, 2), (2, 4)), "Minor(rows=(1, 2), cols=(2, 3))"),
+        (bitab, Bitableau([minor, Minor((3,), (3,))]), Bitableau([minor]),
+         f"Bitableau(factors=({minor!r}, {Minor((3,), (3,))!r}))"),
+        (combo, StandardCombination(Parameters(3, 3, 2), ((1, bitab),)),
+         StandardCombination(params, ()), f"StandardCombination(params={params!r}, terms=((1, {bitab!r}),))"),
+    ]
+    for value, equal, other, text in values:
+        assert value == equal and hash(value) == hash(equal) and value != other
+        assert repr(value) == text
+        name = value._fields[0]
+        with pytest.raises(AttributeError, match="cannot assign"):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError, match="cannot delete"):
+            delattr(value, name)
+    assert params != (3, 3, 2) and minor != ((1, 2), (2, 3))
 
 
 def test_minor_requires_strict_increase_and_equal_lengths():

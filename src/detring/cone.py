@@ -39,14 +39,14 @@ degree through one comparison (``_compare``), each point one packed int
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, combinations
-from math import ceil, floor
+from itertools import accumulate, combinations, islice
+from math import ceil, comb, floor
 from operator import add
 
 from . import kernels
 from .errors import ParameterError
 from .generic_point import _diagonal_monomial
-from .tableaux import all_minors
+from .tableaux import _Tails, all_minors, count_standard
 
 VARIANTS = ("E", "Etilde")
 
@@ -93,17 +93,22 @@ def _check_bound(bound):
         raise ParameterError(f"degree bound must be nonnegative, got {bound}")
 
 
+def _check_packed_bound(bound):
+    """``_check_bound``, and refuse a bound past what a packed point holds."""
+    _check_bound(bound)
+    if bound > kernels.MAX_DEGREE:
+        raise ParameterError(
+            f"degree bound {bound} exceeds the packed-exponent limit {kernels.MAX_DEGREE}"
+        )
+
+
 def _semigroup_layers(gens, bound):
     """The semigroup's points of each degree 0..bound, as sets of packed ints (checked lazily).
 
     Layer d is the union of layer d - deg(g) plus g (one int ``+``) over the
     generators g, so only the last max deg(g) layers are held.
     """
-    _check_bound(bound)
-    if bound > kernels.MAX_DEGREE:
-        raise ParameterError(
-            f"degree bound {bound} exceeds the packed-exponent limit {kernels.MAX_DEGREE}"
-        )
+    _check_packed_bound(bound)
     if not gens:
         raise ParameterError("at least one generator is required")
     width = len(gens[0])
@@ -189,12 +194,13 @@ def _shifted_bounds(params, w):
     return [tuple(map(ceil, col)) for col in cols], [()] + offsets
 
 
-def _join(params, pairs, bounds=None, betas=None):
+def _join(params, pairs, bounds=None, betas=None, bidegrees=None):
     """The set of cone points joining alpha blocks of column sums sa to beta blocks of row sums sb.
 
     ``pairs`` holds the (sa, sb) the coupling family (5) allows; ``bounds``
     holds the alpha blocks' (lows, offsets), zero when None; beta blocks have
-    zero bounds and are built once per sb into ``betas``.  A point is its
+    zero bounds and are built once per sb into ``betas``.  A Counter
+    ``bidegrees`` counts each pair's points under (|sa|, |sb|).  A point is its
     packed int, one int ``+`` each: pack(a) + ((pack(b) + |a| * ones) << 8mr),
     whose y-degree field is |a|.  With a negative entry or a degree past
     MAX_DEGREE it is the tuple a + b (``_point`` reads either).
@@ -216,7 +222,10 @@ def _join(params, pairs, bounds=None, betas=None):
             continue
         fits = sum(sa) + sum(sb) <= kernels.MAX_DEGREE
         offset = sum(sa) * ones << width
-        for a in _blocks(m, r, sa, lows, offsets):
+        alphas = _blocks(m, r, sa, lows, offsets)
+        if bidegrees is not None:
+            bidegrees[sum(sa), sum(sb)] += len(alphas) * len(blocks)
+        for a in alphas:
             if fits and min(a) >= 0:
                 points.update(map((kernels.pack(a) + offset).__add__, keys))
             else:
@@ -280,13 +289,17 @@ def _compare(params, layers, sides):
     """Each degree's two sizes, and the tuple-least point in exactly one side.
 
     ``layers`` yields one (a, b) pair of point sets per degree, held as
-    ``_join`` holds them; only points of a differing degree are unpacked.
+    ``_join`` holds them, or of their sizes where they are proven equal
+    (``_chain_layers``); only points of a differing degree are unpacked.
     Returns the (len(a), len(b)) pairs and, when some degree differs, that
     point named by ``sides``, else None.
     """
     nvars = params.yz_space.nvars
     sizes, first = [], None
     for a, b in layers:
+        if type(a) is int:  # a degree proven equal, given by its two sizes
+            sizes.append((a, b))
+            continue
         sizes.append((len(a), len(b)))
         if a != b:
             least = min((_point(k, nvars), k in a) for k in a ^ b)
@@ -297,10 +310,75 @@ def _compare(params, layers, sides):
     return sizes, {"vector": exponent_arrays(params, v), "side": sides[0] if in_a else sides[1]}
 
 
-def _cone_layers(params, variant, bound):
-    """The (semigroup, lattice) points of each degree 0..bound, as packed ints."""
+# The most points ``semigroup_vs_cone`` builds for variant E.  The largest
+# query of the tests and the benchmark predicts 46,278 (4x5, r = 2, bound 10).
+WORK_LIMIT = 1_000_000
+
+
+def _check_work(params, bound):
+    """Refuse past ``WORK_LIMIT`` E points: degree 2k has one per standard
+    bitableau of degree k, and those of degree <= K number at most
+    C(mn + K, K), the x-monomials, so below the limit nothing is counted."""
+    if comb(params.m * params.n + bound // 2, bound // 2) <= WORK_LIMIT:
+        return
+    total = 0
+    for k in range(bound // 2 + 1):
+        total += count_standard(params, k)
+        if total > WORK_LIMIT:
+            raise ParameterError(
+                f"degree bound {bound} would build more than {WORK_LIMIT} cone points "
+                f"at m={params.m}, n={params.n}, r={params.r}; lower the bound"
+            )
+
+
+def _closure_layers(params, variant, bound, bidegrees=None):
+    """The (semigroup closure, lattice) point sets of each degree 0..bound."""
     layers = _semigroup_layers(generators_semigroup(params, variant), bound)
-    return zip(layers, (_join(params, _pairs(variant, params.r, (d,))) for d in range(bound + 1)))
+    pairs = (_pairs(variant, params.r, (d,)) for d in range(bound + 1))
+    return zip(layers, (_join(params, p, bidegrees=bidegrees) for p in pairs))
+
+
+def _chain_layers(params, lead, bound):
+    """The E (semigroup, lattice) sizes of each degree, from the standard chains.
+
+    A chain's lead is the sum of its factors' ``lead`` (one int ``+``, by one
+    ``_Tails``).  Chain leads lie in the semigroup, which lies in the lattice
+    (a monoid holding each generator: a one-factor chain).  So if the chains
+    of x-degree k take every point out of the lattice set of degree 2k and
+    are as many, the three sets are equal, and the standard bitableaux have
+    distinct leads (the Sagbi basis).  Where that fails, the closure takes
+    over from that degree on.
+    """
+    tails = _Tails(params.minor_table, lead.__getitem__, 0)
+    for d in range(bound + 1):
+        points = _join(params, _pairs("E", params.r, (d,)))
+        size, count = len(points), 0
+        for batch in () if d % 2 else tails.batches(params.r, d // 2):
+            points.difference_update(batch)
+            count += len(batch)
+        if points or count != size:
+            yield from islice(_closure_layers(params, "E", bound), d, None)
+            return
+        yield size, size
+
+
+def _cone_layers(params, variant, bound):
+    """The (semigroup, lattice) points of each degree 0..bound, as packed-int
+    sets or, where proven equal, their sizes; checked before it returns.
+
+    Variant E takes ``_chain_layers`` when each minor of size t <= r has one
+    well-formed generator of degree 2t; anything else takes the closure.
+    """
+    _check_packed_bound(bound)
+    if variant == "E":
+        _check_work(params, bound)
+        gens, minors = generators_semigroup(params, "E"), all_minors(params, params.r)
+        nvars = params.yz_space.nvars
+        if len(gens) == len(minors) and all(
+            len(g) == nvars and min(g) >= 0 and sum(g) == 2 * d.size for g, d in zip(gens, minors)
+        ):
+            return _chain_layers(params, dict(zip(minors, map(kernels.pack, gens))), bound)
+    return _closure_layers(params, variant, bound)
 
 
 def _cone_report(params, variant, bound, layers):

@@ -14,7 +14,7 @@ from collections import Counter
 from itertools import combinations, combinations_with_replacement
 
 from . import kernels
-from .cone import _check_bound, _cone_layers, _cone_report, _pairs
+from .cone import _check_bound, _closure_layers, _cone_report, _pairs
 from .errors import ParameterError
 from .generic_point import (
     _check_image_degree,
@@ -97,7 +97,7 @@ def verify_D_tilde(params, bound=6):
     coupling: over the degrees checked, the E signature pairs (``_pairs``)
     are the Etilde ones with equal alpha column and beta row sums.  The
     lattice is counted by bidegree in the same degree-by-degree walk as the
-    cone comparison, from the y-degree field of each packed point.  Returns
+    cone comparison, one tally per signature pair (``_join``).  Returns
     the JSON-ready payload, the cone comparison's nested under ``"cone"``.
     """
     gens = generators_R_tilde(params)
@@ -105,17 +105,11 @@ def verify_D_tilde(params, bound=6):
     leads_ok = len(gens) == len(predicted) and all(
         max(g.packed) == e and g.packed[e] == 1 for g, e in zip(gens, predicted)
     )
-    y_degree = params.yz_space.y_degree
-    by_degree = []
-
-    def tallied():
-        for sg, lat in _cone_layers(params, "Etilde", bound):
-            by_degree.append(Counter(map(y_degree, lat)))
-            yield sg, lat
-
-    cone = _cone_report(params, "Etilde", bound, tallied())
+    bidegrees = Counter()
+    layers = _closure_layers(params, "Etilde", bound, bidegrees)
+    cone = _cone_report(params, "Etilde", bound, layers)
     rows = [
-        {"y_degree": d1, "z_degree": total - d1, "lattice": by_degree[total][d1],
+        {"y_degree": d1, "z_degree": total - d1, "lattice": bidegrees[d1, total - d1],
          "basis": _tilde_basis_count(params, d1, total - d1)}
         for total in range(bound + 1)
         for d1 in range(total + 1)

@@ -242,7 +242,16 @@ class _MinorTable(dict):
     first read.  The table keeps (m, n): its ``Parameters`` would be a cycle."""
 
     def __init__(self, m, n):
-        self.m, self.n = m, n
+        self.m, self.n, self.positions = m, n, {}
+
+    def _above(self, low, size):
+        """The positions of the len(low)-subsets of 1..size that are >= low
+        entrywise, in order; each (low, size) is scanned once per table."""
+        key = low, size
+        if key not in self.positions:
+            subsets = combinations(range(1, size + 1), len(low))
+            self.positions[key] = [i for i, s in enumerate(subsets) if all(map(ge, s, low))]
+        return self.positions[key]
 
     def __missing__(self, key):
         prev, t = key
@@ -251,9 +260,8 @@ class _MinorTable(dict):
             out = [Minor(rows, c) for rows in combinations(range(1, self.m + 1), t) for c in cols]
         else:
             grid, width = self[None, t], comb(self.n, t)
-            rows = [i for i in range(0, len(grid), width) if all(map(ge, grid[i].rows, prev.rows))]
-            cols = [j for j in range(width) if all(map(ge, grid[j].cols, prev.cols))]
-            out = [grid[i + j] for i in rows for j in cols]
+            cols = self._above(prev.cols[:t], self.n)
+            out = [grid[i * width + j] for i in self._above(prev.rows[:t], self.m) for j in cols]
         self[key] = out
         return out
 
@@ -291,11 +299,10 @@ class _Tails(dict):
         table, piece, out = self.table, self.piece, []
         for t in range(min(prev.size, left), 0, -1):
             if t == left:
-                out += [prefix + piece(d) for d in table[prev, t]]
+                out += map(prefix.__add__, map(piece, table[prev, t]))
             else:
                 for d in table[prev, t]:
-                    head = prefix + piece(d)
-                    out += [head + tail for tail in self[d, left - t]]
+                    out += map((prefix + piece(d)).__add__, self[d, left - t])
         return out
 
     def __missing__(self, key):
@@ -304,8 +311,11 @@ class _Tails(dict):
 
     def batches(self, top, degree):
         """Every chain of the degree with sizes <= top, in walk order: one
-        list per first factor, and one for the chains of a single factor."""
+        list per first factor, and one for the chains of a single factor;
+        degree 0 has the one empty chain."""
         table, piece = self.table, self.piece
+        if not degree:
+            yield [self.empty]
         for t in range(min(top, degree), 0, -1):
             if t == degree:
                 yield list(map(piece, table[None, t]))
@@ -324,8 +334,6 @@ def _chain_batches(params, degree, piece, empty):
     rows, then columns.
     """
     _check_degree(degree)
-    if not degree:
-        return iter([[empty]])
     return _Tails(params.minor_table, piece, empty).batches(params.r, degree)
 
 

@@ -7,7 +7,7 @@ from functools import cache
 from itertools import combinations
 
 import detring
-from detring import kernels
+from detring import cone, kernels
 from detring.cone import _monomials_of_degree
 from detring.errors import (
     InternalCheckError,
@@ -189,6 +189,16 @@ def cone_system(params, variant="E"):
     nonneg |= {z(u, v) for u in range(1, r + 1) for v in range(u + 1, n + 1)}
     ineqs += [((p, 1),) for p in sorted(nonneg)]
     return tuple(eqs), tuple(ineqs)
+
+
+def closure_cone_layers(params, variant, bound):
+    """The (semigroup, lattice) points of each degree 0..bound, as packed ints,
+    the semigroup by its closure: ``cone._cone_layers`` before the standard
+    chains certified variant E, kept as the oracle.  It reads each name from
+    ``cone``, so a monkeypatched generator list or join reaches it too."""
+    layers = cone._semigroup_layers(cone.generators_semigroup(params, variant), bound)
+    joins = (cone._join(params, cone._pairs(variant, params.r, (d,))) for d in range(bound + 1))
+    return zip(layers, joins)
 
 
 def cone_membership(v, params, variant="E"):

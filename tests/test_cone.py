@@ -2,13 +2,16 @@
 description, and the shifted-set comparison behind the power classification."""
 
 import random
+import tracemalloc
 from fractions import Fraction
-from math import ceil
+from math import ceil, comb
 
 import pytest
 
 from detring import cone, kernels
 from detring.cone import (
+    WORK_LIMIT,
+    _cone_report,
     _join,
     _monomials_of_degree,
     _pairs,
@@ -26,7 +29,7 @@ from detring.counting import hilbert_function
 from detring.errors import ParameterError
 from detring.poly import YZSpace
 from detring.tableaux import Parameters, count_standard, enumerate_standard
-from helpers import cone_membership, cone_system, parameter_triples
+from helpers import closure_cone_layers, cone_membership, cone_system, parameter_triples
 
 
 def vector_of(params, pairs):
@@ -464,3 +467,115 @@ def test_negative_bounds_are_refused():
         semigroup_vs_cone(params, "E", -1)
     with pytest.raises(ParameterError, match="nonnegative"):
         conic_equality_check(params, 1, Fraction(1, 2), -1)
+
+
+def _closure_report(params, bound):
+    """The E payload with every semigroup layer from the closure (the oracle)."""
+    return _cone_report(params, "E", bound, closure_cone_layers(params, "E", bound))
+
+
+def _spy(monkeypatch, name):
+    """Count the calls of ``cone.<name>``, which still runs."""
+    calls, real = [], getattr(cone, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cone, name, spy)
+    return calls
+
+
+def test_chain_certificate_equals_the_closure_without_running_it(monkeypatch):
+    cases = [(Parameters(m, n, r), b) for (m, n, r) in parameter_triples(4, 4) for b in range(9)]
+    cases.append((Parameters(4, 5, 2), 10))
+    expected = [_closure_report(params, b) for params, b in cases]
+
+    def refuse(gens, bound):
+        raise AssertionError("ran the closure")
+
+    monkeypatch.setattr(cone, "_semigroup_layers", refuse)
+    for (params, b), expect in zip(cases, expected):
+        rep = semigroup_vs_cone(params, "E", b)
+        assert rep == expect, (params, b)
+        assert rep["ok"]
+
+
+def _shifted_lead(i, src, dst):
+    """``generators_semigroup`` with generator i's unit at position src moved to dst."""
+    real = cone.generators_semigroup
+
+    def shifted(params, variant="E"):
+        gens = [list(g) for g in real(params, variant)]
+        assert gens[i][src] > 0
+        gens[i][src] -= 1
+        gens[i][dst] += 1
+        return [tuple(g) for g in gens]
+
+    return shifted
+
+
+def test_a_shifted_lead_falls_back_to_the_closure(monkeypatch):
+    # Moving [1|2]'s z[1,2] to z[1,1] repeats [1|1]'s lead: every chain lead
+    # is still a lattice point, so only the distinctness count can fail.
+    # Moving [1|1]'s z[1,1] to y[2,1] leaves the E cone.
+    for m, n, r in [(2, 2, 1), (2, 3, 2), (3, 3, 2), (4, 3, 1)]:
+        params = Parameters(m, n, r)
+        yz = params.yz_space
+        for i, src, dst in [(1, yz.z(1, 2), yz.z(1, 1)), (0, yz.z(1, 1), yz.y(2, 1))]:
+            with monkeypatch.context() as patch:
+                patch.setattr(cone, "generators_semigroup", _shifted_lead(i, src, dst))
+                walks, closures = _spy(patch, "_chain_layers"), _spy(patch, "_closure_layers")
+                rep = semigroup_vs_cone(params, "E", 6)
+                assert (len(walks), len(closures)) == (1, 1)
+                assert rep == _closure_report(params, 6), (params, i)
+                assert not rep["equal"] and rep["first_mismatch"] is not None
+
+
+def test_a_dropped_degree_six_point_is_named_as_by_the_closure(monkeypatch):
+    real_join = cone._join
+
+    def dropping(params, pairs, *args, **kwargs):
+        pairs = list(pairs)
+        points = real_join(params, pairs, *args, **kwargs)
+        if pairs and sum(map(sum, pairs[0])) == 6:
+            points.discard(min(points))
+        return points
+
+    monkeypatch.setattr(cone, "_join", dropping)
+    for m, n, r in [(2, 2, 1), (3, 3, 2), (4, 3, 1), (4, 4, 2)]:
+        params = Parameters(m, n, r)
+        with monkeypatch.context() as patch:
+            walks, closures = _spy(patch, "_chain_layers"), _spy(patch, "_closure_layers")
+            rep = semigroup_vs_cone(params, "E", 8)
+            assert (len(walks), len(closures)) == (1, 1)  # the fallback, from degree 6 on
+        assert rep == _closure_report(params, 8), params
+        assert rep["first_mismatch"]["side"] == "semigroup-only"
+        counts = _counts(rep)
+        assert all(counts[d][0] == counts[d][1] for d in range(6))
+        assert counts[6][0] == counts[6][1] + 1
+
+
+def test_chain_certificate_peak_memory():
+    # One point set per degree peaks near 4.1 MB; the closure's last 2r
+    # layers held beside each lattice set reached 8.6 MB.
+    tracemalloc.start()
+    try:
+        rep = semigroup_vs_cone(Parameters(4, 5, 2), "E", 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep["ok"] and peak < 6_000_000
+
+
+def test_work_limit_prediction():
+    # The largest test and benchmark query, far below the limit.
+    params = Parameters(4, 5, 2)
+    assert sum(count_standard(params, k) for k in range(6)) == 46278 < WORK_LIMIT
+    # Below the limit the refusal skips the count: it is bounded by the x-monomials.
+    for (m, n, r) in parameter_triples(4, 4):
+        params = Parameters(m, n, r)
+        for top in range(5):
+            assert sum(count_standard(params, k) for k in range(top + 1)) <= comb(m * n + top, top)
+    with pytest.raises(ParameterError, match="more than 1000000 cone points at m=3, n=3, r=2"):
+        semigroup_vs_cone(Parameters(3, 3, 2), "E", 255)

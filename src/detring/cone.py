@@ -46,7 +46,7 @@ from operator import add
 from . import kernels
 from .errors import ParameterError
 from .generic_point import _diagonal_monomial
-from .tableaux import _Tails, all_minors, count_standard
+from .tableaux import _check_degree, _Tails, all_minors, count_standard
 
 VARIANTS = ("E", "Etilde")
 
@@ -93,22 +93,13 @@ def _check_bound(bound):
         raise ParameterError(f"degree bound must be nonnegative, got {bound}")
 
 
-def _check_packed_bound(bound):
-    """``_check_bound``, and refuse a bound past what a packed point holds."""
-    _check_bound(bound)
-    if bound > kernels.MAX_DEGREE:
-        raise ParameterError(
-            f"degree bound {bound} exceeds the packed-exponent limit {kernels.MAX_DEGREE}"
-        )
-
-
 def _semigroup_layers(gens, bound):
     """The semigroup's points of each degree 0..bound, as sets of packed ints (checked lazily).
 
     Layer d is the union of layer d - deg(g) plus g (one int ``+``) over the
     generators g, so only the last max deg(g) layers are held.
     """
-    _check_packed_bound(bound)
+    _check_degree(bound, "degree bound")
     if not gens:
         raise ParameterError("at least one generator is required")
     width = len(gens[0])
@@ -310,20 +301,21 @@ def _compare(params, layers, sides):
     return sizes, {"vector": exponent_arrays(params, v), "side": sides[0] if in_a else sides[1]}
 
 
-# The most points ``semigroup_vs_cone`` builds for variant E.  The largest
-# query of the tests and the benchmark predicts 46,278 (4x5, r = 2, bound 10).
+# The most points a cone check builds.  The largest query of the tests and
+# the benchmark predicts 46,278 (E, 4x5, r = 2, bound 10).
 WORK_LIMIT = 1_000_000
 
 
-def _check_work(params, bound):
-    """Refuse past ``WORK_LIMIT`` E points: degree 2k has one per standard
-    bitableau of degree k, and those of degree <= K number at most
-    C(mn + K, K), the x-monomials, so below the limit nothing is counted."""
-    if comb(params.m * params.n + bound // 2, bound // 2) <= WORK_LIMIT:
+def _check_work(params, bound, nvars, top, counts):
+    """Refuse past ``WORK_LIMIT`` points, summing ``counts`` (lazy, per degree
+    or bidegree) only until the limit is passed, and not at all when the
+    points' bound C(nvars + top, top), the monomials of degree <= top in
+    nvars variables, is below it."""
+    if comb(nvars + top, top) <= WORK_LIMIT:
         return
     total = 0
-    for k in range(bound // 2 + 1):
-        total += count_standard(params, k)
+    for count in counts:
+        total += count
         if total > WORK_LIMIT:
             raise ParameterError(
                 f"degree bound {bound} would build more than {WORK_LIMIT} cone points "
@@ -369,9 +361,12 @@ def _cone_layers(params, variant, bound):
     Variant E takes ``_chain_layers`` when each minor of size t <= r has one
     well-formed generator of degree 2t; anything else takes the closure.
     """
-    _check_packed_bound(bound)
+    _check_degree(bound, "degree bound")
     if variant == "E":
-        _check_work(params, bound)
+        # Degree 2k has one point per standard bitableau of degree k, at most
+        # the x-monomials.
+        _check_work(params, bound, params.m * params.n, bound // 2,
+                    (count_standard(params, k) for k in range(bound // 2 + 1)))
         gens, minors = generators_semigroup(params, "E"), all_minors(params, params.r)
         nvars = params.yz_space.nvars
         if len(gens) == len(minors) and all(

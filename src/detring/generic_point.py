@@ -13,6 +13,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, compress, count, permutations
+from operator import getitem
 
 from . import kernels
 from .errors import NotInSemigroupError, NotStandardError, SpaceMismatchError
@@ -182,19 +183,13 @@ def _signed_permutations(t):
     return out
 
 
-def _det_expand(matrix, space):
-    """Exact determinant of a square matrix of polynomials, by permutations."""
-    t = len(matrix)
-    if t == 0:
-        return Poly.constant(space, 1)
-    limit = space.key_limit
-    acc = {}
-    for perm, sign in _signed_permutations(t):
-        prod = matrix[0][perm[0]].packed
-        for i in range(1, t):
-            prod = kernels.poly_mul(prod, matrix[i][perm[i]].packed, limit)
-        kernels.poly_addmul(acc, sign, prod)
-    return Poly._raw(space, acc)
+def _det_keys(keys, perms=None):
+    """Packed determinant of a square matrix of distinct variables' keys: one
+    term {sum_i keys[i][p(i)]: sign(p)} per (p, sign) in ``perms``, built for
+    len(keys) when not given; no two share a monomial."""
+    if perms is None:
+        perms = _signed_permutations(len(keys))
+    return {sum(map(getitem, keys, p)): s for p, s in perms}
 
 
 def _cauchy_binet(minor, yz):
@@ -206,11 +201,9 @@ def _cauchy_binet(minor, yz):
     perms = _signed_permutations(t)
     out = {}
     for ks in combinations(range(1, yz.r + 1), t):
-        ys = [[units[yz.y(a, k)] for k in ks] for a in minor.rows]
-        zs = [[units[yz.z(k, b)] for b in minor.cols] for k in ks]
-        z_terms = [(sum([zs[i][p[i]] for i in range(t)]), s) for p, s in perms]
-        for p, sy in perms:
-            ky = sum([ys[i][p[i]] for i in range(t)])
+        y_terms = _det_keys([[units[yz.y(a, k)] for k in ks] for a in minor.rows], perms)
+        z_terms = _det_keys([[units[yz.z(k, b)] for b in minor.cols] for k in ks], perms).items()
+        for ky, sy in y_terms.items():
             for kz, sz in z_terms:
                 out[ky + kz] = sy * sz
     return out
@@ -222,10 +215,9 @@ def minor_polynomial(minor, params, side, subst=None):
     minor.check_bounds(params)
     if side == "X":
         space = params.x_space
-        matrix = [
-            [Poly.variable(space, space.x(i, j)) for j in minor.cols] for i in minor.rows
-        ]
-        return _det_expand(matrix, space)
+        units = space.unit_keys
+        keys = [[units[space.x(i, j)] for j in minor.cols] for i in minor.rows]
+        return Poly._raw(space, _det_keys(keys))
     if side == "YZ":
         yz = params.yz_space if subst is None else subst.yz_space
         return Poly._raw(yz, _cauchy_binet(minor, yz))

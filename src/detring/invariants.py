@@ -14,24 +14,18 @@ from collections import Counter
 from itertools import combinations, combinations_with_replacement
 
 from . import kernels
-from .cone import _check_bound, _closure_layers, _cone_report, _pairs
+from .cone import _check_bound, _check_work, _closure_layers, _cone_report, _pairs
 from .errors import ParameterError
 from .generic_point import (
     _check_image_degree,
-    _det_expand,
+    _det_keys,
     _diagonal_monomial,
     minor_polynomial,
     shared_substitution,
 )
 from .linalg import Eliminator
 from .poly import Poly, format_monomial
-from .tableaux import _count_pinned, _standard_chains, all_minors, minor_leq
-
-
-def _factor_minor(yz, rows, cols, var):
-    """The minor of a factor matrix over rows x cols, its (a, b) entry the
-    y/z variable at position ``var(a, b)`` (``yz.y`` or ``yz.z``)."""
-    return _det_expand([[Poly.variable(yz, var(a, b)) for b in cols] for a in rows], yz)
+from .tableaux import _check_degree, _count_pinned, _Tails, all_minors, minor_leq
 
 
 def generators_R_tilde(params, subst=None):
@@ -43,14 +37,12 @@ def generators_R_tilde(params, subst=None):
     if subst is None:
         subst = shared_substitution(params)
     yz, base = subst.yz_space, range(1, params.r + 1)
-    gens = []
-    for i in range(1, params.m + 1):
-        for j in range(1, params.n + 1):
-            gens.append(subst.entry(i, j))
+    units = yz.unit_keys
+    gens = [subst.entry(i, j) for i in range(1, params.m + 1) for j in range(1, params.n + 1)]
     for rows in combinations(range(1, params.m + 1), params.r):
-        gens.append(_factor_minor(yz, rows, base, yz.y))
+        gens.append(Poly._raw(yz, _det_keys([[units[yz.y(a, k)] for k in base] for a in rows])))
     for cols in combinations(range(1, params.n + 1), params.r):
-        gens.append(_factor_minor(yz, base, cols, yz.z))
+        gens.append(Poly._raw(yz, _det_keys([[units[yz.z(k, b)] for b in cols] for k in base])))
     return gens
 
 
@@ -97,9 +89,15 @@ def verify_D_tilde(params, bound=6):
     coupling: over the degrees checked, the E signature pairs (``_pairs``)
     are the Etilde ones with equal alpha column and beta row sums.  The
     lattice is counted by bidegree in the same degree-by-degree walk as the
-    cone comparison, one tally per signature pair (``_join``).  Returns
-    the JSON-ready payload, the cone comparison's nested under ``"cone"``.
+    cone comparison, one tally per signature pair (``_join``).  A bound past
+    ``cone.WORK_LIMIT`` points is refused before any is built.  Returns the
+    JSON-ready payload, the cone comparison's nested under ``"cone"``.
     """
+    _check_degree(bound, "degree bound")
+    # One point per standard product, at most the y/z monomials.
+    _check_work(params, bound, (params.m + params.n) * params.r, bound, (
+        _tilde_basis_count(params, d1, total - d1)
+        for total in range(bound + 1) for d1 in range(total + 1)))
     gens = generators_R_tilde(params)
     predicted = [kernels.pack(e) for e in _predicted_generator_leads(params)]
     leads_ok = len(gens) == len(predicted) and all(
@@ -185,8 +183,10 @@ def verify_ladder(params, delta, d_max=3):
 
     Degree by degree: eliminate the spanned family {gamma * monomial : gamma
     a minor delta does not grow into} through the substitution, read off the
-    surviving leading monomials, and compare with the closed-form monomials
-    divisible by the predicted variable set.  Returns the JSON-ready payload;
+    surviving leading monomials, and compare with the standard chains' leads
+    divisible by the predicted variable set, each summed from its factors'
+    packed closed-form leads (as in ``cone._chain_layers``; a factor's size
+    is at most the degree).  Returns the JSON-ready payload;
     its ``"prime_ok"`` is always true (an ideal generated by variables is
     prime, and the degree rows check that generation), so ``"ok"`` is that
     every degree row matches.
@@ -205,15 +205,17 @@ def verify_ladder(params, delta, d_max=3):
     _check_image_degree(d_max - 1)
     subst = shared_substitution(params)
     vset = ladder_variable_set(params, delta)
-    vpos = set(vset)
     yz = subst.yz_space
+    minors = all_minors(params, d_max)
     gammas = [
         (g.size, minor_polynomial(g, params, "X").packed,
          minor_polynomial(g, params, "YZ", subst).packed)
-        for g in all_minors(params, d_max) if not minor_leq(delta, g)
+        for g in minors if not minor_leq(delta, g)
     ]
     x_keys = subst.x_space.unit_keys
     memo = {(): {0: 1}}
+    lead = {g: kernels.pack(_diagonal_monomial(yz, [(g.rows, g.cols)])) for g in minors}
+    tails = _Tails(params.minor_table, lead.__getitem__, 0)
     rows = []
     mismatch = None
     for d in range(1, d_max + 1):
@@ -222,11 +224,9 @@ def verify_ladder(params, delta, d_max=3):
             x_image = subst._combination_image(memo, positions)
             elim.reduce(kernels.poly_mul(image, x_image, yz.key_limit))
         pivots = set(elim.pivots)
-        divisible = set()
-        for chain in _standard_chains(params, d, lambda f: ((f.rows, f.cols),), ()):
-            mono = _diagonal_monomial(yz, chain)
-            if any(mono[p] for p in vpos):
-                divisible.add(kernels.pack(mono))
+        # An empty set divides no lead, nor would leads of degree 2 * 128 pack.
+        divisible = {key for batch in tails.batches(params.r, d) for key in batch
+                     if any(map(yz.unpack(key).__getitem__, vset))} if vset else set()
         ok = pivots == divisible
         if not ok and mismatch is None:
             stray = min(pivots.symmetric_difference(divisible))

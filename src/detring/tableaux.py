@@ -274,13 +274,14 @@ def all_minors(params, max_size=None):
     return [d for t in range(1, top + 1) for d in table[None, t]]
 
 
-def _check_degree(degree):
-    """Refuse a negative chain degree, and one past the packed limit: the
-    walks recurse once per factor, so a deep degree would exhaust the stack."""
-    if degree < 0:
-        raise ParameterError(f"degree must be nonnegative, got {degree}")
-    if degree > MAX_DEGREE:
-        raise ParameterError(f"degree {degree} exceeds the packed-exponent limit {MAX_DEGREE}")
+def _check_degree(value, noun="degree"):
+    """Refuse a negative chain degree or degree bound (``noun`` names which),
+    and one past the packed limit: the walks recurse once per factor, so a
+    deep degree would exhaust the stack, and no packed point holds one."""
+    if value < 0:
+        raise ParameterError(f"{noun} must be nonnegative, got {value}")
+    if value > MAX_DEGREE:
+        raise ParameterError(f"{noun} {value} exceeds the packed-exponent limit {MAX_DEGREE}")
 
 
 class _Tails(dict):
@@ -337,11 +338,6 @@ def _chain_batches(params, degree, piece, empty):
     return _Tails(params.minor_table, piece, empty).batches(params.r, degree)
 
 
-def _standard_chains(params, degree, piece, empty):
-    """``_chain_batches`` as one list."""
-    return [chain for batch in _chain_batches(params, degree, piece, empty) for chain in batch]
-
-
 def enumerate_standard(params, degree):
     """All standard bitableaux of the given degree with factor sizes <= r.
 
@@ -351,7 +347,8 @@ def enumerate_standard(params, degree):
     chains nonempty minors of nonincreasing size, so it builds its output with
     the trusted ``_raw_bitableau``.
     """
-    return list(map(_raw_bitableau, _standard_chains(params, degree, lambda d: (d,), ())))
+    batches = _chain_batches(params, degree, lambda d: (d,), ())
+    return [_raw_bitableau(chain) for batch in batches for chain in batch]
 
 
 def _standard_texts(params, degree):

@@ -4,7 +4,7 @@ import os
 import random
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
+from itertools import combinations, permutations
 
 import detring
 from detring import cone, kernels
@@ -189,6 +189,45 @@ def cone_system(params, variant="E"):
     nonneg |= {z(u, v) for u in range(1, r + 1) for v in range(u + 1, n + 1)}
     ineqs += [((p, 1),) for p in sorted(nonneg)]
     return tuple(eqs), tuple(ineqs)
+
+
+def _signed_permutations(t):
+    """(permutation of range(t), its sign) pairs, each sign (-1)^(t - cycles)
+    from the permutation's cycles, not from the package's inversion count."""
+    out = []
+    for perm in permutations(range(t)):
+        seen, cycles = set(), 0
+        for start in range(t):
+            if start not in seen:
+                cycles += 1
+                while start not in seen:
+                    seen.add(start)
+                    start = perm[start]
+        out.append((perm, (-1) ** (t - cycles)))
+    return out
+
+
+def det_expand(matrix, space):
+    """Exact determinant of a square matrix of polynomials, by permutations.
+
+    The Leibniz loop over ``Poly`` entries that ``generic_point._det_keys``
+    replaced, kept as the oracle for every determinant of variables."""
+    t = len(matrix)
+    if t == 0:
+        return Poly.constant(space, 1)
+    limit = space.key_limit
+    acc = {}
+    for perm, sign in _signed_permutations(t):
+        prod = matrix[0][perm[0]].packed
+        for i in range(1, t):
+            prod = kernels.poly_mul(prod, matrix[i][perm[i]].packed, limit)
+        kernels.poly_addmul(acc, sign, prod)
+    return Poly._raw(space, acc)
+
+
+def variable_matrix(space, rows, cols, var):
+    """The matrix of ``Poly.variable(space, var(a, b))`` over rows x cols."""
+    return [[Poly.variable(space, var(a, b)) for b in cols] for a in rows]
 
 
 def closure_cone_layers(params, variant, bound):

@@ -406,6 +406,16 @@ def test_cone_check_past_the_work_limit_exits_one_fast():
                             "at m=3, n=3, r=2; lower the bound\n")
 
 
+def test_tilde_check_past_the_work_limit_exits_one():
+    # Every Etilde point up to degree 255 at 3x3 r2 once ran past a 10 s timeout.
+    argv = ["tilde-check", "--m", "3", "--n", "3", "--r", "2", "--deg-bound", "255"]
+    child = subprocess.run([sys.executable, "-m", "detring", *argv], capture_output=True,
+                           text=True, env=subprocess_env(), timeout=10)
+    assert (child.returncode, child.stdout) == (1, "")
+    assert child.stderr == ("error: degree bound 255 would build more than 1000000 cone points "
+                            "at m=3, n=3, r=2; lower the bound\n")
+
+
 def test_chain_walks_past_the_packed_limit_exit_one(capsys):
     # One clear line, not a RecursionError traceback from the deep walks.
     space = ["--m", "1", "--n", "1", "--r", "1"]

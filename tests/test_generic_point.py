@@ -10,6 +10,7 @@ from detring.cone import _monomials_of_degree
 from detring.errors import NotInSemigroupError, NotStandardError, ParameterError, SpaceMismatchError
 from detring.generic_point import (
     SubstitutionMap,
+    _cauchy_binet,
     decode_standard,
     eval_bitableau,
     initial_monomial_closed_form,
@@ -19,12 +20,14 @@ from detring.generic_point import (
 from detring.poly import Poly, XSpace, YZSpace, parse_polynomial
 from detring.tableaux import Minor, Parameters, all_minors, enumerate_standard, parse_bitableau
 from helpers import (
+    det_expand,
     monomial_image,
     parameter_triples,
     phi_by_terms,
     random_homogeneous,
     random_monomial,
     seeded,
+    variable_matrix,
 )
 
 
@@ -73,6 +76,19 @@ def test_minor_images_by_cauchy_binet_equal_the_substituted_minors():
             image = minor_polynomial(d, params, "YZ", subst)
             assert image.space is subst.yz_space
             assert image == phi(minor_polynomial(d, params, "X"), subst), (m, n, r, d)
+
+
+def test_packed_minors_equal_the_leibniz_expansion():
+    # The oracle multiplies Poly entries and signs permutations by their cycles.
+    for m, n, r in parameter_triples(4, 4):
+        params = Parameters(m, n, r)
+        xs, yz, subst = params.x_space, params.yz_space, SubstitutionMap(params)
+        for d in all_minors(params):
+            x_minor = det_expand(variable_matrix(xs, d.rows, d.cols, xs.x), xs)
+            assert minor_polynomial(d, params, "X") == x_minor, (m, n, r, d)
+            assert Poly._raw(yz, _cauchy_binet(d, yz)) == phi(x_minor, subst), (m, n, r, d)
+    xs = XSpace(2, 2)
+    assert det_expand([], xs) == minor_polynomial(Minor((), ()), Parameters(2, 2, 1), "X")
 
 
 def test_oversize_minor_images_vanish():

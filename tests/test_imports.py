@@ -1,8 +1,9 @@
 """Every module of the package, the test suite and the benchmark uses each name
 it imports, every module-level function or class of the package is used in
 the package or exported from it, the package imports only at module top, no
-function of the package defines a nested function that calls itself, and no
-class of the package mirrors a payload by a ``to_dict``."""
+function of the package defines a nested function that calls itself, no
+class of the package mirrors a payload by a ``to_dict``, and the package
+expands determinants of variables along one path."""
 
 import ast
 from pathlib import Path
@@ -118,5 +119,24 @@ def test_no_package_class_defines_to_dict():
         for node in ast.walk(ast.parse(p.read_text(), str(p)))
         if isinstance(node, ast.ClassDef)
         and any(isinstance(f, ast.FunctionDef) and f.name == "to_dict" for f in node.body)
+    ]
+    assert found == []
+
+
+def test_package_expands_determinants_of_variables_along_one_path():
+    # Each minor of variables is a signed sum of distinct monomials, built
+    # packed by generic_point._det_keys (and _cauchy_binet, which passes it
+    # one permutation list per minor); a Leibniz loop over Poly.variable
+    # entries would be a second path.
+    allowed = {"_det_keys", "_cauchy_binet"}
+    found = [
+        f"{p.relative_to(ROOT)}:{node.lineno}: {getattr(top, 'name', None)}"
+        for p in sorted((ROOT / "src" / "detring").glob("*.py"))
+        for top in ast.parse(p.read_text(), str(p)).body
+        for node in ast.walk(top)
+        if (isinstance(node, ast.Attribute) and node.attr == "variable"
+            and isinstance(node.value, ast.Name) and node.value.id == "Poly")
+        or (isinstance(node, ast.Name) and node.id == "_signed_permutations"
+            and getattr(top, "name", None) not in allowed)
     ]
     assert found == []

@@ -4,6 +4,7 @@ ladder initial ideals checked by exact elimination."""
 import gc
 import json
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -11,6 +12,7 @@ from detring import invariants, kernels
 from detring.cli import run
 from detring.cone import lattice_points, semigroup_vs_cone
 from detring.errors import ParameterError
+from detring.generic_point import initial_monomial_closed_form
 from detring.invariants import (
     generators_R_tilde,
     ladder_variable_set,
@@ -19,13 +21,15 @@ from detring.invariants import (
 )
 from detring.linalg import Eliminator
 from detring.poly import YZSpace
-from detring.tableaux import Parameters, all_minors, parse_minor
+from detring.tableaux import Parameters, all_minors, enumerate_standard, parse_minor
 from helpers import (
     cone_system,
+    det_expand,
     ladder_family,
     ladder_pivots_by_all_products,
     parameter_triples,
     tilde_basis_count_by_listing,
+    variable_matrix,
 )
 
 LADDER_FORMATS = ((2, 2, 2), (2, 3, 2), (3, 2, 2), (3, 3, 3))
@@ -71,6 +75,19 @@ def test_generator_leading_monomials_are_the_three_families():
             assert c == 1
             got.add(e)
         assert got == predicted_leads(params)
+
+
+def test_factor_minors_equal_the_leibniz_expansion():
+    for m, n, r in parameter_triples(4, 5):
+        if r > 3:
+            continue
+        params = Parameters(m, n, r)
+        yz, base = params.yz_space, range(1, r + 1)
+        want = [det_expand(variable_matrix(yz, rows, base, yz.y), yz)
+                for rows in combinations(range(1, m + 1), r)]
+        want += [det_expand(variable_matrix(yz, base, cols, yz.z), yz)
+                 for cols in combinations(range(1, n + 1), r)]
+        assert generators_R_tilde(params)[m * n:] == want, (m, n, r)
 
 
 def test_relaxed_system_differs_by_exactly_one_equation():
@@ -219,6 +236,19 @@ def test_ladder_dimensions_equal_the_unfiltered_elimination():
             got = [row["initial_space_dim"] for row in rep["degrees"]]
             want = [len(ladder_pivots_by_all_products(params, delta, d)) for d in (1, 2, 3)]
             assert got == want, (m, n, r, str(delta))
+
+
+def test_ladder_divisible_counts_equal_the_bitableau_count():
+    # The chain walk's packed leads against each standard bitableau's tuple lead.
+    for m, n, r in ((2, 2, 2), (2, 3, 2), (3, 3, 3), (3, 4, 3)):
+        params = Parameters(m, n, r)
+        leads = {d: [initial_monomial_closed_form(b, params) for b in enumerate_standard(params, d)]
+                 for d in (1, 2, 3)}
+        for delta in all_minors(params):
+            vset = ladder_variable_set(params, delta)
+            rows = verify_ladder(params, delta, 3)["degrees"]
+            want = [sum(any(e[p] for p in vset) for e in leads[d]) for d in (1, 2, 3)]
+            assert [row["divisible_count"] for row in rows] == want, (m, n, r, str(delta))
 
 
 def test_ladder_family_has_the_same_rank_on_both_sides():

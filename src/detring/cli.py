@@ -49,7 +49,8 @@ def _eps(text):
 
 class _Tally:
     """A list of strings that ``_emit`` writes batch by batch as they arrive,
-    counting the items as they pass."""
+    counting the items as they pass.  JSON writes each as itself in quotes, so
+    none may need escaping, as table minors' texts (``Minor._text``) never do."""
 
     def __init__(self, batches):
         self.batches, self.count = batches, 0
@@ -216,10 +217,10 @@ def _json(value, out, write, indent):
         out.append(f"\n{indent}]")
     elif isinstance(value, _Tally):
         inner = indent + "  "
-        sep, opened = ",\n" + inner, False
+        sep, quoted, opened = ",\n" + inner, '",\n' + inner + '"', False
         for batch in value:
             if batch:
-                out.append((sep if opened else "[\n" + inner) + sep.join(map(_encode_str, batch)))
+                out.append((sep if opened else "[\n" + inner) + '"' + quoted.join(batch) + '"')
                 _flush(out, write)
                 opened = True
         out.append(f"\n{indent}]" if opened else "[]")
@@ -274,14 +275,20 @@ def _emit(payload, fmt):
 
 
 @functools.cache
-def _parser():
-    """The parser, built on first use and shared by every later run."""
-    return build_parser()
+def _parsers():
+    """The parser and each subcommand's parser by name, built once per process."""
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return parser, sub.choices
 
 
 def run(argv=None):
+    parser, commands = _parsers()
+    argv = sys.argv[1:] if argv is None else argv
+    # A named subcommand parses its own arguments: the same messages, less work.
+    direct = commands.get(argv[0]) if argv else None
     try:
-        args = _parser().parse_args(argv)
+        args = direct.parse_args(argv[1:]) if direct else parser.parse_args(argv)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -46,7 +46,7 @@ from operator import add
 from . import kernels
 from .errors import ParameterError
 from .generic_point import _diagonal_monomial
-from .tableaux import _check_degree, _Tails, all_minors, count_standard
+from .tableaux import _check_degree, _Tails, _tilde_basis_count, all_minors, count_standard
 
 VARIANTS = ("E", "Etilde")
 
@@ -354,12 +354,13 @@ def _chain_layers(params, lead, bound):
         yield size, size
 
 
-def _cone_layers(params, variant, bound):
+def _cone_layers(params, variant, bound, bidegrees=None):
     """The (semigroup, lattice) points of each degree 0..bound, as packed-int
     sets or, where proven equal, their sizes; checked before it returns.
 
     Variant E takes ``_chain_layers`` when each minor of size t <= r has one
-    well-formed generator of degree 2t; anything else takes the closure.
+    well-formed generator of degree 2t; anything else takes the closure,
+    which tallies ``bidegrees`` as ``_join`` does.
     """
     _check_degree(bound, "degree bound")
     if variant == "E":
@@ -373,7 +374,12 @@ def _cone_layers(params, variant, bound):
             len(g) == nvars and min(g) >= 0 and sum(g) == 2 * d.size for g, d in zip(gens, minors)
         ):
             return _chain_layers(params, dict(zip(minors, map(kernels.pack, gens))), bound)
-    return _closure_layers(params, variant, bound)
+    else:
+        # One point per standard product, at most the y/z monomials.
+        _check_work(params, bound, (params.m + params.n) * params.r, bound, (
+            _tilde_basis_count(params, d1, total - d1)
+            for total in range(bound + 1) for d1 in range(total + 1)))
+    return _closure_layers(params, variant, bound, bidegrees)
 
 
 def _cone_report(params, variant, bound, layers):

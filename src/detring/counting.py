@@ -8,10 +8,12 @@ each other.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations_with_replacement
-from math import comb
+from math import comb, factorial, prod
+from operator import le, sub
 
-from .cone import _join, _pairs
+from .cone import _blocks, _pairs, _zeros
 from .errors import ParameterError
 from .generic_point import _check_image_degree, shared_substitution
 from .linalg import Eliminator, det_bareiss
@@ -75,30 +77,60 @@ def hodge_dim(r, n, t):
     return det_bareiss(rows)
 
 
+def _contents(size, d):
+    """The nonincreasing tuples of ``size`` nonnegative ints summing to d, each
+    with the size of its orbit under permuting entries: size! / prod(mult!)."""
+    return [(c, factorial(size) // prod(map(factorial, Counter(c).values())))
+            for c in combinations_with_replacement(range(d, -1, -1), size) if sum(c) == d]
+
+
+def _sorted_monomials(m, n, d):
+    """(positions, orbit) per degree-d x-monomial whose row content (x-degree
+    per row) and column content are nonincreasing: its rank positions in
+    ``_combination_image`` order, and the size of its content's orbit."""
+    # Each way to place degree k in one row: its column degrees and column offsets.
+    parts = [[(tuple(map(js.count, range(n))), js) for js in combinations_with_replacement(range(n), k)]
+             for k in range(d + 1)]
+    col_contents = _contents(n, d)
+    for rows, row_orbit in _contents(m, d):
+        for cols, col_orbit in col_contents:
+            heads = [((), cols)]  # positions so far, and each column's degree left
+            for i, k in enumerate(filter(None, rows)):  # zero rows come last
+                heads = [(x + tuple([i * n + j for j in js]), tuple(map(sub, left, p)))
+                         for x, left in heads for p, js in parts[k] if all(map(le, p, left))]
+            yield from ((x, row_orbit * col_orbit) for x, _ in heads)
+
+
 def hilbert_function(params, d, method="bitableaux"):
     """Dimension of the degree-d slice of the quotient ring, three ways.
 
     'bitableaux' counts the standard bitableaux along the minor table without
-    listing them (``count_standard``); 'lattice' counts the packed integer
-    cone points of y-degree d without unpacking them; 'rank' computes the
-    exact rank of the substituted monomial family, which needs no structure
-    theory at all.
+    listing them (``count_standard``); 'lattice' counts the integer cone points
+    of y-degree d from the sizes of the alpha and beta blocks they join; 'rank'
+    computes the exact rank of the substituted monomial family, with no
+    structure theory but the substitution's symmetry: permuting x's rows (y's)
+    or columns (z's) permutes variables, and images of different contents share
+    no monomial, so it eliminates one content per orbit and counts each pivot
+    once per content in that orbit.
     """
     if not isinstance(d, int) or d < 0:
         raise ParameterError(f"degree must be a nonnegative integer, got {d!r}")
     if method == "bitableaux":
         return count_standard(params, d)
     if method == "lattice":
-        return len(_join(params, _pairs("E", params.r, (2 * d,))))
+        m, n, r = params.m, params.n, params.r
+        zm, zn = _zeros(m, r), _zeros(n, r)
+        return sum(len(_blocks(m, r, sa, zm, zm)) * len(_blocks(n, r, sb, zn, zn))
+                   for sa, sb in _pairs("E", r, (2 * d,)))
     if method == "rank":
         _check_image_degree(d)
         subst = shared_substitution(params)
-        elim = Eliminator()
-        memo = {(): {0: 1}}
-        for positions in combinations_with_replacement(range(subst.x_space.nvars), d):
+        elim, memo, rank = Eliminator(), {(): {0: 1}}, 0
+        for positions, orbit in _sorted_monomials(params.m, params.n, d):
+            # A pivot's content is its row's: one Eliminator serves every content.
+            if elim.reduce(subst._combination_image(memo, positions)) is not None:
+                rank += orbit
             # Degree d is built from memo's degree d - 1 and is not kept itself.
-            elim.reduce(subst._combination_image(memo, positions))
             del memo[positions]
-        return elim.rank
+        return rank
     raise ParameterError(f"method must be 'bitableaux', 'lattice', or 'rank', got {method!r}")
-

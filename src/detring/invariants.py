@@ -14,7 +14,7 @@ from collections import Counter
 from itertools import combinations, combinations_with_replacement
 
 from . import kernels
-from .cone import _check_bound, _check_work, _closure_layers, _cone_report, _pairs
+from .cone import _check_bound, _cone_layers, _cone_report, _pairs
 from .errors import ParameterError
 from .generic_point import (
     _check_image_degree,
@@ -25,7 +25,7 @@ from .generic_point import (
 )
 from .linalg import Eliminator
 from .poly import Poly, format_monomial
-from .tableaux import _check_degree, _count_pinned, _Tails, all_minors, minor_leq
+from .tableaux import _Tails, _tilde_basis_count, all_minors, minor_leq
 
 
 def generators_R_tilde(params, subst=None):
@@ -62,23 +62,6 @@ def _predicted_generator_leads(params):
     return leads
 
 
-def _tilde_basis_count(params, d1, d2):
-    """Standard products of maximal factor minors with a standard bitableau.
-
-    Bidegree (d1, d2) forces the number of pure factors: (d1-d2)/r maximal
-    left-factor minors when d1 >= d2 (mirror otherwise), whose chain must grow
-    into the first factor of the mixed part.  The left minor det Y[s, 1..r]
-    leads with the y-half of the lead of [s|1..r], and [s|1..r] grows into a
-    factor d exactly when s <= d.rows entrywise, so these are the standard
-    chains with that many leading factors pinned to columns 1..r (rows 1..r
-    for the right factor): ``_count_pinned``, with nothing listed.
-    """
-    if (d1 - d2) % params.r:
-        return 0
-    side = "cols" if d1 >= d2 else "rows"
-    return _count_pinned(params, side, abs(d1 - d2) // params.r, min(d1, d2))
-
-
 def verify_D_tilde(params, bound=6):
     """Desk-scale verification of the extended initial algebra description.
 
@@ -93,18 +76,13 @@ def verify_D_tilde(params, bound=6):
     ``cone.WORK_LIMIT`` points is refused before any is built.  Returns the
     JSON-ready payload, the cone comparison's nested under ``"cone"``.
     """
-    _check_degree(bound, "degree bound")
-    # One point per standard product, at most the y/z monomials.
-    _check_work(params, bound, (params.m + params.n) * params.r, bound, (
-        _tilde_basis_count(params, d1, total - d1)
-        for total in range(bound + 1) for d1 in range(total + 1)))
+    bidegrees = Counter()
+    layers = _cone_layers(params, "Etilde", bound, bidegrees)
     gens = generators_R_tilde(params)
     predicted = [kernels.pack(e) for e in _predicted_generator_leads(params)]
     leads_ok = len(gens) == len(predicted) and all(
         max(g.packed) == e and g.packed[e] == 1 for g, e in zip(gens, predicted)
     )
-    bidegrees = Counter()
-    layers = _closure_layers(params, "Etilde", bound, bidegrees)
     cone = _cone_report(params, "Etilde", bound, layers)
     rows = [
         {"y_degree": d1, "z_degree": total - d1, "lattice": bidegrees[d1, total - d1],

@@ -404,6 +404,23 @@ def _count_pinned(params, side, pins, left):
     return sum(c * counts[d, left] for d, c in ends.items())
 
 
+def _tilde_basis_count(params, d1, d2):
+    """Standard products of maximal factor minors with a standard bitableau.
+
+    Bidegree (d1, d2) forces the number of pure factors: (d1-d2)/r maximal
+    left-factor minors when d1 >= d2 (mirror otherwise), whose chain must grow
+    into the first factor of the mixed part.  The left minor det Y[s, 1..r]
+    leads with the y-half of the lead of [s|1..r], and [s|1..r] grows into a
+    factor d exactly when s <= d.rows entrywise, so these are the standard
+    chains with that many leading factors pinned to columns 1..r (rows 1..r
+    for the right factor): ``_count_pinned``, with nothing listed.
+    """
+    if (d1 - d2) % params.r:
+        return 0
+    side = "cols" if d1 >= d2 else "rows"
+    return _count_pinned(params, side, abs(d1 - d2) // params.r, min(d1, d2))
+
+
 def count_standard(params, degree):
     """``len(enumerate_standard(params, degree))`` without building a bitableau."""
     _check_degree(degree)

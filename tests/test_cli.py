@@ -13,6 +13,7 @@ from pathlib import Path
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from detring import cli, cone, invariants
@@ -23,6 +24,7 @@ from detring.invariants import verify_D_tilde, verify_ladder
 from detring.tableaux import (
     Parameters,
     _standard_texts,
+    all_minors,
     count_standard,
     enumerate_standard,
     parse_minor,
@@ -207,6 +209,45 @@ def test_writer_matches_json_dumps(payload):
     with contextlib.redirect_stdout(out):
         cli._emit(payload, "json")
     assert out.getvalue() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def test_basis_texts_are_written_unescaped_as_json_dumps_writes_them(capsys):
+    # The writer quotes each basis text as it is: every text joins table
+    # minors' texts, or is "[|]" at degree 0, and none holds a character that
+    # JSON escapes.
+    for m, n in ((3, 3), (4, 6), (11, 10)):
+        for d in all_minors(Parameters(m, n, min(m, n)), 3):
+            assert re.fullmatch(r"\[[0-9 ]*\|[0-9 ]*\]", d._text), d
+    for m, n, r, deg in ((3, 2, 2, 0), (4, 5, 2, 3), (5, 5, 3, 4), (11, 10, 4, 2)):
+        expect = [str(b) for b in enumerate_standard(Parameters(m, n, r), deg)]
+        argv = ["basis", "--m", str(m), "--n", str(n), "--r", str(r), "--deg", str(deg)]
+        code, out, _ = capture(capsys, argv)
+        payload = {"bitableaux": expect, "count": len(expect)}
+        assert (code, out) == (0, json.dumps(payload, indent=2, sort_keys=True) + "\n"), argv
+
+
+def test_subcommands_parse_their_arguments_as_the_full_parser_does(capsys):
+    space = ["--m", "3", "--n", "3", "--r", "2"]
+    cases = [
+        ["basis"],  # every option missing
+        ["basis", "--m", "3"],  # some missing
+        ["mu", *space, "--t", "1", "--ideal", "p", "--frob", "1"],  # unknown option
+        ["hilbert", *space, "--deg", "x"],  # bad int
+        ["hilbert", *space, "--deg", "2", "--method", "foo"],  # bad choice
+        ["mult", *space, "extra"],  # extra positional
+    ]
+    parser = cli.build_parser()
+    for argv in cases:
+        with pytest.raises(cli._UsageError) as full:
+            parser.parse_args(argv)
+        assert run(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {full.value}\n"), argv
+    with pytest.raises(SystemExit):
+        parser.parse_args(["hilbert", "--help"])
+    expected = capsys.readouterr().out
+    assert expected.startswith("usage: detring hilbert")
+    assert main(["hilbert", "--help"]) == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_mu_and_basis_leave_no_cyclic_garbage(capsys):

@@ -2,6 +2,8 @@
 description, and the shifted-set comparison behind the power classification."""
 
 import random
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 from math import ceil, comb
@@ -29,7 +31,13 @@ from detring.counting import hilbert_function
 from detring.errors import ParameterError
 from detring.poly import YZSpace
 from detring.tableaux import Parameters, count_standard, enumerate_standard
-from helpers import closure_cone_layers, cone_membership, cone_system, parameter_triples
+from helpers import (
+    closure_cone_layers,
+    cone_membership,
+    cone_system,
+    parameter_triples,
+    subprocess_env,
+)
 
 
 def vector_of(params, pairs):
@@ -579,3 +587,25 @@ def test_work_limit_prediction():
             assert sum(count_standard(params, k) for k in range(top + 1)) <= comb(m * n + top, top)
     with pytest.raises(ParameterError, match="more than 1000000 cone points at m=3, n=3, r=2"):
         semigroup_vs_cone(Parameters(3, 3, 2), "E", 255)
+
+
+def test_etilde_library_call_refuses_past_the_work_limit_within_a_second():
+    # verify_D_tilde had the Etilde budget, semigroup_vs_cone did not, and
+    # this call ran past a 5 s timeout.  A child interpreter bounds a relapse.
+    code = (
+        "from time import perf_counter\n"
+        "from detring.cone import semigroup_vs_cone\n"
+        "from detring.errors import ParameterError\n"
+        "from detring.tableaux import Parameters\n"
+        "start = perf_counter()\n"
+        "try:\n"
+        "    semigroup_vs_cone(Parameters(3, 3, 2), 'Etilde', 255)\n"
+        "except ParameterError as exc:\n"
+        "    print(perf_counter() - start, exc)\n"
+    )
+    child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           env=subprocess_env(), timeout=10)
+    seconds, message = child.stdout.split(" ", 1)
+    assert float(seconds) < 1
+    assert message == ("degree bound 255 would build more than 1000000 cone points "
+                       "at m=3, n=3, r=2; lower the bound\n")

@@ -240,13 +240,8 @@ def _pairs(variant, r, degrees):
 
 
 def _monomials_of_degree(k, d):
-    """Exponent tuples of length k with entry sum d, lexicographic."""
-    if k == 1:
-        yield (d,)
-        return
-    for first in range(d, -1, -1):
-        for rest in _monomials_of_degree(k - 1, d - first):
-            yield (first,) + rest
+    """Exponent tuples of length k >= 1 with entry sum d, lexicographically largest first."""
+    return _fills((0,) * k, None, d)[::-1]
 
 
 def _point(key, nvars):
@@ -301,8 +296,10 @@ def _compare(params, layers, sides):
     return sizes, {"vector": exponent_arrays(params, v), "side": sides[0] if in_a else sides[1]}
 
 
-# The most points a cone check builds.  The largest query of the tests and
-# the benchmark predicts 46,278 (E, 4x5, r = 2, bound 10).
+# The most points a cone check builds.  The largest query of the tests
+# predicts 723,905 (certify at 2x2, r = 1, bound 256); the benchmark's stay
+# under the x-monomial bound, at most C(40, 4) = 91,390 (certify at 6x6,
+# r = 2, bound 8), so they skip the count.
 WORK_LIMIT = 1_000_000
 
 
@@ -460,9 +457,14 @@ def conic_equality_check(params, t, eps=Fraction(1, 2), bound=6):
     equal.  The two agree precisely when the t-th symbolic power is
     Cohen-Macaulay (t <= m - r); the returned JSON-ready payload records
     whether the computed outcome matches that expectation (``consistent``).
+    Past ``WORK_LIMIT`` E lattice points of degree <= bound it refuses, as
+    ``semigroup_vs_cone`` does: side A is a subset of them.  Side B has no
+    proven bound of its own.
     """
     w = witness_vector(params, t, eps)
     _check_bound(bound)
+    _check_work(params, bound, params.m * params.n, bound // 2,
+                (count_standard(params, k) for k in range(bound // 2 + 1)))
     zeros = _zeros(params.m, params.r)
     ideal = (zeros[:-1] + [(t,) + zeros[-1][1:]], zeros)  # alpha[r,r] >= t
     shifted = _shifted_bounds(params, w)

@@ -19,7 +19,7 @@ from . import kernels
 from .errors import NotInSemigroupError, NotStandardError, SpaceMismatchError
 from .linalg import clear_denominators
 from .poly import Poly
-from .tableaux import Minor, Parameters, _raw_bitableau, is_standard
+from .tableaux import Minor, Parameters, _raw_bitableau, _strictly_increasing, is_standard
 
 
 class SubstitutionMap:
@@ -308,7 +308,7 @@ def decode_standard(exps, params):
         d = minors.get(key)
         if d is None:
             rows, cols = key
-            if not all(rows[k] < rows[k + 1] and cols[k] < cols[k + 1] for k in range(width - 1)):
+            if not (_strictly_increasing(rows) and _strictly_increasing(cols)):
                 raise NotInSemigroupError("repaired rows are not strictly increasing; no standard preimage")
             d = minors[key] = Minor(rows, cols)
         factors.append(d)

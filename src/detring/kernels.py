@@ -171,25 +171,8 @@ def row_combine(row, pivot, lead):
     cancelled, divided by the gcd of the remaining entries.
     """
     pc = pivot[lead]
-    rc = row[lead]
-    out = {}
-    for e, c in row.items():
-        out[e] = pc * c
-    for e, c in pivot.items():
-        cur = out.get(e)
-        if cur is None:
-            out[e] = -rc * c
-        else:
-            cur = cur - rc * c
-            if cur:
-                out[e] = cur
-            else:
-                del out[e]
-    if not out:
-        return out
-    g = 0
-    for c in out.values():
-        g = gcd(g, c)
+    out = poly_addmul({e: pc * c for e, c in row.items()}, -row[lead], pivot)
+    g = gcd(*out.values())
     if g > 1:
         for e in out:
             out[e] //= g

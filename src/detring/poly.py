@@ -191,15 +191,21 @@ class Poly:
             return NotImplemented
         return self.space == other.space and self.packed == other.packed
 
-    def __add__(self, other):
+    def _operand(self, other):
+        """The term dict of an operand: a Poly's own, checked to share the
+        space, or an int or Fraction as a constant; NotImplemented otherwise."""
         if isinstance(other, Poly):
             self._check(other)
-            out = dict(self.packed)
-            kernels.poly_addmul(out, 1, other.packed)
-            return Poly._raw(self.space, out)
+            return other.packed
         if isinstance(other, (int, Fraction)):
-            return self + Poly.constant(self.space, other)
+            return {0: other} if other else {}
         return NotImplemented
+
+    def __add__(self, other):
+        terms = self._operand(other)
+        if terms is NotImplemented:
+            return terms
+        return Poly._raw(self.space, kernels.poly_addmul(dict(self.packed), 1, terms))
 
     __radd__ = __add__
 
@@ -207,29 +213,19 @@ class Poly:
         return Poly._raw(self.space, {e: -c for e, c in self.packed.items()})
 
     def __sub__(self, other):
-        if isinstance(other, Poly):
-            self._check(other)
-            out = dict(self.packed)
-            kernels.poly_addmul(out, -1, other.packed)
-            return Poly._raw(self.space, out)
-        if isinstance(other, (int, Fraction)):
-            return self - Poly.constant(self.space, other)
-        return NotImplemented
+        terms = self._operand(other)
+        if terms is NotImplemented:
+            return terms
+        return Poly._raw(self.space, kernels.poly_addmul(dict(self.packed), -1, terms))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, Poly):
-            self._check(other)
-            return Poly._raw(
-                self.space, kernels.poly_mul(self.packed, other.packed, self.space.key_limit)
-            )
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return Poly.zero(self.space)
-            return Poly._raw(self.space, {e: c * other for e, c in self.packed.items()})
-        return NotImplemented
+        terms = self._operand(other)
+        if terms is NotImplemented:
+            return terms
+        return Poly._raw(self.space, kernels.poly_mul(self.packed, terms, self.space.key_limit))
 
     __rmul__ = __mul__
 

@@ -26,9 +26,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from operator import add, mul, sub
+from operator import add, le, mul, sub
 
 from . import kernels
+from .cone import _fills
 from .errors import InternalCheckError, NotInSemigroupError
 from .generic_point import (
     _check_image_degree,
@@ -191,10 +192,9 @@ def _strips(nu, size):
     ``size`` cells on the partition nu (an r-tuple): row j > 0 takes at most
     nu[j-1] - nu[j] cells.  Memoised for the process, keyed by partitions no
     larger than the degrees straightened: every call shares the small ones."""
-    adds = [()]
-    for cap in (size, *map(sub, nu[:-1], nu[1:])):
-        adds = [a + (c,) for a in adds for c in range(min(cap, size - sum(a)) + 1)]
-    return tuple([(tuple(map(add, nu, a)), a) for a in adds if sum(a) == size])
+    gaps = tuple(map(sub, nu[:-1], nu[1:]))
+    return tuple([(tuple(map(add, nu, a)), a) for a in _fills((0,) * len(nu), None, size)
+                  if all(map(le, a[1:], gaps))])
 
 
 def _image_above(bitab, floor, params, subst):

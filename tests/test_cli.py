@@ -500,6 +500,38 @@ def test_certify_refuses_a_bad_eps_or_bound_for_every_power(capsys):
             assert capture(capsys, [*space, "--t", t, *flags]) == (1, "", message), (t, flags)
 
 
+def test_certify_refuses_an_unparsable_eps(capsys):
+    space = ["certify", "--m", "3", "--n", "3", "--r", "1", "--ideal", "p", "--t", "1"]
+    assert capture(capsys, [*space, "--eps", "abc"]) == (
+        1, "", "error: cannot parse --eps value 'abc': Invalid literal for Fraction: 'abc'\n")
+    assert capture(capsys, [*space, "--eps", "1/0"]) == (
+        1, "", "error: cannot parse --eps value '1/0': Fraction(1, 0)\n")
+
+
+def test_certify_past_the_work_limit_exits_one_within_a_second():
+    # The conic check ran past a 10 s timeout here.  Its ideal side is a
+    # subset of the E points up to the bound, which cone-check budgets.
+    argv = ["certify", "--m", "4", "--n", "4", "--r", "2", "--ideal", "p", "--t", "1",
+            "--deg-bound", "40"]
+    code = (
+        "import sys\n"
+        "from time import perf_counter\n"
+        "from detring.cli import run\n"
+        "start = perf_counter()\n"
+        f"code = run({argv!r})\n"
+        "print(perf_counter() - start, code)\n"
+    )
+    child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           env=subprocess_env(), timeout=10)
+    seconds, exit_code = child.stdout.split()
+    assert float(seconds) < 1 and exit_code == "1"
+    assert child.stderr == ("error: degree bound 40 would build more than 1000000 cone points "
+                            "at m=4, n=4, r=2; lower the bound\n")
+    # The largest conic check the tests answer (2x2, r = 1, bound 256) stays under it.
+    params = Parameters(2, 2, 1)
+    assert sum(count_standard(params, k) for k in range(129)) == 723905 < cone.WORK_LIMIT
+
+
 def test_cone_commands_leave_no_more_cyclic_garbage_than_mu(capsys):
     # A self-calling nested function or generator is a reference cycle that
     # keeps its frames, and what they hold, until the cyclic collector runs.

@@ -477,6 +477,18 @@ def test_negative_bounds_are_refused():
         conic_equality_check(params, 1, Fraction(1, 2), -1)
 
 
+def test_lattice_points_refuses_a_missing_bound_or_an_etilde_slice():
+    params = Parameters(2, 2, 1)
+    with pytest.raises(ParameterError, match="^either bound or y_degree is required$"):
+        lattice_points(params, "E")
+    with pytest.raises(ParameterError, match="^a degree bound is required for the Etilde variant$"):
+        lattice_points(params, "Etilde", y_degree=1)
+    with pytest.raises(ParameterError, match="^y_degree slicing is only supported for variant E$"):
+        lattice_points(params, "Etilde", bound=2, y_degree=1)
+    # E takes the slice and ignores the bound.
+    assert lattice_points(params, "E", bound=0, y_degree=1) == lattice_points(params, y_degree=1)
+
+
 def _closure_report(params, bound):
     """The E payload with every semigroup layer from the closure (the oracle)."""
     return _cone_report(params, "E", bound, closure_cone_layers(params, "E", bound))

@@ -289,6 +289,29 @@ def test_decode_rejects_negative_exponents():
         decode_standard(tuple(e), params)
 
 
+def test_decode_refuses_wrong_lengths_increasing_columns_and_repeated_rows():
+    params = Parameters(2, 2, 2)
+    yz = params.yz_space
+    with pytest.raises(SpaceMismatchError, match="^exponent tuple of length 7 on a space with 8 variables$"):
+        decode_standard((0,) * 7, params)
+    # Column 2 of each side is longer than column 1.
+    e = [0] * yz.nvars
+    e[yz.y(2, 2)] = e[yz.z(2, 2)] = 1
+    with pytest.raises(NotInSemigroupError, match="^column lengths increase; no standard preimage$"):
+        decode_standard(tuple(e), params)
+    # Balanced, well-shaped columns whose one row reads y indices (1, 1).
+    e = [0] * yz.nvars
+    e[yz.y(1, 1)] = e[yz.y(1, 2)] = e[yz.z(1, 1)] = e[yz.z(2, 2)] = 1
+    with pytest.raises(NotInSemigroupError,
+                       match="^repaired rows are not strictly increasing; no standard preimage$"):
+        decode_standard(tuple(e), params)
+    # The same on the z side: the row reads columns (2, 1).
+    e = [0] * yz.nvars
+    e[yz.y(1, 1)] = e[yz.y(2, 2)] = e[yz.z(1, 2)] = e[yz.z(2, 1)] = 1
+    with pytest.raises(NotInSemigroupError, match="^repaired rows are not strictly increasing"):
+        decode_standard(tuple(e), params)
+
+
 def test_decode_round_trip_and_injectivity():
     for (m, n, r) in parameter_triples(3, 3):
         params = Parameters(m, n, r)

@@ -2,8 +2,9 @@
 it imports, every module-level function or class of the package is used in
 the package or exported from it, the package imports only at module top, no
 function of the package defines a nested function that calls itself, no
-class of the package mirrors a payload by a ``to_dict``, and the package
-expands determinants of variables along one path."""
+generator of the package calls itself, no class of the package mirrors a
+payload by a ``to_dict``, and the package expands determinants of variables
+along one path."""
 
 import ast
 from pathlib import Path
@@ -107,6 +108,53 @@ def test_no_package_function_nests_a_self_calling_function():
         for line, name in _self_calling_nested_functions(ast.parse(p.read_text(), str(p)))
     ]
     assert found == []
+
+
+def _own_nodes(function):
+    """The nodes of a function's body, not descending into nested functions,
+    lambdas or classes."""
+    stack = list(function.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _self_calling_generators(tree):
+    """(line, name) for each generator that calls itself, as ``name(...)`` or
+    ``self.name(...)``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            own = list(_own_nodes(node))
+            if any(isinstance(n, (ast.Yield, ast.YieldFrom)) for n in own) and any(
+                isinstance(n, ast.Call) and (
+                    (isinstance(n.func, ast.Name) and n.func.id == node.name)
+                    or (isinstance(n.func, ast.Attribute) and n.func.attr == node.name
+                        and isinstance(n.func.value, ast.Name) and n.func.value.id in ("self", "cls")))
+                for n in own
+            ):
+                found.append((node.lineno, node.name))
+    return found
+
+
+def test_no_package_generator_calls_itself():
+    # Each level of a self-calling generator is one more suspended frame that
+    # every item is passed up through, so depth costs time on every item; the
+    # package builds such sequences level by level instead (cone._fills).
+    found = [
+        f"{p.relative_to(ROOT)}:{line}: {name}"
+        for p in sorted((ROOT / "src" / "detring").glob("*.py"))
+        for line, name in _self_calling_generators(ast.parse(p.read_text(), str(p)))
+    ]
+    assert found == []
+    probe = ast.parse(
+        "def walk(k):\n    if k:\n        yield from walk(k - 1)\n    yield k\n"
+        "class T:\n    def nodes(self):\n        yield self\n        yield from self.nodes()\n"
+        "def flat(k):\n    def inner():\n        return flat(k)\n    yield inner\n"
+    )
+    assert _self_calling_generators(probe) == [(1, "walk"), (6, "nodes")]
 
 
 def test_no_package_class_defines_to_dict():

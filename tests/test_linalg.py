@@ -96,6 +96,54 @@ def test_row_combine_cancels_the_lead_and_divides_by_the_content():
         assert out == {k: c // g for k, c in raw.items()}
 
 
+def _fraction_det(rows):
+    """The determinant by Gaussian elimination over Fraction, swapping in the
+    first nonzero entry below a zero pivot."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for k in range(len(a)):
+        pick = next((i for i in range(k, len(a)) if a[i][k]), None)
+        if pick is None:
+            return 0
+        if pick != k:
+            a[k], a[pick] = a[pick], a[k]
+            det = -det
+        det *= a[k][k]
+        for i in range(k + 1, len(a)):
+            f = a[i][k] / a[k][k]
+            a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return det
+
+
+def test_det_bareiss_pivots_past_zero_entries_and_finds_singular_matrices():
+    rng = random.Random(31)
+    swapped = singular = 0
+    for _ in range(400):
+        t = rng.randint(2, 6)
+        a = [[rng.randint(-4, 4) if rng.random() < 0.6 else 0 for _ in range(t)] for _ in range(t)]
+        a[0][0] = 0  # the first step must swap, or find the column empty
+        kind = rng.randrange(3)
+        if kind == 1:  # a row that combines two others
+            i, j, k = rng.sample(range(t), 3) if t > 2 else (0, 1, 1)
+            c = rng.randint(-2, 2)
+            a[i] = [x + c * y for x, y in zip(a[j], a[k])] if j != k else [c * y for y in a[j]]
+        elif kind == 2:  # a column with no nonzero entry from row k down
+            col = rng.randrange(t)
+            for row in a[rng.randrange(t):]:
+                row[col] = 0
+        expected = _fraction_det(a)
+        assert linalg.det_bareiss(a) == expected, a
+        swapped += any(a[i][0] for i in range(t))
+        singular += expected == 0
+    assert swapped > 100 and singular > 100
+    # A zero pivot after the first step (the leading 2x2 minor vanishes):
+    # a swap, then a column with nothing to swap in.
+    a = [[1, 2, 3], [2, 4, 5], [3, 7, 1]]
+    assert linalg.det_bareiss(a) == _fraction_det(a) == 1
+    a = [[1, 2, 3], [2, 4, 5], [3, 6, 1]]
+    assert linalg.det_bareiss(a) == _fraction_det(a) == 0
+
+
 def _unreduced_rank(params, d):
     """The rank over every degree-d x-monomial, with no orbit reduction."""
     subst, elim = shared_substitution(params), Eliminator()

@@ -140,6 +140,45 @@ def test_mismatched_spaces_rejected():
         f * g
 
 
+def test_scalar_operands_act_as_constants():
+    xs = XSpace(2, 2)
+    x11, x22 = (Poly.variable(xs, xs.x(i, i)) for i in (1, 2))
+    p = x11 - 2 * x22
+    one = Poly.constant(xs, 1)
+    assert (p + 1).packed == (p + one).packed and str(p + 1) == "x[1,1] - 2*x[2,2] + 1"
+    assert 1 + p == p + 1
+    assert str(p - Fraction(1, 2)) == "x[1,1] - 2*x[2,2] - 1/2"
+    assert str(2 - p) == "-x[1,1] + 2*x[2,2] + 2"
+    assert (p - p).is_zero() and (p + 0) == p and (0 - p) == -p
+    assert (p * 0).is_zero() and (0 * p).packed == {}
+    third = Fraction(1, 3) * p
+    assert third == p * Fraction(1, 3) and str(third) == "1/3*x[1,1] - 2/3*x[2,2]"
+    assert all(type(c) is Fraction for c in third.packed.values())
+    assert p ** 0 == one and p ** 2 == p * p
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        p ** -1
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        p ** 1.0
+    for bad in (lambda: p + "x", lambda: "x" + p, lambda: p - "x", lambda: "x" - p,
+                lambda: p * "x", lambda: p * 1.5):
+        with pytest.raises(TypeError):
+            bad()
+    assert p != "x" and p != x11
+
+
+def test_text_forms_and_space_hashes():
+    xs = XSpace(2, 2)
+    zero = Poly.zero(xs)
+    assert (str(zero), repr(zero)) == ("0", "Poly(XSpace(2, 2), '0')")
+    p = Poly.variable(xs, xs.x(1, 2)) - Fraction(3, 2)
+    assert (str(p), repr(p)) == ("x[1,2] - 3/2", "Poly(XSpace(2, 2), 'x[1,2] - 3/2')")
+    assert repr(YZSpace(3, 2, 4)) == "YZSpace(3, 2, 4)"
+    assert XSpace(2, 3) == XSpace(2, 3) and hash(XSpace(2, 3)) == hash(XSpace(2, 3))
+    assert YZSpace(2, 1, 3) == YZSpace(2, 1, 3) and hash(YZSpace(2, 1, 3)) == hash(YZSpace(2, 1, 3))
+    assert XSpace(2, 3) != XSpace(3, 2) and XSpace(2, 2) != "XSpace(2, 2)"
+    assert len({XSpace(2, 3), XSpace(2, 3), YZSpace(2, 1, 3)}) == 2
+
+
 def test_parse_two_by_two_determinant():
     xs = XSpace(2, 2)
     f = parse_polynomial("x[1,1]*x[2,2] - x[1,2]*x[2,1]", xs)

@@ -22,18 +22,15 @@ defects are merely constant across columns.  ``_blocks`` builds one side
 column by column from explicit bounds: per-entry lows (4) and, on column
 j-1's prefix sums, per-prefix cap offsets (2); so integer points are
 generated, never filtered, and other bounds give the conic check's shifted
-side.  (5) picks which alpha and beta blocks join (``_pairs``).  These two
-are the package's only description of the cone.
-The families as explicit functionals are ``tests/helpers.cone_system``, the
-brute-force oracle the generated points are tested against.
+side.  (5) picks which alpha and beta blocks join (``_pairs``), and ``_sides``
+pairs them.  These are the package's only description of the cone; the
+brute-force oracle is ``tests/helpers.cone_system``.
 
-Integer points of the cone match the semigroup generated by the closed-form
-generator monomials; ``semigroup_vs_cone`` verifies that up to a degree bound,
-and ``conic_equality_check`` runs the shifted-cone comparison that certifies
-Cohen-Macaulayness of symbolic powers.  Both stream their two sides degree by
-degree through one comparison (``_compare``), each point one packed int
-(``kernels.pack``, built by ``_join``); tuples appear only in the public views
-(``lattice_points``, ``semigroup_points``) and to name a mismatch.
+``semigroup_vs_cone`` verifies up to a degree bound that the cone's integer
+points are the semigroup of the closed-form generators, both streamed degree
+by degree as packed ints (``_join``).  ``conic_equality_check``, the
+shifted-cone comparison that certifies Cohen-Macaulayness of symbolic powers,
+compares alpha block lists and builds no point.
 """
 
 from __future__ import annotations
@@ -185,42 +182,37 @@ def _shifted_bounds(params, w):
     return [tuple(map(ceil, col)) for col in cols], [()] + offsets
 
 
-def _join(params, pairs, bounds=None, betas=None, bidegrees=None):
-    """The set of cone points joining alpha blocks of column sums sa to beta blocks of row sums sb.
+def _sides(params, pairs, bounds=None):
+    """(sa, sb, alpha blocks, beta blocks) for each pair of ``pairs`` with beta blocks.
 
-    ``pairs`` holds the (sa, sb) the coupling family (5) allows; ``bounds``
-    holds the alpha blocks' (lows, offsets), zero when None; beta blocks have
-    zero bounds and are built once per sb into ``betas``.  A Counter
-    ``bidegrees`` counts each pair's points under (|sa|, |sb|).  A point is its
-    packed int, one int ``+`` each: pack(a) + ((pack(b) + |a| * ones) << 8mr),
-    whose y-degree field is |a|.  With a negative entry or a degree past
-    MAX_DEGREE it is the tuple a + b (``_point`` reads either).
-    """
+    The one place blocks are paired: a pair's cone points are its a + b.
+    ``bounds`` holds the alpha (lows, offsets), zero when None; beta blocks
+    have zero bounds and are built once per sb."""
     m, n, r = params.m, params.n, params.r
-    width = kernels.FIELD_BITS * m * r
-    ones = (kernels.key_limit(n * r) - 1) // kernels.MAX_DEGREE
     lows, offsets = bounds or (_zeros(m, r), _zeros(m, r))
     zeros = _zeros(n, r)
-    betas = {} if betas is None else betas
-    points = set()
+    betas = {}
     for sa, sb in pairs:
         if sb not in betas:
-            blocks = _blocks(n, r, sb, zeros, zeros)
-            fits = sum(sb) <= kernels.MAX_DEGREE
-            betas[sb] = blocks, [kernels.pack(b) << width for b in blocks if fits]
-        blocks, keys = betas[sb]
-        if not blocks:
-            continue
-        fits = sum(sa) + sum(sb) <= kernels.MAX_DEGREE
-        offset = sum(sa) * ones << width
-        alphas = _blocks(m, r, sa, lows, offsets)
+            betas[sb] = _blocks(n, r, sb, zeros, zeros)
+        if betas[sb]:
+            yield sa, sb, _blocks(m, r, sa, lows, offsets), betas[sb]
+
+
+def _join(params, pairs, bidegrees=None):
+    """The set of cone points of ``pairs`` as packed ints, one int ``+`` each:
+    pack(a) + ((pack(b) + |a| * ones) << 8mr), whose y-degree field is |a|.
+    A Counter ``bidegrees`` counts them by (|sa|, |sb|)."""
+    width = kernels.FIELD_BITS * params.m * params.r
+    ones = (kernels.key_limit(params.n * params.r) - 1) // kernels.MAX_DEGREE
+    points = set()
+    for sa, sb, alphas, betas in _sides(params, pairs):
         if bidegrees is not None:
-            bidegrees[sum(sa), sum(sb)] += len(alphas) * len(blocks)
+            bidegrees[sum(sa), sum(sb)] += len(alphas) * len(betas)
+        keys = [kernels.pack(b) << width for b in betas]
+        offset = sum(sa) * ones << width
         for a in alphas:
-            if fits and min(a) >= 0:
-                points.update(map((kernels.pack(a) + offset).__add__, keys))
-            else:
-                points.update(a + b for b in blocks)
+            points.update(map((kernels.pack(a) + offset).__add__, keys))
     return points
 
 
@@ -244,16 +236,12 @@ def _monomials_of_degree(k, d):
     return _fills((0,) * k, None, d)[::-1]
 
 
-def _point(key, nvars):
-    """The exponent tuple of a point held as ``_join`` holds it."""
-    return key if type(key) is tuple else kernels.unpack(key, nvars)
-
-
 def lattice_points(params, variant="E", bound=None, y_degree=None):
     """The set of integer cone points of total degree <= bound, or of exact y-degree, as tuples.
 
-    Each point is an alpha block joined to a beta block (``_join``); a point
-    of y-degree d has degree 2d in variant E.
+    Each point is an alpha block joined to a beta block (``_sides``); a point
+    of y-degree d has degree 2d in variant E.  Past ``WORK_LIMIT`` points of
+    degree <= bound, or <= 2 y_degree for a slice, it refuses.
     """
     _check_variant(variant)
     if variant == "E" and y_degree is not None:
@@ -267,47 +255,33 @@ def lattice_points(params, variant="E", bound=None, y_degree=None):
     else:
         _check_bound(bound)
         degrees = range(bound + 1)
-    nvars = params.yz_space.nvars
-    return {_point(k, nvars) for k in _join(params, _pairs(variant, params.r, degrees))}
+    _check_work(params, variant, degrees[-1])
+    return {a + b for _, _, alphas, betas in _sides(params, _pairs(variant, params.r, degrees))
+            for a in alphas for b in betas}
 
 
-def _compare(params, layers, sides):
-    """Each degree's two sizes, and the tuple-least point in exactly one side.
-
-    ``layers`` yields one (a, b) pair of point sets per degree, held as
-    ``_join`` holds them, or of their sizes where they are proven equal
-    (``_chain_layers``); only points of a differing degree are unpacked.
-    Returns the (len(a), len(b)) pairs and, when some degree differs, that
-    point named by ``sides``, else None.
-    """
-    nvars = params.yz_space.nvars
-    sizes, first = [], None
-    for a, b in layers:
-        if type(a) is int:  # a degree proven equal, given by its two sizes
-            sizes.append((a, b))
-            continue
-        sizes.append((len(a), len(b)))
-        if a != b:
-            least = min((_point(k, nvars), k in a) for k in a ^ b)
-            first = least if first is None else min(first, least)
-    if first is None:
-        return sizes, None
-    v, in_a = first
-    return sizes, {"vector": exponent_arrays(params, v), "side": sides[0] if in_a else sides[1]}
-
-
-# The most points a cone check builds.  The largest query of the tests
-# predicts 723,905 (certify at 2x2, r = 1, bound 256); the benchmark's stay
-# under the x-monomial bound, at most C(40, 4) = 91,390 (certify at 6x6,
+# The most points a cone check or ``lattice_points`` builds.  The largest test
+# query predicts 723,905 (certify at 2x2, r = 1, bound 256); the benchmark's
+# stay under the x-monomial bound, at most C(40, 4) = 91,390 (certify at 6x6,
 # r = 2, bound 8), so they skip the count.
 WORK_LIMIT = 1_000_000
 
 
-def _check_work(params, bound, nvars, top, counts):
-    """Refuse past ``WORK_LIMIT`` points, summing ``counts`` (lazy, per degree
-    or bidegree) only until the limit is passed, and not at all when the
-    points' bound C(nvars + top, top), the monomials of degree <= top in
-    nvars variables, is below it."""
+def _check_work(params, variant, bound):
+    """Refuse past ``WORK_LIMIT`` cone points of degree <= bound, summing the
+    counts only until the limit is passed, and not at all when the points'
+    bound C(nvars + top, top), the monomials of degree <= top in nvars
+    variables, is below it."""
+    if variant == "E":
+        # Degree 2k has one point per standard bitableau of degree k, at most
+        # the x-monomials.
+        nvars, top = params.m * params.n, bound // 2
+        counts = (count_standard(params, k) for k in range(top + 1))
+    else:
+        # One point per standard product, at most the y/z monomials.
+        nvars, top = (params.m + params.n) * params.r, bound
+        counts = (_tilde_basis_count(params, d1, total - d1)
+                  for total in range(bound + 1) for d1 in range(total + 1))
     if comb(nvars + top, top) <= WORK_LIMIT:
         return
     total = 0
@@ -360,34 +334,41 @@ def _cone_layers(params, variant, bound, bidegrees=None):
     which tallies ``bidegrees`` as ``_join`` does.
     """
     _check_degree(bound, "degree bound")
+    _check_work(params, variant, bound)
     if variant == "E":
-        # Degree 2k has one point per standard bitableau of degree k, at most
-        # the x-monomials.
-        _check_work(params, bound, params.m * params.n, bound // 2,
-                    (count_standard(params, k) for k in range(bound // 2 + 1)))
         gens, minors = generators_semigroup(params, "E"), all_minors(params, params.r)
         nvars = params.yz_space.nvars
         if len(gens) == len(minors) and all(
             len(g) == nvars and min(g) >= 0 and sum(g) == 2 * d.size for g, d in zip(gens, minors)
         ):
             return _chain_layers(params, dict(zip(minors, map(kernels.pack, gens))), bound)
-    else:
-        # One point per standard product, at most the y/z monomials.
-        _check_work(params, bound, (params.m + params.n) * params.r, bound, (
-            _tilde_basis_count(params, d1, total - d1)
-            for total in range(bound + 1) for d1 in range(total + 1)))
     return _closure_layers(params, variant, bound, bidegrees)
+
+
+def _mismatch(params, diffs, sides):
+    """The least (point, in the first side) of ``diffs`` named by ``sides``, or None."""
+    if diffs:
+        v, in_first = min(diffs)
+        return {"vector": exponent_arrays(params, v), "side": sides[0] if in_first else sides[1]}
 
 
 def _cone_report(params, variant, bound, layers):
     """The payload comparing the ``_cone_layers`` pairs ``layers``.
 
-    A mismatch also gets the saturation probe, on the tuple semigroup: a
-    point whose entries k in {2, 3} divides has its k-th root in the
-    semigroup.  Equal sets imply it: u/k is an integer cone point of lower
-    degree.
+    Each degree gives its two sizes; only the points of a differing degree
+    are unpacked, to name the tuple-least point in exactly one set.  A
+    mismatch also gets the saturation probe, on the tuple semigroup: a point
+    whose entries k in {2, 3} divides has its k-th root in the semigroup.
+    Equal sets imply it: u/k is an integer cone point of lower degree.
     """
-    sizes, first = _compare(params, layers, ("semigroup-only", "lattice-only"))
+    sizes, diffs = [], []
+    for a, b in layers:
+        if type(a) is int:  # a degree proven equal, given by its two sizes
+            sizes.append((a, b))
+        else:
+            sizes.append((len(a), len(b)))
+            diffs += [(kernels.unpack(k, params.yz_space.nvars), k in a) for k in a ^ b]
+    first = _mismatch(params, diffs, ("semigroup-only", "lattice-only"))
     power_ok = True
     if first is not None:
         sg = semigroup_points(generators_semigroup(params, variant), bound)
@@ -457,27 +438,28 @@ def conic_equality_check(params, t, eps=Fraction(1, 2), bound=6):
     equal.  The two agree precisely when the t-th symbolic power is
     Cohen-Macaulay (t <= m - r); the returned JSON-ready payload records
     whether the computed outcome matches that expectation (``consistent``).
-    Past ``WORK_LIMIT`` E lattice points of degree <= bound it refuses, as
-    ``semigroup_vs_cone`` does: side A is a subset of them.  Side B has no
-    proven bound of its own.
+    The sides share the beta blocks, so they compare alpha block lists per
+    sa.  Past ``WORK_LIMIT`` E lattice points of degree <= bound it refuses,
+    as ``semigroup_vs_cone`` does: side A is a subset of them.  Side B has
+    no proven bound of its own.
     """
     w = witness_vector(params, t, eps)
     _check_bound(bound)
-    _check_work(params, bound, params.m * params.n, bound // 2,
-                (count_standard(params, k) for k in range(bound // 2 + 1)))
-    zeros = _zeros(params.m, params.r)
+    _check_work(params, "E", bound)
+    m, r = params.m, params.r
+    zeros = _zeros(m, r)
     ideal = (zeros[:-1] + [(t,) + zeros[-1][1:]], zeros)  # alpha[r,r] >= t
     shifted = _shifted_bounds(params, w)
-
-    def sides():
-        # Both sides share the beta blocks.
-        for d in range(0, bound + 1, 2):
-            betas = {}
-            yield (_join(params, _pairs("E", params.r, (d,)), ideal, betas),
-                   _join(params, _pairs("E", params.r, (d,)), shifted, betas))
-
-    sizes, first = _compare(params, sides(), ("ideal-only", "shifted-only"))
-    count_a, count_b = map(sum, zip(*sizes))
+    count_a, count_b, diffs = 0, 0, []
+    for sa, _, alphas, betas in _sides(params, _pairs("E", r, range(0, bound + 1, 2)), ideal):
+        others = _blocks(m, r, sa, *shifted)
+        count_a += len(alphas) * len(betas)
+        count_b += len(others) * len(betas)
+        if alphas != others:
+            inside = set(alphas)
+            a = min(inside.symmetric_difference(others))
+            diffs.append((a + min(betas), a in inside))
+    first = _mismatch(params, diffs, ("ideal-only", "shifted-only"))
     eps, expected = Fraction(eps), t <= params.m - params.r
     return {
         "m": params.m,

@@ -13,7 +13,7 @@ from itertools import combinations_with_replacement
 from math import comb, factorial, prod
 from operator import le, sub
 
-from .cone import _blocks, _pairs, _zeros
+from .cone import _pairs, _sides
 from .errors import ParameterError
 from .generic_point import _check_image_degree, shared_substitution
 from .linalg import Eliminator, det_bareiss
@@ -118,10 +118,8 @@ def hilbert_function(params, d, method="bitableaux"):
     if method == "bitableaux":
         return count_standard(params, d)
     if method == "lattice":
-        m, n, r = params.m, params.n, params.r
-        zm, zn = _zeros(m, r), _zeros(n, r)
-        return sum(len(_blocks(m, r, sa, zm, zm)) * len(_blocks(n, r, sb, zn, zn))
-                   for sa, sb in _pairs("E", r, (2 * d,)))
+        return sum(len(alphas) * len(betas)
+                   for _, _, alphas, betas in _sides(params, _pairs("E", params.r, (2 * d,))))
     if method == "rank":
         _check_image_degree(d)
         subst = shared_substitution(params)

@@ -71,10 +71,10 @@ def verify_D_tilde(params, bound=6):
     counts, and that the cone differs from the E one by exactly the final
     coupling: over the degrees checked, the E signature pairs (``_pairs``)
     are the Etilde ones with equal alpha column and beta row sums.  The
-    lattice is counted by bidegree in the same degree-by-degree walk as the
-    cone comparison, one tally per signature pair (``_join``).  A bound past
-    ``cone.WORK_LIMIT`` points is refused before any is built.  Returns the
-    JSON-ready payload, the cone comparison's nested under ``"cone"``.
+    lattice is counted by bidegree in the cone comparison's join pass, each
+    pair adding its alpha times its beta block count (``_join``).  A bound
+    past ``cone.WORK_LIMIT`` points is refused before any is built.  Returns
+    the JSON-ready payload, the cone comparison's nested under ``"cone"``.
     """
     bidegrees = Counter()
     layers = _cone_layers(params, "Etilde", bound, bidegrees)

@@ -17,8 +17,8 @@ from detring.cone import (
     _join,
     _monomials_of_degree,
     _pairs,
-    _point,
     _shifted_bounds,
+    _sides,
     conic_equality_check,
     exponent_arrays,
     generators_semigroup,
@@ -294,10 +294,9 @@ def test_lattice_points_match_brute_force_membership():
 
 
 def _shifted_points(params, w, bound):
-    """The tuple view of ``_join``'s witness-shifted side (side B of the conic check)."""
-    nvars = params.yz_space.nvars
-    pairs = _pairs("E", params.r, range(bound + 1))
-    return {_point(k, nvars) for k in _join(params, pairs, _shifted_bounds(params, w))}
+    """Side B of the conic check as tuples: witness-shifted alpha blocks joined to beta blocks."""
+    sides = _sides(params, _pairs("E", params.r, range(bound + 1)), _shifted_bounds(params, w))
+    return {a + b for _, _, alphas, betas in sides for a in alphas for b in betas}
 
 
 def _random_shift(params, rng):
@@ -408,24 +407,47 @@ def _conic_fields(rep):
     return tuple(rep[key] for key in keys)
 
 
+def _conic_grid():
+    """(params, t, eps, bound) over proper formats up to 4x4, t = m - r + 1 past
+    the boundary (where shifted points have negative entries), and the
+    benchmark's 4x5 and 5x5 rank-2 formats at bounds 2, 4 and 6."""
+    epsilons = (Fraction(1, 2), Fraction(1, 3), Fraction(3, 4))
+    small = [(Parameters(m, n, r), range(2, 7)) for (m, n, r) in parameter_triples(4, 4, proper=True)]
+    large = [(Parameters(m, 5, 2), (2, 4, 6)) for m in (4, 5)]
+    for params, bounds in small + large:
+        for t in range(1, params.m - params.r + 2):
+            for eps in epsilons:
+                for bound in bounds:
+                    yield params, t, eps, bound
+
+
 def test_conic_check_equals_a_tuple_reference():
-    # t = m - r + 1 is past the boundary, where shifted points have negative entries.
     mismatches = 0
-    for (m, n, r) in parameter_triples(4, 4, proper=True):
-        params = Parameters(m, n, r)
-        for t in range(1, m - r + 2):
-            for eps in (Fraction(1, 2), Fraction(1, 3)):
-                for bound in range(2, 7):
-                    rep = conic_equality_check(params, t, eps, bound)
-                    got = _conic_fields(rep)
-                    assert got == _conic_reference(params, t, eps, bound), (params, t, eps, bound)
-                    mismatches += not rep["equal"]
+    for params, t, eps, bound in _conic_grid():
+        rep = conic_equality_check(params, t, eps, bound)
+        assert _conic_fields(rep) == _conic_reference(params, t, eps, bound), (params, t, eps, bound)
+        mismatches += not rep["equal"]
     assert mismatches > 0
-    # Past degree 255 a point has no packed int and takes the tuple route.
+    # Past degree 255, where no point packs.
     params = Parameters(2, 2, 1)
     rep = conic_equality_check(params, 1, Fraction(1, 2), 256)
     got = _conic_fields(rep)
     assert got == _conic_reference(params, 1, Fraction(1, 2), 256)
+
+
+def test_conic_check_compares_blocks_without_building_points(monkeypatch):
+    # The two sides share their beta blocks, so only alpha block lists are
+    # compared: no point is joined or packed.
+    cases = [*_conic_grid(), (Parameters(2, 2, 1), 1, Fraction(1, 2), 256)]
+    expected = [conic_equality_check(*case) for case in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a point")
+
+    monkeypatch.setattr(cone, "_join", refuse)
+    monkeypatch.setattr(kernels, "pack", refuse)
+    for case, expect in zip(cases, expected):
+        assert conic_equality_check(*case) == expect, case
 
 
 def test_join_keys_are_the_packed_points():
@@ -437,19 +459,6 @@ def test_join_keys_are_the_packed_points():
                 keys = _join(params, _pairs(variant, r, (d,)))
                 points = {v for v in lattice_points(params, variant, bound=d) if sum(v) == d}
                 assert keys == {kernels.pack(v) for v in points}, (params, variant, d)
-    # A shifted point with a negative entry is held as its tuple.
-    params = Parameters(2, 3, 1)
-    shift = witness_vector(params, 2, Fraction(1, 2))
-    keys = _join(params, _pairs("E", 1, (4,)), _shifted_bounds(params, shift))
-    points = _shifted_points(params, shift, 4) - _shifted_points(params, shift, 3)
-    negative = {v for v in points if min(v) < 0}
-    assert negative and negative < keys
-    assert keys - negative == {kernels.pack(v) for v in points - negative}
-    # So is a point of degree past the packed limit; its fields would carry.
-    # In 2x2 rank 1 it is y-degree 128 on either side: 129 alpha and 129 beta blocks.
-    keys = _join(Parameters(2, 2, 1), _pairs("E", 1, (kernels.MAX_DEGREE + 1,)))
-    assert len(keys) == 129 ** 2
-    assert all(type(k) is tuple and min(k) >= 0 and sum(k) == kernels.MAX_DEGREE + 1 for k in keys)
 
 
 def test_lattice_hilbert_counts_without_unpacking(monkeypatch):
@@ -589,9 +598,11 @@ def test_chain_certificate_peak_memory():
 
 
 def test_work_limit_prediction():
-    # The largest test and benchmark query, far below the limit.
-    params = Parameters(4, 5, 2)
-    assert sum(count_standard(params, k) for k in range(6)) == 46278 < WORK_LIMIT
+    # The largest test query, below the limit: certify at 2x2, r = 1, bound
+    # 256, whose conic check takes the E budget.  The largest cone-check
+    # query, 4x5 at bound 10, predicts 46,278.
+    assert sum(count_standard(Parameters(2, 2, 1), k) for k in range(129)) == 723905 < WORK_LIMIT
+    assert sum(count_standard(Parameters(4, 5, 2), k) for k in range(6)) == 46278
     # Below the limit the refusal skips the count: it is bounded by the x-monomials.
     for (m, n, r) in parameter_triples(4, 4):
         params = Parameters(m, n, r)
@@ -601,23 +612,41 @@ def test_work_limit_prediction():
         semigroup_vs_cone(Parameters(3, 3, 2), "E", 255)
 
 
-def test_etilde_library_call_refuses_past_the_work_limit_within_a_second():
-    # verify_D_tilde had the Etilde budget, semigroup_vs_cone did not, and
-    # this call ran past a 5 s timeout.  A child interpreter bounds a relapse.
+def _refusal_in_a_child(call):
+    """(seconds, message) of ``call``'s ParameterError, raised in a child
+    interpreter, so that a relapse into a hang is bounded by its timeout."""
     code = (
         "from time import perf_counter\n"
-        "from detring.cone import semigroup_vs_cone\n"
+        "from detring.cone import lattice_points, semigroup_vs_cone\n"
         "from detring.errors import ParameterError\n"
         "from detring.tableaux import Parameters\n"
         "start = perf_counter()\n"
         "try:\n"
-        "    semigroup_vs_cone(Parameters(3, 3, 2), 'Etilde', 255)\n"
+        f"    {call}\n"
         "except ParameterError as exc:\n"
         "    print(perf_counter() - start, exc)\n"
     )
     child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                            env=subprocess_env(), timeout=10)
     seconds, message = child.stdout.split(" ", 1)
-    assert float(seconds) < 1
+    return float(seconds), message
+
+
+def test_lattice_points_refuses_past_the_work_limit_within_a_second():
+    # Both calls ran past an 8 s timeout before lattice_points had a budget.
+    for call, bound in [("lattice_points(Parameters(3, 3, 2), 'E', bound=255)", 255),
+                        ("lattice_points(Parameters(3, 3, 2), 'E', y_degree=127)", 254),
+                        ("lattice_points(Parameters(3, 3, 2), 'Etilde', bound=60)", 60)]:
+        seconds, message = _refusal_in_a_child(call)
+        assert seconds < 1, call
+        assert message == (f"degree bound {bound} would build more than 1000000 cone points "
+                           "at m=3, n=3, r=2; lower the bound\n")
+
+
+def test_etilde_library_call_refuses_past_the_work_limit_within_a_second():
+    # verify_D_tilde had the Etilde budget, semigroup_vs_cone did not, and
+    # this call ran past a 5 s timeout.
+    seconds, message = _refusal_in_a_child("semigroup_vs_cone(Parameters(3, 3, 2), 'Etilde', 255)")
+    assert seconds < 1
     assert message == ("degree bound 255 would build more than 1000000 cone points "
                        "at m=3, n=3, r=2; lower the bound\n")

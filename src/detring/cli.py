@@ -49,15 +49,16 @@ def _eps(text):
 
 class _Tally:
     """A list of strings that ``_emit`` writes batch by batch as they arrive,
-    counting the items as they pass.  JSON writes each as itself in quotes, so
-    none may need escaping, as table minors' texts (``Minor._text``) never do."""
+    counting the items as they pass: ``head + tail`` per tail of each
+    ``(head, tails)`` group in a batch.  JSON writes each as itself in quotes,
+    so none may need escaping, as table minors' texts (``Minor._text``) never do."""
 
     def __init__(self, batches):
         self.batches, self.count = batches, 0
 
     def __iter__(self):
         for batch in self.batches:
-            self.count += len(batch)
+            self.count += sum([len(tails) for _, tails in batch])
             yield batch
 
 
@@ -217,13 +218,14 @@ def _json(value, out, write, indent):
         out.append(f"\n{indent}]")
     elif isinstance(value, _Tally):
         inner = indent + "  "
-        sep, quoted, opened = ",\n" + inner, '",\n' + inner + '"', False
+        sep, quoted = "[\n" + inner, '",\n' + inner + '"'
         for batch in value:
-            if batch:
-                out.append((sep if opened else "[\n" + inner) + '"' + quoted.join(batch) + '"')
-                _flush(out, write)
-                opened = True
-        out.append(f"\n{indent}]" if opened else "[]")
+            for head, tails in batch:
+                # One join per group: its head goes in front of every tail.
+                out += (sep, '"', head, (quoted + head).join(tails), '"')
+                sep = ",\n" + inner
+            _flush(out, write)
+        out.append(f"\n{indent}]" if value.count else "[]")
     elif isinstance(value, str):
         out.append(_encode_str(value))
     elif value is None or value is True or value is False:
@@ -247,9 +249,10 @@ def _table(value, out, write, prefix):
     elif isinstance(value, _Tally):
         start = 0
         for batch in value:
-            out.append("".join([f"{prefix}{i} = {text}\n" for i, text in enumerate(batch, start)]))
+            for head, tails in batch:
+                out += [f"{prefix}{i} = {head}{tail}\n" for i, tail in enumerate(tails, start)]
+                start += len(tails)
             _flush(out, write)
-            start += len(batch)
     else:
         out.append(f"{prefix[:-1]} = {value}\n")
 

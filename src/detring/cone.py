@@ -241,7 +241,7 @@ def lattice_points(params, variant="E", bound=None, y_degree=None):
 
     Each point is an alpha block joined to a beta block (``_sides``); a point
     of y-degree d has degree 2d in variant E.  Past ``WORK_LIMIT`` points of
-    degree <= bound, or <= 2 y_degree for a slice, it refuses.
+    degree <= bound, or in the slice, it refuses.
     """
     _check_variant(variant)
     if variant == "E" and y_degree is not None:
@@ -255,7 +255,7 @@ def lattice_points(params, variant="E", bound=None, y_degree=None):
     else:
         _check_bound(bound)
         degrees = range(bound + 1)
-    _check_work(params, variant, degrees[-1])
+    _check_work(params, variant, degrees[-1], single=y_degree is not None)
     return {a + b for _, _, alphas, betas in _sides(params, _pairs(variant, params.r, degrees))
             for a in alphas for b in betas}
 
@@ -267,11 +267,13 @@ def lattice_points(params, variant="E", bound=None, y_degree=None):
 WORK_LIMIT = 1_000_000
 
 
-def _check_work(params, variant, bound):
+def _check_work(params, variant, bound, single=False):
     """Refuse past ``WORK_LIMIT`` cone points of degree <= bound, summing the
     counts only until the limit is passed, and not at all when the points'
     bound C(nvars + top, top), the monomials of degree <= top in nvars
-    variables, is below it."""
+    variables, is below it.  With ``single`` (variant E) only degree bound
+    counts: R is a domain, so the counts never fall, and the first to pass
+    the limit, often far cheaper than the last, shows that the last does."""
     if variant == "E":
         # Degree 2k has one point per standard bitableau of degree k, at most
         # the x-monomials.
@@ -286,7 +288,7 @@ def _check_work(params, variant, bound):
         return
     total = 0
     for count in counts:
-        total += count
+        total = count if single else total + count
         if total > WORK_LIMIT:
             raise ParameterError(
                 f"degree bound {bound} would build more than {WORK_LIMIT} cone points "
@@ -317,8 +319,9 @@ def _chain_layers(params, lead, bound):
         points = _join(params, _pairs("E", params.r, (d,)))
         size, count = len(points), 0
         for batch in () if d % 2 else tails.batches(params.r, d // 2):
-            points.difference_update(batch)
-            count += len(batch)
+            for head, leads in batch:
+                points.difference_update(map(head.__add__, leads))
+                count += len(leads)
         if points or count != size:
             yield from islice(_closure_layers(params, "E", bound), d, None)
             return

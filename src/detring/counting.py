@@ -87,18 +87,22 @@ def _contents(size, d):
 def _sorted_monomials(m, n, d):
     """(positions, orbit) per degree-d x-monomial whose row content (x-degree
     per row) and column content are nonincreasing: its rank positions in
-    ``_combination_image`` order, and the size of its content's orbit."""
+    ``_combination_image`` order, and the size of its content's orbit.  At
+    m = n that orbit holds the transposed content too, so rows >= cols only."""
     # Each way to place degree k in one row: its column degrees and column offsets.
     parts = [[(tuple(map(js.count, range(n))), js) for js in combinations_with_replacement(range(n), k)]
              for k in range(d + 1)]
     col_contents = _contents(n, d)
     for rows, row_orbit in _contents(m, d):
         for cols, col_orbit in col_contents:
+            if m == n and cols > rows:
+                continue
+            orbit = row_orbit * col_orbit * (2 if m == n and cols != rows else 1)
             heads = [((), cols)]  # positions so far, and each column's degree left
             for i, k in enumerate(filter(None, rows)):  # zero rows come last
                 heads = [(x + tuple([i * n + j for j in js]), tuple(map(sub, left, p)))
                          for x, left in heads for p, js in parts[k] if all(map(le, p, left))]
-            yield from ((x, row_orbit * col_orbit) for x, _ in heads)
+            yield from ((x, orbit) for x, _ in heads)
 
 
 def hilbert_function(params, d, method="bitableaux"):
@@ -109,9 +113,9 @@ def hilbert_function(params, d, method="bitableaux"):
     of y-degree d from the sizes of the alpha and beta blocks they join; 'rank'
     computes the exact rank of the substituted monomial family, with no
     structure theory but the substitution's symmetry: permuting x's rows (y's)
-    or columns (z's) permutes variables, and images of different contents share
-    no monomial, so it eliminates one content per orbit and counts each pivot
-    once per content in that orbit.
+    or columns (z's) permutes variables, and so does transposing x when m = n;
+    images of different contents share no monomial, so it eliminates one
+    content per orbit and counts each pivot once per content in that orbit.
     """
     if not isinstance(d, int) or d < 0:
         raise ParameterError(f"degree must be a nonnegative integer, got {d!r}")

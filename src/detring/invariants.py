@@ -203,7 +203,8 @@ def verify_ladder(params, delta, d_max=3):
             elim.reduce(kernels.poly_mul(image, x_image, yz.key_limit))
         pivots = set(elim.pivots)
         # An empty set divides no lead, nor would leads of degree 2 * 128 pack.
-        divisible = {key for batch in tails.batches(params.r, d) for key in batch
+        divisible = {key for batch in tails.batches(params.r, d)
+                     for head, leads in batch for key in map(head.__add__, leads)
                      if any(map(yz.unpack(key).__getitem__, vset))} if vset else set()
         ok = pivots == divisible
         if not ok and mismatch is None:

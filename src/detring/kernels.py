@@ -171,7 +171,8 @@ def row_combine(row, pivot, lead):
     cancelled, divided by the gcd of the remaining entries.
     """
     pc = pivot[lead]
-    out = poly_addmul({e: pc * c for e, c in row.items()}, -row[lead], pivot)
+    out = dict(row) if pc == 1 else {e: pc * c for e, c in row.items()}
+    out = poly_addmul(out, -row[lead], pivot)
     g = gcd(*out.values())
     if g > 1:
         for e in out:

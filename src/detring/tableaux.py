@@ -294,42 +294,45 @@ class _Tails(dict):
     def __init__(self, table, piece, empty):
         self.table, self.piece, self.empty = table, piece, empty
 
-    def after(self, prefix, prev, left):
-        """prefix plus each chain of degree ``left`` that can follow prev; the
-        last factor's successors are added in bulk."""
+    def groups(self, head, prev, left):
+        """The chains of degree ``left`` that can follow prev, after head, as
+        ``(head', tails)`` groups whose chains are ``head' + tail``: head
+        itself before the last factors, head plus each second factor before
+        that factor's memoised tails."""
         table, piece, out = self.table, self.piece, []
         for t in range(min(prev.size, left), 0, -1):
             if t == left:
-                out += map(prefix.__add__, map(piece, table[prev, t]))
+                out.append((head, list(map(piece, table[prev, t]))))
             else:
                 for d in table[prev, t]:
-                    out += map((prefix + piece(d)).__add__, self[d, left - t])
+                    out.append((head + piece(d), self[d, left - t]))
         return out
 
     def __missing__(self, key):
-        out = self[key] = self.after(self.empty, *key)
+        groups = self.groups(self.empty, *key)
+        out = self[key] = [c for head, tails in groups for c in map(head.__add__, tails)]
         return out
 
     def batches(self, top, degree):
-        """Every chain of the degree with sizes <= top, in walk order: one
-        list per first factor, and one for the chains of a single factor;
-        degree 0 has the one empty chain."""
-        table, piece = self.table, self.piece
+        """Every chain of the degree with sizes <= top, in walk order, in
+        ``(head, tails)`` groups: one list of groups per first factor, and one
+        for the chains of a single factor; degree 0 has the one empty chain."""
+        table, piece, empty = self.table, self.piece, self.empty
         if not degree:
-            yield [self.empty]
+            yield [(empty, [empty])]
         for t in range(min(top, degree), 0, -1):
             if t == degree:
-                yield list(map(piece, table[None, t]))
+                yield [(empty, list(map(piece, table[None, t])))]
             else:
                 for d in table[None, t]:
-                    yield self.after(piece(d), d, degree - t)
+                    yield self.groups(piece(d), d, degree - t)
 
 
 def _chain_batches(params, degree, piece, empty):
     """Every standard chain of the degree with factor sizes <= r, in the order
     of ``enumerate_standard``, each as ``empty`` plus ``piece(d)`` per factor d,
-    in lists as ``_Tails.batches`` yields them.  The degree is checked before
-    this returns.
+    in ``(head, tails)`` groups as ``_Tails.batches`` yields them.  The degree
+    is checked before this returns.
 
     Depth first through ``params.minor_table``: larger factors first, then
     rows, then columns.
@@ -348,16 +351,17 @@ def enumerate_standard(params, degree):
     the trusted ``_raw_bitableau``.
     """
     batches = _chain_batches(params, degree, lambda d: (d,), ())
-    return [_raw_bitableau(chain) for batch in batches for chain in batch]
+    return [_raw_bitableau(chain) for batch in batches
+            for head, tails in batch for chain in map(head.__add__, tails)]
 
 
 def _standard_texts(params, degree):
-    """``str(b)`` for b in ``enumerate_standard(params, degree)``, joined from
-    each minor's cached text with no bitableau built, as ``_chain_batches``
-    yields them: one list per first factor.  The degree is checked before
-    this returns."""
+    """``str(b)`` for b in ``enumerate_standard(params, degree)``, from each
+    minor's cached text with no bitableau built, as ``_chain_batches`` yields
+    them: one list of ``(head, tails)`` groups per first factor, each text
+    ``head + tail``.  The degree is checked before this returns."""
     if degree == 0:
-        return iter([["[|]"]])
+        return iter([[("[|]", [""])]])
     return _chain_batches(params, degree, attrgetter("_text"), "")
 
 

@@ -7,6 +7,7 @@ import sys
 import tracemalloc
 from fractions import Fraction
 from math import ceil, comb
+from time import perf_counter
 
 import pytest
 
@@ -641,6 +642,15 @@ def test_lattice_points_refuses_past_the_work_limit_within_a_second():
         assert seconds < 1, call
         assert message == (f"degree bound {bound} would build more than 1000000 cone points "
                            "at m=3, n=3, r=2; lower the bound\n")
+
+
+def test_lattice_points_budgets_a_slice_by_itself():
+    # The slice holds 22,801 points; budgeted as every degree up to 300 it
+    # was refused.
+    start = perf_counter()
+    points = lattice_points(Parameters(2, 2, 1), "E", y_degree=150)
+    assert perf_counter() - start < 1
+    assert len(points) == 22801 == count_standard(Parameters(2, 2, 1), 150)
 
 
 def test_etilde_library_call_refuses_past_the_work_limit_within_a_second():

@@ -15,7 +15,7 @@ from detring.counting import (
 )
 from detring.errors import ParameterError
 from detring.linalg import det_bareiss
-from detring.tableaux import Parameters
+from detring.tableaux import Parameters, count_standard
 from helpers import chain_ends, parameter_triples
 
 
@@ -134,6 +134,15 @@ def test_dimension_methods_agree():
     for (m, n, r, d) in ((4, 3, 2, 5), (4, 4, 1, 4)):
         params = Parameters(m, n, r)
         assert hilbert_function(params, d, "bitableaux") == hilbert_function(params, d, "lattice")
+
+
+def test_rank_counts_transposed_contents_once_at_square_formats():
+    # At m = n only row contents >= the column content are eliminated.
+    for m in range(1, 6):
+        for r in range(1, m):
+            params = Parameters(m, m, r)
+            for d in range(5):
+                assert hilbert_function(params, d, "rank") == count_standard(params, d), (m, r, d)
 
 
 def test_dimension_method_validated():

@@ -12,6 +12,7 @@ from detring.tableaux import (
     Bitableau,
     Minor,
     Parameters,
+    _chain_batches,
     _standard_texts,
     all_minors,
     count_standard,
@@ -316,3 +317,20 @@ def test_column_generator_family_count():
     assert all(d.cols == (1, 2) for d in out)
     with pytest.raises(ParameterError):
         generators_gamma(Parameters(4, 3, 2), "diag")
+
+
+def test_chain_groups_expand_to_the_enumeration():
+    # Each (head, tails) group stands for head + tail per tail; degree 0 and
+    # the degrees a single factor fills are groups with an empty head or tail.
+    for m, n, r in parameter_triples(4, 4):
+        params = Parameters(m, n, r)
+        for d in range(7):
+            expect = enumerate_standard(params, d)
+            texts = [head + tail for batch in _standard_texts(params, d)
+                     for head, tails in batch for tail in tails]
+            assert texts == [str(b) for b in expect], (m, n, r, d)
+            chains = [head + tail for batch in _chain_batches(params, d, lambda x: (x,), ())
+                      for head, tails in batch for tail in tails]
+            assert chains == [b.factors for b in expect], (m, n, r, d)
+            count = sum(len(tails) for batch in _standard_texts(params, d) for _, tails in batch)
+            assert count == count_standard(params, d) == len(expect), (m, n, r, d)

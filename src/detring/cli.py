@@ -148,7 +148,7 @@ def build_parser():
         if delta:
             p.add_argument("--delta", required=True, help="minor like '[1 2|1 3]'")
         if method:
-            p.add_argument("--method", choices=("bitableaux", "lattice", "rank"),
+            p.add_argument("--method", choices=("formula", "bitableaux", "lattice", "rank"),
                            default="bitableaux", help="counting strategy")
         if eps:
             p.add_argument("--eps", default="1/2", help="witness offset, a rational in (0,1)")

@@ -24,13 +24,16 @@ j-1's prefix sums, per-prefix cap offsets (2); so integer points are
 generated, never filtered, and other bounds give the conic check's shifted
 side.  (5) picks which alpha and beta blocks join (``_pairs``), and ``_sides``
 pairs them.  These are the package's only description of the cone; the
-brute-force oracle is ``tests/helpers.cone_system``.
+brute-force oracle is ``tests/helpers.cone_system``.  With zero bounds the
+blocks of column sums s are the semistandard tableaux of shape s (column j
+counts the entries of row j): s_s(1^size) of them, by hook-content.
 
 ``semigroup_vs_cone`` verifies up to a degree bound that the cone's integer
 points are the semigroup of the closed-form generators, both streamed degree
 by degree as packed ints (``_join``).  ``conic_equality_check``, the
 shifted-cone comparison that certifies Cohen-Macaulayness of symbolic powers,
-compares alpha block lists and builds no point.
+compares alpha block lists, counts the beta blocks by hook-content, and
+builds no point.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from operator import add
 from . import kernels
 from .errors import ParameterError
 from .generic_point import _diagonal_monomial
-from .tableaux import _check_degree, _Tails, _tilde_basis_count, all_minors, count_standard
+from .tableaux import _check_degree, _semistandard_count, _Tails, all_minors
 
 VARIANTS = ("E", "Etilde")
 
@@ -269,30 +272,32 @@ WORK_LIMIT = 1_000_000
 
 def _check_work(params, variant, bound, single=False):
     """Refuse past ``WORK_LIMIT`` cone points of degree <= bound, summing the
-    counts only until the limit is passed, and not at all when the points'
-    bound C(nvars + top, top), the monomials of degree <= top in nvars
-    variables, is below it.  With ``single`` (variant E) only degree bound
-    counts: R is a domain, so the counts never fall, and the first to pass
-    the limit, often far cheaper than the last, shows that the last does."""
+    counts degree by degree only until the limit is passed, and not at all
+    when the points' bound C(nvars + top, top), the monomials of degree <= top
+    in nvars variables, is below it.  A signature pair (sa, sb) has
+    s_sa(1^m) * s_sb(1^n) points: its alpha and beta block counts.  With
+    ``single`` (variant E) only degree bound counts: R is a domain, so the
+    counts never fall, and the first to pass the limit, often far cheaper
+    than the last, shows that the last does."""
+    m, n, r = params.m, params.n, params.r
     if variant == "E":
         # Degree 2k has one point per standard bitableau of degree k, at most
         # the x-monomials.
-        nvars, top = params.m * params.n, bound // 2
-        counts = (count_standard(params, k) for k in range(top + 1))
+        nvars, top = m * n, bound // 2
     else:
         # One point per standard product, at most the y/z monomials.
-        nvars, top = (params.m + params.n) * params.r, bound
-        counts = (_tilde_basis_count(params, d1, total - d1)
-                  for total in range(bound + 1) for d1 in range(total + 1))
+        nvars, top = (m + n) * r, bound
     if comb(nvars + top, top) <= WORK_LIMIT:
         return
     total = 0
-    for count in counts:
+    for d in range(bound + 1):
+        count = sum([_semistandard_count(sa, m) * _semistandard_count(sb, n)
+                     for sa, sb in _pairs(variant, r, (d,))])
         total = count if single else total + count
         if total > WORK_LIMIT:
             raise ParameterError(
                 f"degree bound {bound} would build more than {WORK_LIMIT} cone points "
-                f"at m={params.m}, n={params.n}, r={params.r}; lower the bound"
+                f"at m={m}, n={n}, r={r}; lower the bound"
             )
 
 
@@ -442,26 +447,32 @@ def conic_equality_check(params, t, eps=Fraction(1, 2), bound=6):
     Cohen-Macaulay (t <= m - r); the returned JSON-ready payload records
     whether the computed outcome matches that expectation (``consistent``).
     The sides share the beta blocks, so they compare alpha block lists per
-    sa.  Past ``WORK_LIMIT`` E lattice points of degree <= bound it refuses,
-    as ``semigroup_vs_cone`` does: side A is a subset of them.  Side B has
-    no proven bound of its own.
+    sa and count the beta blocks, s_sa(1^n) of them (hook-content), without
+    building one; only a signature whose alpha lists differ builds its beta
+    blocks, for the least differing point.  Past ``WORK_LIMIT`` E lattice
+    points of degree <= bound it refuses, as ``semigroup_vs_cone`` does:
+    side A is a subset of them.  Side B has no proven bound of its own.
     """
     w = witness_vector(params, t, eps)
     _check_bound(bound)
     _check_work(params, "E", bound)
-    m, r = params.m, params.r
+    m, n, r = params.m, params.n, params.r
     zeros = _zeros(m, r)
     ideal = (zeros[:-1] + [(t,) + zeros[-1][1:]], zeros)  # alpha[r,r] >= t
     shifted = _shifted_bounds(params, w)
     count_a, count_b, diffs = 0, 0, []
-    for sa, _, alphas, betas in _sides(params, _pairs("E", r, range(0, bound + 1, 2)), ideal):
-        others = _blocks(m, r, sa, *shifted)
-        count_a += len(alphas) * len(betas)
-        count_b += len(others) * len(betas)
+    for sa, _ in _pairs("E", r, range(0, bound + 1, 2)):
+        betas = _semistandard_count(sa, n)
+        if not betas:
+            continue
+        alphas, others = _blocks(m, r, sa, *ideal), _blocks(m, r, sa, *shifted)
+        count_a += len(alphas) * betas
+        count_b += len(others) * betas
         if alphas != others:
             inside = set(alphas)
             a = min(inside.symmetric_difference(others))
-            diffs.append((a + min(betas), a in inside))
+            zeros_n = _zeros(n, r)
+            diffs.append((a + min(_blocks(n, r, sa, zeros_n, zeros_n)), a in inside))
     first = _mismatch(params, diffs, ("ideal-only", "shifted-only"))
     eps, expected = Fraction(eps), t <= params.m - params.r
     return {

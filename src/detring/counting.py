@@ -17,7 +17,7 @@ from .cone import _pairs, _sides
 from .errors import ParameterError
 from .generic_point import _check_image_degree, shared_substitution
 from .linalg import Eliminator, det_bareiss
-from .tableaux import _count_pinned, count_standard
+from .tableaux import _check_degree, _count_pinned, _hilbert_formula, _partitions, count_standard
 
 IDEALS = ("p", "q")
 
@@ -78,10 +78,11 @@ def hodge_dim(r, n, t):
 
 
 def _contents(size, d):
-    """The nonincreasing tuples of ``size`` nonnegative ints summing to d, each
-    with the size of its orbit under permuting entries: size! / prod(mult!)."""
+    """The nonincreasing tuples of ``size`` nonnegative ints summing to d
+    (``_partitions``), each with the size of its orbit under permuting
+    entries: size! / prod(mult!)."""
     return [(c, factorial(size) // prod(map(factorial, Counter(c).values())))
-            for c in combinations_with_replacement(range(d, -1, -1), size) if sum(c) == d]
+            for c in _partitions(size, d)]
 
 
 def _sorted_monomials(m, n, d):
@@ -106,8 +107,10 @@ def _sorted_monomials(m, n, d):
 
 
 def hilbert_function(params, d, method="bitableaux"):
-    """Dimension of the degree-d slice of the quotient ring, three ways.
+    """Dimension of the degree-d slice of the quotient ring, four ways.
 
+    'formula' sums s_mu(1^m) * s_mu(1^n) (hook-content) over the partitions
+    mu of d with at most r parts (``_hilbert_formula``).
     'bitableaux' counts the standard bitableaux along the minor table without
     listing them (``count_standard``); 'lattice' counts the integer cone points
     of y-degree d from the sizes of the alpha and beta blocks they join; 'rank'
@@ -119,6 +122,9 @@ def hilbert_function(params, d, method="bitableaux"):
     """
     if not isinstance(d, int) or d < 0:
         raise ParameterError(f"degree must be a nonnegative integer, got {d!r}")
+    if method == "formula":
+        _check_degree(d)
+        return _hilbert_formula(params, d)
     if method == "bitableaux":
         return count_standard(params, d)
     if method == "lattice":
@@ -135,4 +141,5 @@ def hilbert_function(params, d, method="bitableaux"):
             # Degree d is built from memo's degree d - 1 and is not kept itself.
             del memo[positions]
         return rank
-    raise ParameterError(f"method must be 'bitableaux', 'lattice', or 'rank', got {method!r}")
+    raise ParameterError(
+        f"method must be 'formula', 'bitableaux', 'lattice', or 'rank', got {method!r}")

@@ -11,7 +11,8 @@ which turn out to be generated by an explicit set of variables.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, groupby
+from operator import itemgetter
 
 from . import kernels
 from .cone import _check_bound, _cone_layers, _cone_report, _pairs
@@ -142,18 +143,36 @@ def ladder_variable_set(params, delta):
     return tuple(sorted(out))
 
 
+def _content_key(rows, cols, m):
+    """The content of an x-monomial with these rows and columns, its degree
+    in each row and in each column, as one int with a byte per row and per
+    column, so contents add as the ints do (a degree is at most 128)."""
+    return sum([1 << 8 * (i - 1) for i in rows]) + sum([1 << 8 * (m + j - 1) for j in cols])
+
+
 def _x_independent(gammas, x_keys, d):
-    """(y/z image of gamma, positions of x^a) for each product gamma * x^a of
-    degree d whose x-side row (the x-side minor shifted by the key of x^a) is
-    independent of the earlier ones; ``gammas`` holds (size, x minor, image)."""
-    elim = Eliminator()
-    for size, x_minor, image in gammas:
+    """(y/z image of gamma, positions of x^a, content) for each product
+    gamma * x^a of degree d whose x-side row (the x-side minor shifted by the
+    key of x^a) is independent of the earlier ones, one content after another.
+    ``gammas`` holds (size, content, x minor, image), ``x_keys`` (packed key,
+    content) per x variable.  Rows of different contents share no monomial,
+    so each content is reduced by its own ``Eliminator``, dropped when it is
+    done."""
+    monomials, groups = {}, {}  # x^a by degree, as (positions, key, content)
+    for size, content, x_minor, image in gammas:
         if size > d:
             continue
-        for positions in combinations_with_replacement(range(len(x_keys)), d - size):
-            shift = sum(x_keys[p] for p in positions)
+        if d - size not in monomials:
+            monomials[d - size] = [
+                (ps, sum([x_keys[p][0] for p in ps]), sum([x_keys[p][1] for p in ps]))
+                for ps in combinations_with_replacement(range(len(x_keys)), d - size)]
+        for positions, shift, x_content in monomials[d - size]:
+            groups.setdefault(content + x_content, []).append((x_minor, image, positions, shift))
+    for content, products in groups.items():
+        elim = Eliminator()
+        for x_minor, image, positions, shift in products:
             if elim.reduce({key + shift: c for key, c in x_minor.items()}) is not None:
-                yield image, positions
+                yield image, positions, content
 
 
 def verify_ladder(params, delta, d_max=3):
@@ -175,7 +194,10 @@ def verify_ladder(params, delta, d_max=3):
     substitution is injective, so a product is independent of the earlier
     ones on the x side exactly when its image is on the y/z side.  The kept
     images span the image of the whole family, and the pivots, the leading
-    monomials of that span, are the same.
+    monomials of that span, are the same.  Both sides eliminate one content
+    (x-degree per row and per column) at a time: the substitution keeps both,
+    so images of different contents share no monomial, and only one content's
+    rows are held at once.
     """
     _require_full_rank(params)
     delta.check_bounds(params)
@@ -186,22 +208,26 @@ def verify_ladder(params, delta, d_max=3):
     yz = subst.yz_space
     minors = all_minors(params, d_max)
     gammas = [
-        (g.size, minor_polynomial(g, params, "X").packed,
+        (g.size, _content_key(g.rows, g.cols, params.m), minor_polynomial(g, params, "X").packed,
          minor_polynomial(g, params, "YZ", subst).packed)
         for g in minors if not minor_leq(delta, g)
     ]
-    x_keys = subst.x_space.unit_keys
+    xs = subst.x_space
+    x_keys = [(key, _content_key((i,), (j,), params.m))
+              for key, (_, i, j) in zip(xs.unit_keys, xs._keys)]
     memo = {(): {0: 1}}
     lead = {g: kernels.pack(_diagonal_monomial(yz, [(g.rows, g.cols)])) for g in minors}
     tails = _Tails(params.minor_table, lead.__getitem__, 0)
     rows = []
     mismatch = None
     for d in range(1, d_max + 1):
-        elim = Eliminator()
-        for image, positions in _x_independent(gammas, x_keys, d):
-            x_image = subst._combination_image(memo, positions)
-            elim.reduce(kernels.poly_mul(image, x_image, yz.key_limit))
-        pivots = set(elim.pivots)
+        pivots = set()
+        for _, products in groupby(_x_independent(gammas, x_keys, d), itemgetter(2)):
+            elim = Eliminator()
+            for image, positions, _ in products:
+                x_image = subst._combination_image(memo, positions)
+                elim.reduce(kernels.poly_mul(image, x_image, yz.key_limit))
+            pivots.update(elim.pivots)
         # An empty set divides no lead, nor would leads of degree 2 * 128 pack.
         divisible = {key for batch in tails.batches(params.r, d)
                      for head, leads in batch for key in map(head.__add__, leads)

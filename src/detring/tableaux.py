@@ -14,7 +14,7 @@ import re
 from functools import cached_property
 from itertools import combinations
 from math import comb
-from operator import attrgetter, ge
+from operator import attrgetter, ge, lt
 
 from .errors import ParameterError, ParseError
 from .kernels import MAX_DEGREE
@@ -328,17 +328,34 @@ class _Tails(dict):
                     yield self.groups(piece(d), d, degree - t)
 
 
+# The most standard bitableaux one listing holds; memory sets it, as the tail
+# memo grows with the output.  The largest test query lists 586,825 (basis at
+# 5x5, r = 3, degree 6), the benchmark's 118,178 (degree 5); 6x6 r3 lists
+# 25,688,736 at degree 7 (about 1.1 s and 125 MB resident) and 133,868,115 at
+# degree 8 (6.7 s, 675 MB).
+BASIS_LIMIT = 30_000_000
+
+
 def _chain_batches(params, degree, piece, empty):
     """Every standard chain of the degree with factor sizes <= r, in the order
     of ``enumerate_standard``, each as ``empty`` plus ``piece(d)`` per factor d,
     in ``(head, tails)`` groups as ``_Tails.batches`` yields them.  The degree
-    is checked before this returns.
+    is checked before this returns: past ``BASIS_LIMIT`` chains, counted by the
+    hook-content formula when the x-monomials of the degree, which bound
+    them, are more, it refuses.
 
     Depth first through ``params.minor_table``: larger factors first, then
     rows, then columns.
     """
     _check_degree(degree)
-    return _Tails(params.minor_table, piece, empty).batches(params.r, degree)
+    m, n, r = params.m, params.n, params.r
+    bound = comb(m * n + degree - 1, degree)  # the x-monomials of the degree
+    if bound > BASIS_LIMIT and _hilbert_formula(params, degree) > BASIS_LIMIT:
+        raise ParameterError(
+            f"degree {degree} would list more than {BASIS_LIMIT} standard bitableaux "
+            f"at m={m}, n={n}, r={r}; lower the degree"
+        )
+    return _Tails(params.minor_table, piece, empty).batches(r, degree)
 
 
 def enumerate_standard(params, degree):
@@ -429,6 +446,44 @@ def count_standard(params, degree):
     """``len(enumerate_standard(params, degree))`` without building a bitableau."""
     _check_degree(degree)
     return _count_pinned(params, "rows", 0, degree)
+
+
+def _semistandard_count(shape, size):
+    """s_shape(1^size), the semistandard tableaux of ``shape`` with entries in
+    1..size, by Stanley's hook-content formula (EC2, Cor. 7.21.4): the product
+    over cells (i, j) of (size + j - i) / hook(i, j).  A shape that is not
+    nonincreasing counts 0; so does one with more than size nonzero rows, whose
+    cell (size + 1, 1) has content -size."""
+    if any(map(lt, shape, shape[1:])):
+        return 0
+    cols = [sum([row > j for row in shape]) for j in range(shape[0])] if shape else []
+    num = den = 1
+    for i, row in enumerate(shape):
+        for j in range(row):
+            num *= size + j - i
+            den *= row - j + cols[j] - i - 1
+    return num // den
+
+
+def _partitions(size, d):
+    """The nonincreasing tuples of ``size`` nonnegative ints summing to d,
+    lexicographically largest first.  With k entries left to place and left
+    of d still to add, the next entry lies in [ceil(left / k), the one before]."""
+    heads = [((), d)]
+    for k in range(size, 0, -1):
+        heads = [(c + (x,), left - x) for c, left in heads
+                 for x in range(min(c[-1], left) if c else left, -(-left // k) - 1, -1)]
+    return [c for c, _ in heads]
+
+
+def _hilbert_formula(params, degree):
+    """``count_standard(params, degree)`` in closed form: the sum of
+    s_mu(1^m) * s_mu(1^n) over the partitions mu of the degree with at most r
+    parts.  A standard bitableau's row and column tableaux, transposed, are two
+    semistandard tableaux of one shape mu (De Concini-Eisenbud-Procesi 1980;
+    Bruns-Vetter, LNM 1327, ch. 11)."""
+    return sum([_semistandard_count(mu, params.m) * _semistandard_count(mu, params.n)
+                for mu in _partitions(params.r, degree)])
 
 
 def generators_gamma(params, side):

@@ -18,7 +18,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from detring import cli, cone, invariants
+from detring import cli, cone, invariants, tableaux
 from detring.classify import certify, classify
 from detring.cli import main, run
 from detring.cone import conic_equality_check, semigroup_vs_cone
@@ -290,6 +290,29 @@ def test_basis_negative_degree_exits_one_with_nothing_on_stdout(capsys):
     assert err == "error: degree must be nonnegative, got -1\n"
 
 
+def test_basis_past_the_limit_exits_one_within_a_second():
+    # 629,672,620 bitableaux: the listing ended in a MemoryError traceback
+    # after about 30 s under a 1.5 GB address-space cap.
+    argv = ["basis", "--m", "6", "--n", "6", "--r", "3", "--deg", "9"]
+    code = (
+        "from time import perf_counter\n"
+        "from detring.cli import run\n"
+        "start = perf_counter()\n"
+        f"code = run({argv!r})\n"
+        "print(perf_counter() - start, code)\n"
+    )
+    child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           env=subprocess_env(), timeout=10)
+    seconds, exit_code = child.stdout.split()
+    assert float(seconds) < 1 and exit_code == "1"
+    assert child.stderr == ("error: degree 9 would list more than 30000000 standard bitableaux "
+                            "at m=6, n=6, r=3; lower the degree\n")
+    # Degree 7 stays under the limit, and so does the largest test query.
+    assert count_standard(Parameters(6, 6, 3), 7) == 25688736 < tableaux.BASIS_LIMIT
+    assert count_standard(Parameters(6, 6, 3), 8) > tableaux.BASIS_LIMIT
+    assert count_standard(Parameters(5, 5, 3), 6) == 586825
+
+
 def test_basis_degree_zero_is_the_empty_product(capsys):
     space = ["--m", "3", "--n", "2", "--r", "2", "--deg", "0"]
     code, out, _ = capture(capsys, ["basis", *space])
@@ -314,6 +337,16 @@ def test_hilbert_payload_all_methods(capsys):
             ["hilbert", "--m", "2", "--n", "2", "--r", "1", "--deg", "2", "--method", method],
         )
         assert code == 0 and json.loads(out) == {"dim": 9}
+
+
+def test_hilbert_formula_payload(capsys):
+    code, out, _ = capture(capsys, ["hilbert", "--m", "2", "--n", "2", "--r", "1", "--deg", "2",
+                                    "--method", "formula"])
+    assert code == 0 and json.loads(out) == {"dim": 9}
+    # Past every walk's reach: the bitableaux method times out here.
+    code, out, _ = capture(capsys, ["hilbert", "--m", "10", "--n", "10", "--r", "5", "--deg", "12",
+                                    "--method", "formula"])
+    assert code == 0 and json.loads(out) == {"dim": 3907374597368225}
 
 
 def test_mult_payload(capsys):

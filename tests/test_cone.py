@@ -5,7 +5,9 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 from math import ceil, comb
 from time import perf_counter
 
@@ -14,12 +16,14 @@ import pytest
 from detring import cone, kernels
 from detring.cone import (
     WORK_LIMIT,
+    _blocks,
     _cone_report,
     _join,
     _monomials_of_degree,
     _pairs,
     _shifted_bounds,
     _sides,
+    _zeros,
     conic_equality_check,
     exponent_arrays,
     generators_semigroup,
@@ -31,7 +35,13 @@ from detring.cone import (
 from detring.counting import hilbert_function
 from detring.errors import ParameterError
 from detring.poly import YZSpace
-from detring.tableaux import Parameters, count_standard, enumerate_standard
+from detring.tableaux import (
+    Parameters,
+    _semistandard_count,
+    _tilde_basis_count,
+    count_standard,
+    enumerate_standard,
+)
 from helpers import (
     closure_cone_layers,
     cone_membership,
@@ -449,6 +459,62 @@ def test_conic_check_compares_blocks_without_building_points(monkeypatch):
     monkeypatch.setattr(kernels, "pack", refuse)
     for case, expect in zip(cases, expected):
         assert conic_equality_check(*case) == expect, case
+
+
+def test_hook_content_counts_the_zero_bound_blocks():
+    # Every side of 1..7 rows and rank 1..4 with column sums up to 3, and up
+    # to 5 where that stays quick; non-partition sums have no block.
+    cases = [(size, r, 3) for size in range(1, 8) for r in range(1, min(4, size) + 1)]
+    cases += [(size, r, 5) for size in range(1, 6) for r in range(1, min(3, size) + 1)]
+    for size, r, top in cases:
+        zeros = _zeros(size, r)
+        for sums in product(range(top + 1), repeat=r):
+            blocks = _blocks(size, r, sums, zeros, zeros)
+            assert _semistandard_count(sums, size) == len(blocks), (size, r, sums)
+    assert _semistandard_count((), 3) == 1 and _semistandard_count((2, 1), 3) == 8
+    # More nonzero rows than entries: no tableau, though the shape is a partition.
+    assert _semistandard_count((1, 1, 1), 2) == 0 == _semistandard_count((1, 2), 4)
+
+
+def test_pair_counts_by_hook_content_are_the_basis_counts():
+    # The work budget counts each signature pair as s_sa(1^m) * s_sb(1^n) points.
+    for (m, n, r) in parameter_triples(4, 4):
+        params = Parameters(m, n, r)
+        for variant in ("E", "Etilde"):
+            for d in range(7):
+                counts = Counter()
+                for sa, sb in _pairs(variant, r, (d,)):
+                    counts[sum(sa)] += _semistandard_count(sa, m) * _semistandard_count(sb, n)
+                for d1 in range(d + 1):
+                    if variant == "E":
+                        expect = count_standard(params, d1) if 2 * d1 == d else 0
+                    else:
+                        expect = _tilde_basis_count(params, d1, d - d1)
+                    assert counts[d1] == expect, (params, variant, d, d1)
+
+
+def test_conic_check_builds_beta_blocks_only_where_the_alpha_lists_differ(monkeypatch):
+    # The beta blocks are counted by hook-content; an n-row block is built
+    # only for a signature whose alpha lists differ, for the least point.
+    real, calls = cone._blocks, []
+
+    def spy(size, r, sums, lows, offsets):
+        calls.append((size, sums))
+        return real(size, r, sums, lows, offsets)
+
+    monkeypatch.setattr(cone, "_blocks", spy)
+    for (m, n, r) in [(3, 4, 2), (4, 3, 2), (2, 4, 1), (4, 5, 2), (5, 4, 2), (3, 5, 1)]:
+        params = Parameters(m, n, r)
+        zeros = _zeros(m, r)
+        for t in range(1, m - r + 2):
+            shifted = _shifted_bounds(params, witness_vector(params, t, Fraction(1, 2)))
+            ideal = (zeros[:-1] + [(t,) + zeros[-1][1:]], zeros)
+            calls.clear()
+            rep = conic_equality_check(params, t, Fraction(1, 2), 6)
+            alphas = [sums for size, sums in calls if size == m]
+            differ = [sa for sa in alphas[::2] if real(m, r, sa, *ideal) != real(m, r, sa, *shifted)]
+            assert [sums for size, sums in calls if size == n] == differ
+            assert rep["equal"] == (t <= m - r) == (not differ), (params, t)
 
 
 def test_join_keys_are_the_packed_points():

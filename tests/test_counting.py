@@ -4,6 +4,7 @@ three-way dimension cross-check."""
 import gc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from detring.counting import (
     binomial,
@@ -134,6 +135,26 @@ def test_dimension_methods_agree():
     for (m, n, r, d) in ((4, 3, 2, 5), (4, 4, 1, 4)):
         params = Parameters(m, n, r)
         assert hilbert_function(params, d, "bitableaux") == hilbert_function(params, d, "lattice")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(2, 4), st.integers(2, 4), st.data())
+def test_the_four_dimension_methods_agree(m, n, data):
+    r = data.draw(st.integers(1, min(m, n) - 1))
+    d = data.draw(st.integers(0, 4))
+    params = Parameters(m, n, r)
+    counts = [hilbert_function(params, d, method) for method in ("formula", "bitableaux", "lattice", "rank")]
+    assert counts == [counts[0]] * 4, (m, n, r, d)
+
+
+def test_formula_answers_at_sizes_the_walks_cannot():
+    assert hilbert_function(Parameters(5, 5, 3), 6, "formula") == count_standard(Parameters(5, 5, 3), 6)
+    assert hilbert_function(Parameters(6, 6, 3), 9, "formula") == 629672620
+    assert count_standard(Parameters(6, 6, 3), 9) == 629672620
+    # About 5 ms; the bitableaux walk takes minutes.
+    assert hilbert_function(Parameters(12, 12, 6), 20, "formula") == 20851195428646374043026684
+    with pytest.raises(ParameterError, match="^degree 256 exceeds the packed-exponent limit 255$"):
+        hilbert_function(Parameters(1, 1, 1), 256, "formula")
 
 
 def test_rank_counts_transposed_contents_once_at_square_formats():

@@ -3,6 +3,7 @@ ladder initial ideals checked by exact elimination."""
 
 import gc
 import json
+import tracemalloc
 from collections import Counter
 from itertools import combinations
 
@@ -290,6 +291,21 @@ def test_ladder_bound_past_the_packed_limit_exits_one(capsys):
     assert run([*base, "--deg-bound", "129"]) == 1
     err = capsys.readouterr().err
     assert err == "error: monomial of degree 256 exceeds the packed-exponent limit 255\n"
+
+
+def test_ladder_verification_holds_one_content_at_a_time():
+    # One Eliminator per degree on each side held every row of the degree
+    # and peaked near 3.2 MB traced; one per content peaks near 0.65 MB.
+    params, delta = Parameters(3, 3, 3), parse_minor("[2|2]")
+    expected = verify_ladder(params, delta, 4)  # the format's shared state is built here
+    tracemalloc.start()
+    try:
+        payload = verify_ladder(params, delta, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert payload == expected and payload["ok"]
+    assert peak < 1_000_000
 
 
 def test_ladder_verification_leaves_no_reference_cycle():

@@ -46,7 +46,7 @@ from operator import add
 from . import kernels
 from .errors import ParameterError
 from .generic_point import _diagonal_monomial
-from .tableaux import _check_degree, _semistandard_count, _Tails, all_minors
+from .tableaux import _check_degree, _partitions, _semistandard_count, _Tails, all_minors
 
 VARIANTS = ("E", "Etilde")
 
@@ -299,6 +299,49 @@ def _check_work(params, variant, bound, single=False):
                 f"degree bound {bound} would build more than {WORK_LIMIT} cone points "
                 f"at m={m}, n={n}, r={r}; lower the bound"
             )
+
+
+# The most block entries ``hilbert --method lattice`` has ``_sides`` build,
+# about 0.2-0.7 us each: 2x30 r1 d4 predicts 1,227,610 (0.23 s), 2x40 r1 d4
+# 4,936,410 (1.3 s).  The largest test query predicts 2,760 (4x4 r3 d4), the
+# benchmark's 1,600 (4x4 r2 d4); both stay under the monomial bound, so they
+# skip the count.
+SIDES_LIMIT = 2_000_000
+
+
+def _check_sides(params, d):
+    """Refuse past ``SIDES_LIMIT`` block entries at y-degree d (variant E).
+    Per partition s of d with at most r parts, ``_sides`` builds s_s(1^m)
+    alpha blocks of m*r entries and s_s(1^n) beta blocks of n*r (blocks of a
+    signature that is no partition are empty).  No count is made when the
+    blocks' bound, the monomials of degree d in m*r and n*r variables, keeps
+    under the limit; at r = 1 that bound is exact.  Two lower bounds come
+    next, so a large degree lists no partition: a side of N rows has
+    C(d + N - 1, d) blocks of the one-row shape (d) and, at r >= 2, at least
+    d - 2k + 1 of each shape (d - k, k), its count at N = 2.  The sum over
+    the partitions stops once past the limit."""
+    m, n, r = params.m, params.n, params.r
+
+    def entries(blocks_m, blocks_n):
+        return (blocks_m * m + blocks_n * n) * r
+
+    if entries(comb(m * r + d - 1, d), comb(n * r + d - 1, d)) <= SIDES_LIMIT:
+        return
+    total = entries(comb(d + m - 1, d), comb(d + n - 1, d))
+    if r > 1:
+        h = d // 2
+        total += entries(h * (d - h), h * (d - h))
+    if total <= SIDES_LIMIT:
+        total = 0
+        for s in _partitions(r, d):
+            total += entries(_semistandard_count(s, m), _semistandard_count(s, n))
+            if total > SIDES_LIMIT:
+                break
+    if total > SIDES_LIMIT:
+        raise ParameterError(
+            f"degree {d} would build more than {SIDES_LIMIT} block entries "
+            f"at m={m}, n={n}, r={r}; lower the degree"
+        )
 
 
 def _closure_layers(params, variant, bound, bidegrees=None):

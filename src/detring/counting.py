@@ -13,7 +13,7 @@ from itertools import combinations_with_replacement
 from math import comb, factorial, prod
 from operator import le, sub
 
-from .cone import _pairs, _sides
+from .cone import _check_sides, _pairs, _sides
 from .errors import ParameterError
 from .generic_point import _check_image_degree, shared_substitution
 from .linalg import Eliminator, det_bareiss
@@ -128,6 +128,7 @@ def hilbert_function(params, d, method="bitableaux"):
     if method == "bitableaux":
         return count_standard(params, d)
     if method == "lattice":
+        _check_sides(params, d)
         return sum(len(alphas) * len(betas)
                    for _, _, alphas, betas in _sides(params, _pairs("E", params.r, (2 * d,))))
     if method == "rank":

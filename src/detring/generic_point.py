@@ -27,7 +27,16 @@ class SubstitutionMap:
     what straightening reuses in that format: the positions of each tableau
     column's variables and the format's minors, both read by
     ``decode_standard``, and each minor's image terms, largest key first,
-    filled by ``straighten`` when first read."""
+    filled by ``straighten`` when first read.
+
+    ``chart`` holds the packed images on the open chart Y = [I_r; A] instead,
+    by x rank position: x[i,j] -> z[i,j] for i <= r and sum_k y[i,k]*z[k,j]
+    below, on the same y/z packing.  Every matrix of rank <= r whose first r
+    rows are independent is [Z; AZ], a dense open part of the irreducible
+    rank <= r locus, so an x-polynomial vanishes on the chart exactly when it
+    lies in the prime ideal of (r+1)-minors (Bruns-Vetter, LNM 1327, sec. 2).
+    ``is_in_ideal`` decides membership there; it does not give the initial
+    monomials that straightening reads, which need the full images."""
 
     def __init__(self, params):
         self.params = params
@@ -40,6 +49,8 @@ class SubstitutionMap:
             Poly._raw(yz, {units[yz.y(i, k)] + units[yz.z(k, j)]: 1 for k in ranks})
             for i in rows for j in cols
         ]
+        self.chart = [{units[yz.z(i, j)]: 1} for i in ranks for j in cols] + [
+            image.packed for image in self._images[params.r * params.n:]]
         # The y positions of column j of the left tableau by row index, then
         # the z positions of column j of the right one by column index.
         self.columns = [[yz.y(i, j) for i in rows] for j in ranks] + [
@@ -93,6 +104,19 @@ def _check_image_degree(degree):
         raise kernels._too_big(kernels.MAX_DEGREE + 1)
 
 
+def _check_operand(f, subst):
+    """Refuse an x-polynomial the map cannot take: one on a foreign space,
+    then one whose image would pass the packed limit."""
+    if f.space != subst.x_space:
+        raise SpaceMismatchError(f"polynomial on {f.space!r}, substitution for {subst.x_space!r}")
+    _check_image_degree(f.degree())
+
+
+def _term(exps, c):
+    """A ``_horner`` term: {position: exponent} over exps's nonzero entries, and c."""
+    return {p: exps[p] for p in compress(count(), exps)}, c
+
+
 def phi(f, subst):
     """Image of an x-space polynomial under the substitution; exact.
 
@@ -102,19 +126,14 @@ def phi(f, subst):
     cancel while they are small cofactor images rather than after every term
     has been expanded on its own.
     """
-    if f.space != subst.x_space:
-        raise SpaceMismatchError(f"polynomial on {f.space!r}, substitution for {subst.x_space!r}")
-    _check_image_degree(f.degree())
+    _check_operand(f, subst)
     # Over Z: Fractions would be carried through every product of the scheme.
     # ``straighten`` and ``is_in_ideal`` pass f already scaled to integers.
     scale, scaled = 1, f.packed
     if any(type(c) is not int for c in scaled.values()):
         scale, scaled = clear_denominators(scaled)
     unpack = f.space.unpack
-    terms = []
-    for key, c in scaled.items():
-        exps = unpack(key)
-        terms.append(({p: exps[p] for p in compress(count(), exps)}, c))
+    terms = [_term(unpack(key), c) for key, c in scaled.items()]
     images = [image.packed for image in subst._images]
     out = _horner(terms, images, subst.yz_space.key_limit)
     if scale > 1:

@@ -33,6 +33,9 @@ from .cone import _fills
 from .errors import InternalCheckError, NotInSemigroupError
 from .generic_point import (
     _check_image_degree,
+    _check_operand,
+    _horner,
+    _term,
     decode_standard,
     eval_bitableau,
     minor_polynomial,
@@ -98,7 +101,7 @@ def straighten(f, params, subst=None):
     # own component.
     rest = phi(Poly._raw(f.space, scaled), subst).packed
     if rest:
-        contents = _contents(f)
+        contents = _contents(f.space, scaled)
         floor = _floor(contents, subst.yz_space)
         rest = {key: c for key, c in rest.items() if key >= floor}
     result = []
@@ -120,16 +123,17 @@ def straighten(f, params, subst=None):
     return StandardCombination(params, tuple(result))
 
 
-def _contents(f):
-    """The distinct (row content, column content) pairs of f's terms: how
-    many of a term's variables lie in each row, and in each column."""
-    space = f.space
+def _contents(space, terms):
+    """An x-space term dict grouped by content: (row content, column content),
+    how many of a term's variables lie in each row and in each column, -> the
+    terms with it, as ``_horner`` terms."""
     m, n = space.m, space.n
-    out = set()
-    for key in f.packed:
+    out = {}
+    for key, c in terms.items():
         e = space.unpack(key)  # row-major
-        out.add((tuple([sum(e[i * n:i * n + n]) for i in range(m)]),
-                 tuple([sum(e[j::n]) for j in range(n)])))
+        content = (tuple([sum(e[i * n:i * n + n]) for i in range(m)]),
+                   tuple([sum(e[j::n]) for j in range(n)]))
+        out.setdefault(content, []).append(_term(e, c))
     return out
 
 
@@ -221,15 +225,25 @@ def _image_above(bitab, floor, params, subst):
 def is_in_ideal(f, params, subst=None):
     """Membership in the kernel of the substitution (the minor ideal), over Z.
 
-    When r = min(m, n) there are no (r+1)-minors, so the ideal is zero and
-    only zero is a member.  That answer refuses what ``phi`` refuses: an
-    image (of degree 2 * f.degree()) past the packed limit, with phi's
-    message, and, by running phi, a polynomial on a foreign space.
+    Every answer refuses what ``phi`` refuses, with phi's messages and in
+    phi's order: a polynomial on a foreign space, then an image (of degree
+    2 * f.degree()) past the packed limit.  When r = min(m, n) there are no
+    (r+1)-minors, so the ideal is zero and only zero is a member.
+
+    Otherwise f is decided one content at a time, on the map's ``chart``.
+    Scaling a row or a column of x maps the ideal to itself, so it is graded
+    by content, and f is a member exactly when each of its content components
+    is.  A one-term component is not: its image is a product of nonzero
+    polynomials in a domain.  Any other is a member exactly when its chart
+    image is zero; the first nonzero one answers.
     """
     if params.r == min(params.m, params.n) and f.space == params.x_space:
         _check_image_degree(f.degree())
         return f.is_zero()
     if subst is None:
         subst = shared_substitution(params)
+    _check_operand(f, subst)
     _, scaled = clear_denominators(f.packed)
-    return phi(Poly._raw(f.space, scaled), subst).is_zero()
+    chart, limit = subst.chart, subst.yz_space.key_limit
+    return all(len(terms) > 1 and not _horner(terms, chart, limit)
+               for terms in _contents(f.space, scaled).values())

@@ -151,7 +151,7 @@ def test_ladder_check_expands_only_minors_up_to_the_bound():
 
 
 def test_basis_streams_in_a_small_address_space():
-    # 520,723 bitableaux, 21 MB of JSON: holding the list, the encoder's
+    # 586,825 bitableaux, 21 MB of JSON: holding the list, the encoder's
     # chunks and the joined text at once needed about 145 MB.
     cap = (80 << 20, 80 << 20)
     argv = ["basis", "--m", "5", "--n", "5", "--r", "3", "--deg", "6"]
@@ -495,6 +495,47 @@ def test_cone_check_past_the_work_limit_exits_one_fast():
     assert (child.returncode, child.stdout) == (1, "")
     assert child.stderr == ("error: degree bound 255 would build more than 1000000 cone points "
                             "at m=3, n=3, r=2; lower the bound\n")
+
+
+def _refused_in_a_child(argv):
+    """(seconds, exit code, stderr) of ``run(argv)`` in a child interpreter
+    under a 1.5 GB address-space cap."""
+    cap = (1536 << 20, 1536 << 20)
+    code = (
+        "from time import perf_counter\n"
+        "from detring.cli import run\n"
+        "start = perf_counter()\n"
+        f"code = run({argv!r})\n"
+        "print(perf_counter() - start, code)\n"
+    )
+    child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           env=subprocess_env(), timeout=10,
+                           preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, cap))
+    seconds, exit_code = child.stdout.split()
+    return float(seconds), int(exit_code), child.stderr
+
+
+def test_hilbert_formula_past_its_budget_exits_one_fast():
+    # 552,767 partitions of 60 with at most 15 parts: the sum over them once
+    # ran past 20 s; at 40x40 r20 d120 it held 1.28 GB after 20 s.
+    for (m, r, d), count in (((30, 15, 60), 552767), ((40, 20, 120), 693703134)):
+        argv = ["hilbert", "--m", str(m), "--n", str(m), "--r", str(r), "--deg", str(d),
+                "--method", "formula"]
+        seconds, code, err = _refused_in_a_child(argv)
+        assert seconds < 1 and code == 1
+        assert err == (f"error: degree {d} would sum the hook-content formula over {count} "
+                       f"partitions at m={m}, n={m}, r={r}; lower the degree\n")
+
+
+def test_hilbert_lattice_past_its_budget_exits_one_fast():
+    # 2x65 r1 d4 builds 814,385 beta blocks of 65 entries, and took 19.7 s.
+    for m, n, r, d in ((2, 65, 1, 4), (8, 8, 4, 12), (2, 2, 2, 100000)):
+        argv = ["hilbert", "--m", str(m), "--n", str(n), "--r", str(r), "--deg", str(d),
+                "--method", "lattice"]
+        seconds, code, err = _refused_in_a_child(argv)
+        assert seconds < 1 and code == 1
+        assert err == (f"error: degree {d} would build more than 2000000 block entries "
+                       f"at m={m}, n={n}, r={r}; lower the degree\n")
 
 
 def test_tilde_check_past_the_work_limit_exits_one():

@@ -6,6 +6,8 @@ import gc
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from detring import cone, tableaux
+from detring.cone import _pairs, _sides
 from detring.counting import (
     binomial,
     hilbert_function,
@@ -16,7 +18,7 @@ from detring.counting import (
 )
 from detring.errors import ParameterError
 from detring.linalg import det_bareiss
-from detring.tableaux import Parameters, count_standard
+from detring.tableaux import Parameters, _partition_count, _partitions, count_standard
 from helpers import chain_ends, parameter_triples
 
 
@@ -155,6 +157,39 @@ def test_formula_answers_at_sizes_the_walks_cannot():
     assert hilbert_function(Parameters(12, 12, 6), 20, "formula") == 20851195428646374043026684
     with pytest.raises(ParameterError, match="^degree 256 exceeds the packed-exponent limit 255$"):
         hilbert_function(Parameters(1, 1, 1), 256, "formula")
+
+
+def test_partition_count_equals_the_listing():
+    for parts in range(1, 7):
+        for d in range(30):
+            assert _partition_count(d, parts) == len(_partitions(parts, d)), (parts, d)
+    assert _partition_count(60, 15) == 552767
+
+
+def test_formula_budget_counts_partition_cells(monkeypatch):
+    # 20x20 r10 d40 sums over 16,928 partitions of 40 cells: 677,120.
+    params = Parameters(20, 20, 10)
+    monkeypatch.setattr(tableaux, "FORMULA_LIMIT", 16928 * 40)
+    assert hilbert_function(params, 40, "formula") > 0
+    monkeypatch.setattr(tableaux, "FORMULA_LIMIT", 16928 * 40 - 1)
+    with pytest.raises(ParameterError, match="^degree 40 would sum the hook-content formula over "
+                                             "16928 partitions at m=20, n=20, r=10; lower the degree$"):
+        hilbert_function(params, 40, "formula")
+
+
+def test_lattice_budget_predicts_the_entries_the_sides_build(monkeypatch):
+    # The limit set to the entries ``_sides`` builds admits the query, one
+    # less refuses it: the prediction is exact, above the shortcut's bound.
+    for m, n, r, d in ((2, 5, 1, 3), (3, 3, 2, 4), (3, 4, 2, 5), (4, 4, 3, 4), (2, 2, 2, 9), (5, 3, 3, 3)):
+        params = Parameters(m, n, r)
+        built = sum(len(alphas) * m * r + len(betas) * n * r
+                    for _, _, alphas, betas in _sides(params, _pairs("E", r, (2 * d,))))
+        monkeypatch.setattr(cone, "SIDES_LIMIT", built)
+        assert hilbert_function(params, d, "lattice") == count_standard(params, d)
+        monkeypatch.setattr(cone, "SIDES_LIMIT", built - 1)
+        with pytest.raises(ParameterError, match=f"^degree {d} would build more than {built - 1} "
+                                                 f"block entries at m={m}, n={n}, r={r}; lower the degree$"):
+            hilbert_function(params, d, "lattice")
 
 
 def test_rank_counts_transposed_contents_once_at_square_formats():

@@ -2,13 +2,15 @@
 
 import gc
 import operator
+import re
 from fractions import Fraction
 from importlib import import_module
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from detring import kernels
+from detring import generic_point, kernels
 from detring.errors import InternalCheckError, ParameterError, SpaceMismatchError
 from detring.generic_point import (
     FORMATS,
@@ -183,6 +185,97 @@ def test_full_rank_membership_does_not_substitute(monkeypatch):
     f = parse_polynomial("x[1,1]^60*x[2,2]^60", params.x_space)
     assert not is_in_ideal(f, params)
     assert is_in_ideal(f - f, params)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.data())
+def test_membership_by_content_on_the_chart_equals_the_full_substitution(data):
+    # Minor multiples spread over several contents, then terms of a content
+    # already present (two factors trade columns, which keeps both contents),
+    # all with denominators; about half the inputs are members.
+    m, n = data.draw(st.integers(2, 5)), data.draw(st.integers(2, 5))
+    params = Parameters(m, n, data.draw(st.integers(1, min(m, n) - 1)))
+    xs = params.x_space
+    minors = [d for d in all_minors(params, max_size=params.r + 1) if d.size == params.r + 1]
+    coeff = st.fractions(-3, 3, max_denominator=4).filter(bool)
+    cell = st.tuples(st.integers(1, m), st.integers(1, n))
+
+    def monomial(cells):
+        out = Poly.constant(xs, 1)
+        for i, j in cells:
+            out = out * Poly.variable(xs, xs.x(i, j))
+        return out
+
+    f = Poly.zero(xs)
+    for c, d, cells in data.draw(st.lists(st.tuples(coeff, st.sampled_from(minors),
+                                                    st.lists(cell, max_size=2)), max_size=3)):
+        f = f + c * minor_polynomial(d, params, "X") * monomial(cells)
+    for _ in range(data.draw(st.integers(0, 2))):
+        if not f.packed:
+            break
+        e = xs.unpack(data.draw(st.sampled_from(sorted(f.packed))))
+        cells = [divmod(p, n) for p in range(xs.nvars) for _ in range(e[p])]
+        a, b = data.draw(st.integers(0, len(cells) - 1)), data.draw(st.integers(0, len(cells) - 1))
+        (i, j), (u, v) = cells[a], cells[b]
+        cells[a], cells[b] = (i, v), (u, j)
+        f = f + data.draw(coeff) * monomial([(i + 1, j + 1) for i, j in cells])
+    if data.draw(st.booleans()):
+        f = f + data.draw(coeff) * monomial(data.draw(st.lists(cell, max_size=4)))
+    assert is_in_ideal(f, params) == phi(f, SubstitutionMap(params)).is_zero(), (params, f)
+
+
+def test_a_one_term_content_answers_without_substituting(monkeypatch):
+    calls = []
+    horner = generic_point._horner
+
+    def spy(terms, images, limit):
+        calls.append(len(terms))
+        return horner(terms, images, limit)
+
+    monkeypatch.setattr(generic_point, "_horner", spy)
+    monkeypatch.setattr(import_module("detring.straighten"), "_horner", spy, raising=False)
+    params = Parameters(3, 3, 2)
+    # Each term has a content of its own.
+    f = parse_polynomial("x[1,1]^2 - 1/2*x[1,2]*x[2,1] + 3*x[3,3]*x[2,2]*x[1,1]", params.x_space)
+    assert is_in_ideal(f, params) is False
+    assert calls == []
+    det = minor_polynomial(all_minors(params, 3)[-1], params, "X")
+    assert is_in_ideal(det, params) and calls
+
+
+def test_membership_below_full_rank_never_reads_the_full_images(monkeypatch):
+    class Tripwire:
+        def __getitem__(self, key):
+            raise AssertionError("read the full image list")
+
+        def __iter__(self):
+            raise AssertionError("read the full image list")
+
+    for m, n, r in ((3, 3, 2), (4, 3, 2), (4, 5, 3)):
+        params = Parameters(m, n, r)
+        monkeypatch.setattr(shared_substitution(params), "_images", Tripwire())
+        det = minor_polynomial(all_minors(params, r + 1)[-1], params, "X")
+        g = parse_polynomial("x[1,2]*x[2,1] - 2/3*x[2,2]", params.x_space)
+        assert is_in_ideal(det * g, params) and is_in_ideal(det * g - det * g, params)
+        assert not is_in_ideal(det * g + Poly.variable(params.x_space, 0), params)
+        assert not is_in_ideal(det + det * g + g, params)
+
+
+def test_membership_below_full_rank_keeps_phis_refusals_and_order():
+    params = Parameters(3, 3, 2)
+    subst = shared_substitution(params)
+    for f in (Poly.zero(XSpace(4, 3)), Poly.variable(XSpace(4, 3), 0) ** 200):
+        with pytest.raises(SpaceMismatchError) as by_phi:
+            phi(f, subst)
+        with pytest.raises(SpaceMismatchError, match=f"^{re.escape(str(by_phi.value))}$"):
+            is_in_ideal(f, params)
+    # An image past the packed limit is refused before any term is looked at,
+    # also when every component has one term.
+    big = Poly.variable(params.x_space, 0) ** 128
+    for f in (big, big - Poly.variable(params.x_space, 1) ** 128):
+        with pytest.raises(ParameterError, match="^monomial of degree 256 exceeds the packed-exponent limit 255$"):
+            is_in_ideal(f, params)
+    assert str(by_phi.value) == "polynomial on XSpace(4, 3), substitution for XSpace(3, 3)"
 
 
 def test_combination_serializes_to_pairs():

@@ -185,21 +185,19 @@ def _shifted_bounds(params, w):
     return [tuple(map(ceil, col)) for col in cols], [()] + offsets
 
 
-def _sides(params, pairs, bounds=None):
+def _sides(params, pairs):
     """(sa, sb, alpha blocks, beta blocks) for each pair of ``pairs`` with beta blocks.
 
     The one place blocks are paired: a pair's cone points are its a + b.
-    ``bounds`` holds the alpha (lows, offsets), zero when None; beta blocks
-    have zero bounds and are built once per sb."""
+    Both sides have zero bounds; beta blocks are built once per sb."""
     m, n, r = params.m, params.n, params.r
-    lows, offsets = bounds or (_zeros(m, r), _zeros(m, r))
-    zeros = _zeros(n, r)
+    alpha, beta = _zeros(m, r), _zeros(n, r)
     betas = {}
     for sa, sb in pairs:
         if sb not in betas:
-            betas[sb] = _blocks(n, r, sb, zeros, zeros)
+            betas[sb] = _blocks(n, r, sb, beta, beta)
         if betas[sb]:
-            yield sa, sb, _blocks(m, r, sa, lows, offsets), betas[sb]
+            yield sa, sb, _blocks(m, r, sa, alpha, alpha), betas[sb]
 
 
 def _join(params, pairs, bidegrees=None):

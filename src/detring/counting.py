@@ -2,8 +2,8 @@
 
 All values are exact integers.  The binomial determinants are evaluated
 fraction-free; the direct route recounts the same numbers as standard chains
-of pinned minors along the minor table, so the two can be played against
-each other.
+of pinned minors, one side at a time (row tuples times column tuples, shape by
+shape), so the two can be played against each other.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ def mu_power(params, ideal, t):
 def mu_power_direct(params, ideal, t):
     """Same count without the determinant: the standard chains of t generators
     [1..r|C_1] <= ... <= [1..r|C_t] (``generators_gamma``; columns pinned for
-    'q'), counted along the minor table by ``_count_pinned``."""
+    'q'), counted one side at a time by ``_count_pinned``."""
     params.require_proper_rank()
     _check_ideal(ideal)
     _check_t(t)
@@ -77,7 +77,7 @@ def hodge_dim(r, n, t):
     return det_bareiss(rows)
 
 
-def _contents(size, d):
+def _orbit_contents(size, d):
     """The nonincreasing tuples of ``size`` nonnegative ints summing to d
     (``_partitions``), each with the size of its orbit under permuting
     entries: size! / prod(mult!)."""
@@ -93,8 +93,8 @@ def _sorted_monomials(m, n, d):
     # Each way to place degree k in one row: its column degrees and column offsets.
     parts = [[(tuple(map(js.count, range(n))), js) for js in combinations_with_replacement(range(n), k)]
              for k in range(d + 1)]
-    col_contents = _contents(n, d)
-    for rows, row_orbit in _contents(m, d):
+    col_contents = _orbit_contents(n, d)
+    for rows, row_orbit in _orbit_contents(m, d):
         for cols, col_orbit in col_contents:
             if m == n and cols > rows:
                 continue
@@ -111,8 +111,9 @@ def hilbert_function(params, d, method="bitableaux"):
 
     'formula' sums s_mu(1^m) * s_mu(1^n) (hook-content) over the partitions
     mu of d with at most r parts (``_hilbert_formula``).
-    'bitableaux' counts the standard bitableaux along the minor table without
-    listing them (``count_standard``); 'lattice' counts the integer cone points
+    'bitableaux' counts the standard bitableaux without building a minor
+    (``count_standard``): per shape, the standard row tuple sequences times
+    the standard column tuple sequences; 'lattice' counts the integer cone points
     of y-degree d from the sizes of the alpha and beta blocks they join; 'rank'
     computes the exact rank of the substituted monomial family, with no
     structure theory but the substitution's symmetry: permuting x's rows (y's)

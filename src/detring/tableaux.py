@@ -276,8 +276,8 @@ def all_minors(params, max_size=None):
 
 def _check_degree(value, noun="degree"):
     """Refuse a negative chain degree or degree bound (``noun`` names which),
-    and one past the packed limit: the walks recurse once per factor, so a
-    deep degree would exhaust the stack, and no packed point holds one."""
+    and one past the packed limit: the chain walk recurses once per factor, so
+    a deep degree would exhaust the stack, and no packed point holds one."""
     if value < 0:
         raise ParameterError(f"{noun} must be nonnegative, got {value}")
     if value > MAX_DEGREE:
@@ -382,47 +382,35 @@ def _standard_texts(params, degree):
     return _chain_batches(params, degree, attrgetter("_text"), "")
 
 
-class _Counts(dict):
-    """``(prev, left)`` -> the number of standard chains of degree ``left`` that
-    can follow the factor prev (any first factor of size <= r when prev is
-    None), counted along the successor lists ``enumerate_standard`` walks and
-    filled when first read; the chains that end after one more factor are the
-    length of its successor list."""
-
-    def __init__(self, table, r):
-        self.table, self.r = table, r
-
-    def __missing__(self, key):
-        prev, left = key
-        table, total = self.table, 0
-        for t in range(min(self.r if prev is None else prev.size, left), 0, -1):
-            if t == left:
-                total += len(table[prev, t])
-            else:
-                total += sum([self[d, left - t] for d in table[prev, t]])
-        self[key] = total
-        return total
+def _side_count(table, size, shape):
+    """The sequences of strictly increasing tuples over 1..size with lengths
+    ``shape`` (nonincreasing) in which each tuple's first t entries are
+    entrywise at most the next tuple's, t the next one's length: the row (or
+    column) side of the standard bitableaux of that shape, which are the row
+    sides times the column sides (De Concini-Eisenbud-Procesi 1980).  Counts
+    are carried along the positions ``table._above`` lists, from 1..shape[0],
+    which every first tuple dominates; no minor is built."""
+    ends = {tuple(range(1, shape[0] + 1)) if shape else (): 1}
+    for t in shape:
+        subsets = list(combinations(range(1, size + 1), t))
+        step = [0] * len(subsets)
+        for prev, c in ends.items():
+            for i in table._above(prev[:t], size):
+                step[i] += c
+        ends = {s: c for s, c in zip(subsets, step) if c}
+    return sum(ends.values())
 
 
 def _count_pinned(params, side, pins, left):
     """The standard chains of degree r * pins + left whose first pins factors
-    are size-r minors with ``side`` ('rows' or 'cols') equal to 1..r: carried
-    forward factor by factor along the successor lists by a loop (pins may run
-    to thousands), then each end weighed by the chains of degree left after it."""
+    are size-r minors with ``side`` ('rows' or 'cols') equal to 1..r: per shape
+    sigma of left with parts <= r, the pinned side's sequences of shape sigma,
+    since 1..r precedes every tuple of size <= r, times the other side's of
+    shape (r,) * pins + sigma, counted by a loop (pins may run to thousands)."""
     table, r = params.minor_table, params.r
-    base = tuple(range(1, r + 1))
-    ends = {None: 1}
-    for _ in range(pins):
-        step = {}
-        for prev, c in ends.items():
-            for d in table[prev, r]:
-                if getattr(d, side) == base:
-                    step[d] = step.get(d, 0) + c
-        ends = step
-    if not left:
-        return sum(ends.values())
-    counts = _Counts(table, r)
-    return sum(c * counts[d, left] for d, c in ends.items())
+    pinned, other = (params.m, params.n) if side == "rows" else (params.n, params.m)
+    return sum([_side_count(table, pinned, sigma) * _side_count(table, other, (r,) * pins + sigma)
+                for sigma in map(_conjugate, _partitions(r, left))])
 
 
 def _tilde_basis_count(params, d1, d2):
@@ -448,6 +436,11 @@ def count_standard(params, degree):
     return _count_pinned(params, "rows", 0, degree)
 
 
+def _conjugate(shape):
+    """The conjugate of a nonincreasing shape: its column lengths."""
+    return tuple([sum([row > j for row in shape]) for j in range(shape[0])]) if shape else ()
+
+
 def _semistandard_count(shape, size):
     """s_shape(1^size), the semistandard tableaux of ``shape`` with entries in
     1..size, by Stanley's hook-content formula (EC2, Cor. 7.21.4): the product
@@ -456,7 +449,7 @@ def _semistandard_count(shape, size):
     cell (size + 1, 1) has content -size."""
     if any(map(lt, shape, shape[1:])):
         return 0
-    cols = [sum([row > j for row in shape]) for j in range(shape[0])] if shape else []
+    cols = _conjugate(shape)
     num = den = 1
     for i, row in enumerate(shape):
         for j in range(row):

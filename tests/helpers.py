@@ -2,6 +2,9 @@
 
 import os
 import random
+import resource
+import subprocess
+import sys
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, permutations
@@ -333,3 +336,18 @@ def subprocess_env(**extra):
     root = os.path.dirname(os.path.dirname(os.path.abspath(detring.__file__)))
     entries = [root] + [e for e in os.environ.get("PYTHONPATH", "").split(os.pathsep) if e]
     return dict(os.environ, PYTHONPATH=os.pathsep.join(entries), **extra)
+
+
+def run_child(args, cap_mb=None, timeout=None, **kwargs):
+    """``python *args`` in a child interpreter that imports this detring
+    (``subprocess_env``), its output captured, as text unless ``text=False``
+    is passed.  With ``cap_mb`` its address space is capped at that many MB;
+    with ``timeout`` it is killed after that many seconds and
+    ``subprocess.TimeoutExpired`` raised.  Other keywords go to
+    ``subprocess.run``."""
+    if cap_mb is not None:
+        cap = (cap_mb << 20, cap_mb << 20)
+        kwargs["preexec_fn"] = lambda: resource.setrlimit(resource.RLIMIT_AS, cap)
+    kwargs.setdefault("text", True)
+    return subprocess.run([sys.executable, *args], capture_output=True, env=subprocess_env(),
+                          timeout=timeout, **kwargs)

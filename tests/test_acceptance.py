@@ -6,8 +6,6 @@ fails loudly rather than silently degrading.
 """
 
 import random
-import subprocess
-import sys
 import time
 from contextlib import contextmanager
 
@@ -26,7 +24,7 @@ from detring.invariants import verify_D_tilde, verify_ladder
 from detring.straighten import straighten
 from detring.tableaux import Parameters, all_minors, enumerate_standard
 
-from helpers import parameter_triples, random_poly, subprocess_env
+from helpers import parameter_triples, random_poly, run_child
 
 
 @contextmanager
@@ -199,18 +197,9 @@ def test_cli_output_is_byte_identical_across_runs():
     # cwd="/" keeps the working directory out of the payloads; the child gets
     # the absolute location of the package under test, since a relative
     # PYTHONPATH does not resolve from there.
-    env = subprocess_env()
     with gate("byte-identical repeat runs of every command"):
         for argv in commands:
-            runs = [
-                subprocess.run(
-                    [sys.executable, "-m", "detring", *argv],
-                    capture_output=True,
-                    cwd="/",
-                    env=env,
-                )
-                for _ in range(2)
-            ]
+            runs = [run_child(["-m", "detring", *argv], cwd="/", text=False) for _ in range(2)]
             stderr = [run.stderr.decode(errors="replace") for run in runs]
             assert runs[0].returncode == runs[1].returncode == 0, (argv, stderr)
             assert runs[0].stdout == runs[1].stdout, argv

@@ -5,11 +5,8 @@ import gc
 import io
 import json
 import re
-import resource
 import shlex
 import os
-import subprocess
-import sys
 import tracemalloc
 from pathlib import Path
 
@@ -31,7 +28,7 @@ from detring.tableaux import (
     enumerate_standard,
     parse_minor,
 )
-from helpers import parameter_triples, subprocess_env
+from helpers import parameter_triples, run_child
 
 
 def capture(capsys, argv):
@@ -96,29 +93,37 @@ def test_basis_payload(capsys):
 def test_hilbert_bitableaux_counts_without_listing():
     # 629,672,620 standard bitableaux: listing them would not finish in time.
     argv = ["hilbert", "--m", "6", "--n", "6", "--r", "3", "--deg", "9", "--method", "bitableaux"]
-    child = subprocess.run([sys.executable, "-m", "detring", *argv], capture_output=True,
-                           text=True, env=subprocess_env(), timeout=60)
+    child = run_child(["-m", "detring", *argv], timeout=60)
     assert child.returncode == 0, child.stderr
     assert '"dim": 629672620' in child.stdout
 
 
 def test_hilbert_bitableaux_fills_successor_lists_by_domination():
-    # 2940 minors of size <= 4: an all-pairs successor fill took seconds here.
+    # The count walks row tuples and column tuples of size <= 4, whose
+    # successors are the tuples that dominate them entrywise; it builds none
+    # of the 2940 minors of size <= 4, over which an all-pairs successor fill
+    # took seconds.
     argv = ["hilbert", "--m", "7", "--n", "7", "--r", "4", "--deg", "6", "--method", "bitableaux"]
-    child = subprocess.run([sys.executable, "-m", "detring", *argv], capture_output=True,
-                           text=True, env=subprocess_env(), timeout=60)
+    child = run_child(["-m", "detring", *argv], timeout=60)
     assert child.returncode == 0, child.stderr
     assert '"dim": 25807516' in child.stdout
 
 
+def test_hilbert_bitableaux_answers_ten_by_ten_within_two_seconds():
+    # Counted over minor pairs, this query ended in a MemoryError traceback
+    # after about 20 s under the same cap.
+    argv = ["hilbert", "--m", "10", "--n", "10", "--r", "5", "--deg", "12"]
+    child = run_child(["-m", "detring", *argv], cap_mb=1536, timeout=2)
+    assert child.returncode == 0, child.stderr[-500:]
+    assert '"dim": 3907374597368225' in child.stdout
+
+
 def _child_payload(argv):
     """The JSON a child interpreter prints for argv, its address space capped
-    at 256 MB: each query below peaks near 20 MB resident, and building the
-    minors it never reads would take hundreds of MB or more."""
-    cap = (256 << 20, 256 << 20)
-    child = subprocess.run([sys.executable, "-m", "detring", *argv], capture_output=True,
-                           text=True, env=subprocess_env(), timeout=60,
-                           preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, cap))
+    at 256 MB: each query below peaks near 20 MB resident.  ``hilbert`` builds
+    no minor, and ``basis`` and ``ladder-check`` build only the sizes they
+    read; every minor of the format would take hundreds of MB or more."""
+    child = run_child(["-m", "detring", *argv], cap_mb=256, timeout=60)
     assert child.returncode == 0, child.stderr[-500:]
     return json.loads(child.stdout)
 
@@ -153,11 +158,8 @@ def test_ladder_check_expands_only_minors_up_to_the_bound():
 def test_basis_streams_in_a_small_address_space():
     # 586,825 bitableaux, 21 MB of JSON: holding the list, the encoder's
     # chunks and the joined text at once needed about 145 MB.
-    cap = (80 << 20, 80 << 20)
     argv = ["basis", "--m", "5", "--n", "5", "--r", "3", "--deg", "6"]
-    child = subprocess.run([sys.executable, "-m", "detring", *argv], capture_output=True,
-                           text=True, env=subprocess_env(), timeout=60,
-                           preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, cap))
+    child = run_child(["-m", "detring", *argv], cap_mb=80, timeout=60)
     assert child.returncode == 0, child.stderr[-500:]
     count = count_standard(Parameters(5, 5, 3), 6)
     assert child.stdout.startswith('{\n  "bitableaux": [\n    "[1 2 3|1 2 3][1 2 3|1 2 3]",\n')
@@ -294,19 +296,10 @@ def test_basis_past_the_limit_exits_one_within_a_second():
     # 629,672,620 bitableaux: the listing ended in a MemoryError traceback
     # after about 30 s under a 1.5 GB address-space cap.
     argv = ["basis", "--m", "6", "--n", "6", "--r", "3", "--deg", "9"]
-    code = (
-        "from time import perf_counter\n"
-        "from detring.cli import run\n"
-        "start = perf_counter()\n"
-        f"code = run({argv!r})\n"
-        "print(perf_counter() - start, code)\n"
-    )
-    child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                           env=subprocess_env(), timeout=10)
-    seconds, exit_code = child.stdout.split()
-    assert float(seconds) < 1 and exit_code == "1"
-    assert child.stderr == ("error: degree 9 would list more than 30000000 standard bitableaux "
-                            "at m=6, n=6, r=3; lower the degree\n")
+    seconds, code, err = _refused_in_a_child(argv)
+    assert seconds < 1 and code == 1
+    assert err == ("error: degree 9 would list more than 30000000 standard bitableaux "
+                   "at m=6, n=6, r=3; lower the degree\n")
     # Degree 7 stays under the limit, and so does the largest test query.
     assert count_standard(Parameters(6, 6, 3), 7) == 25688736 < tableaux.BASIS_LIMIT
     assert count_standard(Parameters(6, 6, 3), 8) > tableaux.BASIS_LIMIT
@@ -490,17 +483,15 @@ def test_cone_check_past_the_packed_limit_exits_one(capsys):
 def test_cone_check_past_the_work_limit_exits_one_fast():
     # The full E point count up to degree 255 is about 6.3e12; this once hung.
     argv = ["cone-check", "--m", "3", "--n", "3", "--r", "2", "--deg-bound", "255"]
-    child = subprocess.run([sys.executable, "-m", "detring", *argv], capture_output=True,
-                           text=True, env=subprocess_env(), timeout=10)
+    child = run_child(["-m", "detring", *argv], timeout=10)
     assert (child.returncode, child.stdout) == (1, "")
     assert child.stderr == ("error: degree bound 255 would build more than 1000000 cone points "
                             "at m=3, n=3, r=2; lower the bound\n")
 
 
-def _refused_in_a_child(argv):
+def _refused_in_a_child(argv, cap_mb=None):
     """(seconds, exit code, stderr) of ``run(argv)`` in a child interpreter
-    under a 1.5 GB address-space cap."""
-    cap = (1536 << 20, 1536 << 20)
+    killed after 10 s, its address space capped at cap_mb MB when given."""
     code = (
         "from time import perf_counter\n"
         "from detring.cli import run\n"
@@ -508,9 +499,7 @@ def _refused_in_a_child(argv):
         f"code = run({argv!r})\n"
         "print(perf_counter() - start, code)\n"
     )
-    child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                           env=subprocess_env(), timeout=10,
-                           preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, cap))
+    child = run_child(["-c", code], cap_mb=cap_mb, timeout=10)
     seconds, exit_code = child.stdout.split()
     return float(seconds), int(exit_code), child.stderr
 
@@ -521,7 +510,7 @@ def test_hilbert_formula_past_its_budget_exits_one_fast():
     for (m, r, d), count in (((30, 15, 60), 552767), ((40, 20, 120), 693703134)):
         argv = ["hilbert", "--m", str(m), "--n", str(m), "--r", str(r), "--deg", str(d),
                 "--method", "formula"]
-        seconds, code, err = _refused_in_a_child(argv)
+        seconds, code, err = _refused_in_a_child(argv, cap_mb=1536)
         assert seconds < 1 and code == 1
         assert err == (f"error: degree {d} would sum the hook-content formula over {count} "
                        f"partitions at m={m}, n={m}, r={r}; lower the degree\n")
@@ -532,7 +521,7 @@ def test_hilbert_lattice_past_its_budget_exits_one_fast():
     for m, n, r, d in ((2, 65, 1, 4), (8, 8, 4, 12), (2, 2, 2, 100000)):
         argv = ["hilbert", "--m", str(m), "--n", str(n), "--r", str(r), "--deg", str(d),
                 "--method", "lattice"]
-        seconds, code, err = _refused_in_a_child(argv)
+        seconds, code, err = _refused_in_a_child(argv, cap_mb=1536)
         assert seconds < 1 and code == 1
         assert err == (f"error: degree {d} would build more than 2000000 block entries "
                        f"at m={m}, n={n}, r={r}; lower the degree\n")
@@ -541,8 +530,7 @@ def test_hilbert_lattice_past_its_budget_exits_one_fast():
 def test_tilde_check_past_the_work_limit_exits_one():
     # Every Etilde point up to degree 255 at 3x3 r2 once ran past a 10 s timeout.
     argv = ["tilde-check", "--m", "3", "--n", "3", "--r", "2", "--deg-bound", "255"]
-    child = subprocess.run([sys.executable, "-m", "detring", *argv], capture_output=True,
-                           text=True, env=subprocess_env(), timeout=10)
+    child = run_child(["-m", "detring", *argv], timeout=10)
     assert (child.returncode, child.stdout) == (1, "")
     assert child.stderr == ("error: degree bound 255 would build more than 1000000 cone points "
                             "at m=3, n=3, r=2; lower the bound\n")
@@ -604,20 +592,10 @@ def test_certify_past_the_work_limit_exits_one_within_a_second():
     # subset of the E points up to the bound, which cone-check budgets.
     argv = ["certify", "--m", "4", "--n", "4", "--r", "2", "--ideal", "p", "--t", "1",
             "--deg-bound", "40"]
-    code = (
-        "import sys\n"
-        "from time import perf_counter\n"
-        "from detring.cli import run\n"
-        "start = perf_counter()\n"
-        f"code = run({argv!r})\n"
-        "print(perf_counter() - start, code)\n"
-    )
-    child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                           env=subprocess_env(), timeout=10)
-    seconds, exit_code = child.stdout.split()
-    assert float(seconds) < 1 and exit_code == "1"
-    assert child.stderr == ("error: degree bound 40 would build more than 1000000 cone points "
-                            "at m=4, n=4, r=2; lower the bound\n")
+    seconds, code, err = _refused_in_a_child(argv)
+    assert seconds < 1 and code == 1
+    assert err == ("error: degree bound 40 would build more than 1000000 cone points "
+                   "at m=4, n=4, r=2; lower the bound\n")
     # The largest conic check the tests answer (2x2, r = 1, bound 256) stays under it.
     params = Parameters(2, 2, 1)
     assert sum(count_standard(params, k) for k in range(129)) == 723905 < cone.WORK_LIMIT
@@ -698,8 +676,7 @@ def test_one_process_answers_like_fresh_interpreters(capsys):
     for argv in argvs:
         codes.append(main(argv))
         out = capsys.readouterr()
-        child = subprocess.run([sys.executable, "-m", "detring", *argv],
-                               capture_output=True, text=True, env=subprocess_env())
+        child = run_child(["-m", "detring", *argv])
         assert (codes[-1], out.out, out.err) == (child.returncode, child.stdout, child.stderr), argv
     assert codes == [0, 0, 0, 1, 0]
 

@@ -2,8 +2,6 @@
 description, and the shifted-set comparison behind the power classification."""
 
 import random
-import subprocess
-import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -47,7 +45,7 @@ from helpers import (
     cone_membership,
     cone_system,
     parameter_triples,
-    subprocess_env,
+    run_child,
 )
 
 
@@ -305,9 +303,12 @@ def test_lattice_points_match_brute_force_membership():
 
 
 def _shifted_points(params, w, bound):
-    """Side B of the conic check as tuples: witness-shifted alpha blocks joined to beta blocks."""
-    sides = _sides(params, _pairs("E", params.r, range(bound + 1)), _shifted_bounds(params, w))
-    return {a + b for _, _, alphas, betas in sides for a in alphas for b in betas}
+    """Side B of the conic check as tuples: witness-shifted alpha blocks joined
+    to ``_sides``' beta blocks, as ``conic_equality_check`` joins them."""
+    shifted = _shifted_bounds(params, w)
+    sides = _sides(params, _pairs("E", params.r, range(bound + 1)))
+    return {a + b for sa, _, _, betas in sides
+            for a in _blocks(params.m, params.r, sa, *shifted) for b in betas}
 
 
 def _random_shift(params, rng):
@@ -693,8 +694,7 @@ def _refusal_in_a_child(call):
         "except ParameterError as exc:\n"
         "    print(perf_counter() - start, exc)\n"
     )
-    child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                           env=subprocess_env(), timeout=10)
+    child = run_child(["-c", code], timeout=10)
     seconds, message = child.stdout.split(" ", 1)
     return float(seconds), message
 

@@ -3,6 +3,7 @@
 import gc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from detring.counting import mu_power_direct
 from detring.errors import ParameterError, ParseError
@@ -13,6 +14,10 @@ from detring.tableaux import (
     Minor,
     Parameters,
     _chain_batches,
+    _conjugate,
+    _count_pinned,
+    _semistandard_count,
+    _side_count,
     _standard_texts,
     all_minors,
     count_standard,
@@ -29,6 +34,7 @@ from helpers import (
     minors_by_loops,
     parameter_triples,
     successors_by_minor_leq,
+    tilde_basis_count_by_listing,
 )
 
 
@@ -267,13 +273,51 @@ def test_successor_lists_equal_the_pairwise_filter_in_order():
 
 
 def test_minor_table_fills_only_the_sizes_a_query_reads():
-    # Degree 2 reads sizes 1 and 2; a pinned count reads only size r.
+    # The counts build no minor: they read successor positions of row and
+    # column tuples, of lengths 1 and 2 at degree 2 and of length r alone
+    # for a chain of pinned size-r generators.
     params = Parameters(8, 8, 6)
     assert count_standard(params, 2) == 2080  # every quadric: C(64 + 1, 2)
-    assert max(t for _, t in params.minor_table) == 2
+    assert not params.minor_table
+    assert {len(low) for low, _ in params.minor_table.positions} == {1, 2}
     params = Parameters(8, 8, 6)
     assert mu_power_direct(params, "p", 3) == 2520
-    assert [t for prev, t in params.minor_table if prev is None] == [6]
+    assert not params.minor_table
+    assert {len(low) for low, _ in params.minor_table.positions} == {6}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(1, 6), st.lists(st.integers(1, 7), max_size=6))
+def test_one_side_of_a_shape_counts_its_conjugates_semistandard_tableaux(size, parts):
+    # Tuple k read as column k of a tableau: columns grow strictly, rows
+    # weakly, so one side of shape sigma is a semistandard tableau of the
+    # conjugate shape with entries in 1..size.
+    shape = tuple(sorted(parts, reverse=True))
+    table = Parameters(size, size, size).minor_table
+    assert _side_count(table, size, shape) == _semistandard_count(_conjugate(shape), size)
+
+
+def test_pinned_counts_equal_the_listing_on_both_sides():
+    # Rows pinned to 1..r: the pure minors [1..r|s] lead, and the listing
+    # weighs each standard bitableau of degree left by the chains of column
+    # tuples s that grow into its first factor's columns; the mirror for cols.
+    for m, n, r in parameter_triples(4, 4):
+        params = Parameters(m, n, r)
+        for pins in range(4):
+            for left in range(5):
+                rows = tilde_basis_count_by_listing(params, left, r * pins + left)
+                cols = tilde_basis_count_by_listing(params, r * pins + left, left)
+                assert _count_pinned(params, "rows", pins, left) == rows, (m, n, r, pins, left)
+                assert _count_pinned(params, "cols", pins, left) == cols, (m, n, r, pins, left)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6), st.integers(0, 4),
+       st.integers(0, 6))
+def test_pinned_counts_transpose_with_the_format(m, n, r, pins, left):
+    r = min(r, m, n)
+    rows = _count_pinned(Parameters(m, n, r), "rows", pins, left)
+    assert rows == _count_pinned(Parameters(n, m, r), "cols", pins, left)
 
 
 def test_all_minors_are_the_tables_own_objects():

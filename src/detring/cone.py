@@ -22,8 +22,9 @@ defects are merely constant across columns.  ``_blocks`` builds one side
 column by column from explicit bounds: per-entry lows (4) and, on column
 j-1's prefix sums, per-prefix cap offsets (2); so integer points are
 generated, never filtered, and other bounds give the conic check's shifted
-side.  (5) picks which alpha and beta blocks join (``_pairs``), and ``_sides``
-pairs them.  These are the package's only description of the cone; the
+side.  (5) picks which alpha and beta blocks join (``_pairs``: column sums
+that are partitions, as (2) gives no block to others), and ``_sides`` pairs
+them.  These are the package's only description of the cone; the
 brute-force oracle is ``tests/helpers.cone_system``.  With zero bounds the
 blocks of column sums s are the semistandard tableaux of shape s (column j
 counts the entries of row j): s_s(1^size) of them, by hook-content.
@@ -33,7 +34,7 @@ points are the semigroup of the closed-form generators, both streamed degree
 by degree as packed ints (``_join``).  ``conic_equality_check``, the
 shifted-cone comparison that certifies Cohen-Macaulayness of symbolic powers,
 compares alpha block lists, counts the beta blocks by hook-content, and
-builds no point.
+builds no point; ``tilde-check`` counts its lattice by bidegree the same way.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from operator import add
 from . import kernels
 from .errors import ParameterError
 from .generic_point import _diagonal_monomial
-from .tableaux import _check_degree, _partitions, _semistandard_count, _Tails, all_minors
+from .tableaux import _check_degree, _partitions, _refusal, _semistandard_count, _Tails, all_minors
 
 VARIANTS = ("E", "Etilde")
 
@@ -186,30 +187,27 @@ def _shifted_bounds(params, w):
 
 
 def _sides(params, pairs):
-    """(sa, sb, alpha blocks, beta blocks) for each pair of ``pairs`` with beta blocks.
+    """(sa, sb, alpha blocks, beta blocks) for each pair of ``pairs``.
 
     The one place blocks are paired: a pair's cone points are its a + b.
-    Both sides have zero bounds; beta blocks are built once per sb."""
+    Both sides have zero bounds; beta blocks are built once per sb.  A pair
+    of partitions (``_pairs``) has s_sa(1^m) and s_sb(1^n) blocks, none 0."""
     m, n, r = params.m, params.n, params.r
     alpha, beta = _zeros(m, r), _zeros(n, r)
     betas = {}
     for sa, sb in pairs:
         if sb not in betas:
             betas[sb] = _blocks(n, r, sb, beta, beta)
-        if betas[sb]:
-            yield sa, sb, _blocks(m, r, sa, alpha, alpha), betas[sb]
+        yield sa, sb, _blocks(m, r, sa, alpha, alpha), betas[sb]
 
 
-def _join(params, pairs, bidegrees=None):
+def _join(params, pairs):
     """The set of cone points of ``pairs`` as packed ints, one int ``+`` each:
-    pack(a) + ((pack(b) + |a| * ones) << 8mr), whose y-degree field is |a|.
-    A Counter ``bidegrees`` counts them by (|sa|, |sb|)."""
+    pack(a) + ((pack(b) + |a| * ones) << 8mr), whose y-degree field is |a|."""
     width = kernels.FIELD_BITS * params.m * params.r
     ones = (kernels.key_limit(params.n * params.r) - 1) // kernels.MAX_DEGREE
     points = set()
     for sa, sb, alphas, betas in _sides(params, pairs):
-        if bidegrees is not None:
-            bidegrees[sum(sa), sum(sb)] += len(alphas) * len(betas)
         keys = [kernels.pack(b) << width for b in betas]
         offset = sum(sa) * ones << width
         for a in alphas:
@@ -218,47 +216,35 @@ def _join(params, pairs, bidegrees=None):
 
 
 def _pairs(variant, r, degrees):
-    """The (sa, sb) signature pairs of the cone points of each total degree in ``degrees``.
+    """The (sa, sb) signature pairs of the cone points of each total degree in
+    ``degrees``, alpha column sums sa lexicographically largest first.
 
-    Family (5) ties alpha column sums sa to beta row sums sb = sa - c, c = 0
-    for E: degree d = 2|sa| - rc, and sb >= 0 needs c <= min(sa).
+    Family (5) ties sa to beta row sums sb = sa - c, c = 0 for E: degree
+    d = 2|sa| - rc, and sb >= 0 needs c <= min(sa).  Only partitions are
+    yielded (``_partitions``): family (2) gives an alpha side of any other
+    column sums no block, and sb is then a partition too.
     """
     for d in degrees:
         for da in range(d + 1):
             c, rest = divmod(2 * da - d, r)
             if not rest and (c == 0 or variant == "Etilde"):
-                for sa in _monomials_of_degree(r, da):
-                    if min(sa) >= c:
+                for sa in _partitions(r, da):
+                    if sa[-1] >= c:
                         yield sa, tuple(x - c for x in sa)
 
 
-def _monomials_of_degree(k, d):
-    """Exponent tuples of length k >= 1 with entry sum d, lexicographically largest first."""
-    return _fills((0,) * k, None, d)[::-1]
-
-
-def lattice_points(params, variant="E", bound=None, y_degree=None):
-    """The set of integer cone points of total degree <= bound, or of exact y-degree, as tuples.
+def lattice_points(params, variant, bound):
+    """The set of integer cone points of total degree <= bound, as tuples.
 
     Each point is an alpha block joined to a beta block (``_sides``); a point
-    of y-degree d has degree 2d in variant E.  Past ``WORK_LIMIT`` points of
-    degree <= bound, or in the slice, it refuses.
+    of y-degree d has degree 2d in variant E.  Past ``WORK_LIMIT`` points it
+    refuses.
     """
     _check_variant(variant)
-    if variant == "E" and y_degree is not None:
-        _check_bound(y_degree)
-        degrees = (2 * y_degree,)
-    elif bound is None:
-        raise ParameterError("either bound or y_degree is required" if variant == "E"
-                             else "a degree bound is required for the Etilde variant")
-    elif y_degree is not None:
-        raise ParameterError("y_degree slicing is only supported for variant E")
-    else:
-        _check_bound(bound)
-        degrees = range(bound + 1)
-    _check_work(params, variant, degrees[-1], single=y_degree is not None)
-    return {a + b for _, _, alphas, betas in _sides(params, _pairs(variant, params.r, degrees))
-            for a in alphas for b in betas}
+    _check_bound(bound)
+    _check_work(params, variant, bound)
+    pairs = _pairs(variant, params.r, range(bound + 1))
+    return {a + b for _, _, alphas, betas in _sides(params, pairs) for a in alphas for b in betas}
 
 
 # The most points a cone check or ``lattice_points`` builds.  The largest test
@@ -268,15 +254,12 @@ def lattice_points(params, variant="E", bound=None, y_degree=None):
 WORK_LIMIT = 1_000_000
 
 
-def _check_work(params, variant, bound, single=False):
+def _check_work(params, variant, bound):
     """Refuse past ``WORK_LIMIT`` cone points of degree <= bound, summing the
-    counts degree by degree only until the limit is passed, and not at all
-    when the points' bound C(nvars + top, top), the monomials of degree <= top
-    in nvars variables, is below it.  A signature pair (sa, sb) has
-    s_sa(1^m) * s_sb(1^n) points: its alpha and beta block counts.  With
-    ``single`` (variant E) only degree bound counts: R is a domain, so the
-    counts never fall, and the first to pass the limit, often far cheaper
-    than the last, shows that the last does."""
+    counts pair by pair only until the limit is passed, and not at all when
+    the points' bound C(nvars + top, top), the monomials of degree <= top in
+    nvars variables, is below it.  A signature pair (sa, sb) has
+    s_sa(1^m) * s_sb(1^n) points: its alpha and beta block counts."""
     m, n, r = params.m, params.n, params.r
     if variant == "E":
         # Degree 2k has one point per standard bitableau of degree k, at most
@@ -288,15 +271,11 @@ def _check_work(params, variant, bound, single=False):
     if comb(nvars + top, top) <= WORK_LIMIT:
         return
     total = 0
-    for d in range(bound + 1):
-        count = sum([_semistandard_count(sa, m) * _semistandard_count(sb, n)
-                     for sa, sb in _pairs(variant, r, (d,))])
-        total = count if single else total + count
+    for sa, sb in _pairs(variant, r, range(bound + 1)):
+        total += _semistandard_count(sa, m) * _semistandard_count(sb, n)
         if total > WORK_LIMIT:
-            raise ParameterError(
-                f"degree bound {bound} would build more than {WORK_LIMIT} cone points "
-                f"at m={m}, n={n}, r={r}; lower the bound"
-            )
+            raise _refusal(params, f"degree bound {bound} would build more than {WORK_LIMIT} "
+                           "cone points", "bound")
 
 
 # The most block entries ``hilbert --method lattice`` has ``_sides`` build,
@@ -336,17 +315,14 @@ def _check_sides(params, d):
             if total > SIDES_LIMIT:
                 break
     if total > SIDES_LIMIT:
-        raise ParameterError(
-            f"degree {d} would build more than {SIDES_LIMIT} block entries "
-            f"at m={m}, n={n}, r={r}; lower the degree"
-        )
+        raise _refusal(params, f"degree {d} would build more than {SIDES_LIMIT} block entries")
 
 
-def _closure_layers(params, variant, bound, bidegrees=None):
+def _closure_layers(params, variant, bound):
     """The (semigroup closure, lattice) point sets of each degree 0..bound."""
     layers = _semigroup_layers(generators_semigroup(params, variant), bound)
     pairs = (_pairs(variant, params.r, (d,)) for d in range(bound + 1))
-    return zip(layers, (_join(params, p, bidegrees=bidegrees) for p in pairs))
+    return zip(layers, (_join(params, p) for p in pairs))
 
 
 def _chain_layers(params, lead, bound):
@@ -374,13 +350,12 @@ def _chain_layers(params, lead, bound):
         yield size, size
 
 
-def _cone_layers(params, variant, bound, bidegrees=None):
+def _cone_layers(params, variant, bound):
     """The (semigroup, lattice) points of each degree 0..bound, as packed-int
     sets or, where proven equal, their sizes; checked before it returns.
 
     Variant E takes ``_chain_layers`` when each minor of size t <= r has one
-    well-formed generator of degree 2t; anything else takes the closure,
-    which tallies ``bidegrees`` as ``_join`` does.
+    well-formed generator of degree 2t; anything else takes the closure.
     """
     _check_degree(bound, "degree bound")
     _check_work(params, variant, bound)
@@ -391,7 +366,7 @@ def _cone_layers(params, variant, bound, bidegrees=None):
             len(g) == nvars and min(g) >= 0 and sum(g) == 2 * d.size for g, d in zip(gens, minors)
         ):
             return _chain_layers(params, dict(zip(minors, map(kernels.pack, gens))), bound)
-    return _closure_layers(params, variant, bound, bidegrees)
+    return _closure_layers(params, variant, bound)
 
 
 def _mismatch(params, diffs, sides):
@@ -504,8 +479,6 @@ def conic_equality_check(params, t, eps=Fraction(1, 2), bound=6):
     count_a, count_b, diffs = 0, 0, []
     for sa, _ in _pairs("E", r, range(0, bound + 1, 2)):
         betas = _semistandard_count(sa, n)
-        if not betas:
-            continue
         alphas, others = _blocks(m, r, sa, *ideal), _blocks(m, r, sa, *shifted)
         count_a += len(alphas) * betas
         count_b += len(others) * betas

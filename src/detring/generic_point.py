@@ -83,8 +83,8 @@ FORMATS = 8
 
 
 def shared_substitution(params):
-    """The format's ``SubstitutionMap``, shared by every caller that passes
-    none, so its per-format state is built once per process."""
+    """The format's one ``SubstitutionMap``, shared by every caller, so its
+    per-format state is built once per process."""
     return _shared_map(params.m, params.n, params.r)
 
 
@@ -228,9 +228,10 @@ def _cauchy_binet(minor, yz):
     return out
 
 
-def minor_polynomial(minor, params, side, subst=None):
-    """The minor as a polynomial: on the x variables, or through the
-    substitution (on the map's y/z space when one is given)."""
+def minor_polynomial(minor, params, side):
+    """The minor as a polynomial: on the x variables ("X"), or its image
+    through the format's substitution ("YZ"), by Cauchy-Binet on
+    ``params.yz_space``, the space of ``shared_substitution(params)``."""
     minor.check_bounds(params)
     if side == "X":
         space = params.x_space
@@ -238,21 +239,16 @@ def minor_polynomial(minor, params, side, subst=None):
         keys = [[units[space.x(i, j)] for j in minor.cols] for i in minor.rows]
         return Poly._raw(space, _det_keys(keys))
     if side == "YZ":
-        yz = params.yz_space if subst is None else subst.yz_space
-        return Poly._raw(yz, _cauchy_binet(minor, yz))
+        return Poly._raw(params.yz_space, _cauchy_binet(minor, params.yz_space))
     raise ValueError(f"side must be 'X' or 'YZ', got {side!r}")
 
 
-def eval_bitableau(bitab, params, side, subst=None):
+def eval_bitableau(bitab, params, side):
     """Product of the factor minors as a polynomial; empty product is 1."""
     bitab.check_bounds(params)
-    if side != "YZ":
-        space = params.x_space
-    else:
-        space = params.yz_space if subst is None else subst.yz_space
-    acc = Poly.constant(space, 1)
+    acc = Poly.constant(params.yz_space if side == "YZ" else params.x_space, 1)
     for f in bitab.factors:
-        acc = acc * minor_polynomial(f, params, side, subst)
+        acc = acc * minor_polynomial(f, params, side)
     return acc
 
 

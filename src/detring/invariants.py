@@ -26,17 +26,25 @@ from .generic_point import (
 )
 from .linalg import Eliminator
 from .poly import Poly, format_monomial
-from .tableaux import _Tails, _tilde_basis_count, all_minors, minor_leq
+from .tableaux import (
+    _hilbert_formula,
+    _refusal,
+    _semistandard_count,
+    _Tails,
+    _tilde_basis_count,
+    all_minors,
+    minor_leq,
+)
 
 
-def generators_R_tilde(params, subst=None):
+def generators_R_tilde(params):
     """Generating polynomials of the extended algebra, on the y/z space.
 
-    The m*n product-matrix entries, then the maximal minors of the left
-    factor (rows choose r), then of the right factor (columns choose r).
+    The m*n product-matrix entries (``shared_substitution(params)``'s
+    images), then the maximal minors of the left factor (rows choose r),
+    then of the right factor (columns choose r).
     """
-    if subst is None:
-        subst = shared_substitution(params)
+    subst = shared_substitution(params)
     yz, base = subst.yz_space, range(1, params.r + 1)
     units = yz.unit_keys
     gens = [subst.entry(i, j) for i in range(1, params.m + 1) for j in range(1, params.n + 1)]
@@ -72,13 +80,19 @@ def verify_D_tilde(params, bound=6):
     counts, and that the cone differs from the E one by exactly the final
     coupling: over the degrees checked, the E signature pairs (``_pairs``)
     are the Etilde ones with equal alpha column and beta row sums.  The
-    lattice is counted by bidegree in the cone comparison's join pass, each
-    pair adding its alpha times its beta block count (``_join``).  A bound
+    lattice is counted by bidegree by hook-content, each pair (sa, sb) adding
+    s_sa(1^m) * s_sb(1^n), its alpha times its beta block count, after the
+    cone comparison has checked the bound and before it walks.  A bound
     past ``cone.WORK_LIMIT`` points is refused before any is built.  Returns
     the JSON-ready payload, the cone comparison's nested under ``"cone"``.
     """
+    layers = _cone_layers(params, "Etilde", bound)
+    degrees = range(bound + 1)
+    tilde = list(_pairs("Etilde", params.r, degrees))
     bidegrees = Counter()
-    layers = _cone_layers(params, "Etilde", bound, bidegrees)
+    for sa, sb in tilde:
+        bidegrees[sum(sa), sum(sb)] += (_semistandard_count(sa, params.m)
+                                        * _semistandard_count(sb, params.n))
     gens = generators_R_tilde(params)
     predicted = [kernels.pack(e) for e in _predicted_generator_leads(params)]
     leads_ok = len(gens) == len(predicted) and all(
@@ -92,8 +106,7 @@ def verify_D_tilde(params, bound=6):
         for d1 in range(total + 1)
     ]
     match = all(row["lattice"] == row["basis"] for row in rows)
-    degrees = range(bound + 1)
-    coupled = {(sa, sb) for sa, sb in _pairs("Etilde", params.r, degrees) if sa == sb}
+    coupled = {(sa, sb) for sa, sb in tilde if sa == sb}
     system_ok = set(_pairs("E", params.r, degrees)) == coupled
     return {
         "m": params.m,
@@ -175,6 +188,24 @@ def _x_independent(gammas, x_keys, d):
                 yield image, positions, content
 
 
+# The most standard chains ``verify_ladder`` walks, each with its share of
+# the elimination, about 0.15-0.25 ms a chain: 2x2 r2 [2|2] b15 predicts
+# 3,875 (0.95 s in a child process), 4x4 r4 [2|2] b4 4,844 (1.2 s), 3x3 r3
+# b8 24,309.  The largest test or benchmark query predicts 714 (3x3 r3 b4).
+LADDER_LIMIT = 4_000
+
+
+def _check_chains(params, d_max):
+    """Refuse past ``LADDER_LIMIT`` chains, H(1) + ... + H(d_max) by
+    ``_hilbert_formula``, summed only until the limit is passed."""
+    total = 0
+    for d in range(1, d_max + 1):
+        total += _hilbert_formula(params, d)
+        if total > LADDER_LIMIT:
+            raise _refusal(params, f"degree bound {d_max} would walk more than {LADDER_LIMIT} "
+                           "standard chains", "bound")
+
+
 def verify_ladder(params, delta, d_max=3):
     """Compare the initial space of the ladder ideal with the variable ideal.
 
@@ -183,7 +214,8 @@ def verify_ladder(params, delta, d_max=3):
     surviving leading monomials, and compare with the standard chains' leads
     divisible by the predicted variable set, each summed from its factors'
     packed closed-form leads (as in ``cone._chain_layers``; a factor's size
-    is at most the degree).  Returns the JSON-ready payload;
+    is at most the degree).  Past ``LADDER_LIMIT`` chains, predicted after
+    the packed-limit check, it refuses.  Returns the JSON-ready payload;
     its ``"prime_ok"`` is always true (an ideal generated by variables is
     prime, and the degree rows check that generation), so ``"ok"`` is that
     every degree row matches.
@@ -203,13 +235,14 @@ def verify_ladder(params, delta, d_max=3):
     delta.check_bounds(params)
     _check_bound(d_max)
     _check_image_degree(d_max - 1)
+    _check_chains(params, d_max)
     subst = shared_substitution(params)
     vset = ladder_variable_set(params, delta)
     yz = subst.yz_space
     minors = all_minors(params, d_max)
     gammas = [
         (g.size, _content_key(g.rows, g.cols, params.m), minor_polynomial(g, params, "X").packed,
-         minor_polynomial(g, params, "YZ", subst).packed)
+         minor_polynomial(g, params, "YZ").packed)
         for g in minors if not minor_leq(delta, g)
     ]
     xs = subst.x_space

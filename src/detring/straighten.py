@@ -65,13 +65,12 @@ class StandardCombination(_Frozen):
         return not self.terms
 
     def evaluate(self, side, subst=None):
-        """Reassemble the combination as a polynomial on the chosen side."""
-        if subst is None:
-            subst = shared_substitution(self.params)
-        space = subst.x_space if side == "X" else subst.yz_space
-        acc = Poly.zero(space)
+        """Reassemble the combination as a polynomial on the chosen side, on
+        the spaces of ``subst`` when a map of this format is given."""
+        spaces = self.params if subst is None else subst
+        acc = Poly.zero(spaces.x_space if side == "X" else spaces.yz_space)
         for coef, bitab in self.terms:
-            acc = acc + coef * eval_bitableau(bitab, self.params, side, subst)
+            acc = acc + coef * eval_bitableau(bitab, self.params, side)
         return acc
 
     def as_pairs(self):
@@ -81,7 +80,7 @@ class StandardCombination(_Frozen):
         ]
 
 
-def straighten(f, params, subst=None):
+def straighten(f, params):
     """Standard expansion of an x-space polynomial modulo the kernel.
 
     Returns a StandardCombination; iteration count per homogeneous component
@@ -89,10 +88,10 @@ def straighten(f, params, subst=None):
     substituted standard bitableaux are monic with integer coefficients, so
     the loop runs over Z on f times the lcm of its denominators, and the
     coefficients are divided by that scale at the end.  Every term below the
-    floor of f's contents is dropped (see the module docstring).
+    floor of f's contents is dropped (see the module docstring).  The images
+    come from the format's one map, ``shared_substitution(params)``.
     """
-    if subst is None:
-        subst = shared_substitution(params)
+    subst = shared_substitution(params)
     scale, scaled = clear_denominators(f.packed)
     # phi's term dict is new, so the loop consumes it.  Every image term of an
     # x-monomial of degree k has y-degree k and total degree 2k, and the
@@ -211,7 +210,7 @@ def _image_above(bitab, floor, params, subst):
     for d in bitab.factors:
         terms = images.get(d)
         if terms is None:
-            image = minor_polynomial(d, params, "YZ", subst).packed
+            image = minor_polynomial(d, params, "YZ").packed
             terms = images[d] = sorted(image.items(), reverse=True)
         factors.append(terms)
     top = sum([terms[0][0] for terms in factors])
@@ -222,7 +221,7 @@ def _image_above(bitab, floor, params, subst):
     return acc
 
 
-def is_in_ideal(f, params, subst=None):
+def is_in_ideal(f, params):
     """Membership in the kernel of the substitution (the minor ideal), over Z.
 
     Every answer refuses what ``phi`` refuses, with phi's messages and in
@@ -230,7 +229,8 @@ def is_in_ideal(f, params, subst=None):
     2 * f.degree()) past the packed limit.  When r = min(m, n) there are no
     (r+1)-minors, so the ideal is zero and only zero is a member.
 
-    Otherwise f is decided one content at a time, on the map's ``chart``.
+    Otherwise f is decided one content at a time, on the ``chart`` of the
+    format's one map, ``shared_substitution(params)``.
     Scaling a row or a column of x maps the ideal to itself, so it is graded
     by content, and f is a member exactly when each of its content components
     is.  A one-term component is not: its image is a product of nonzero
@@ -240,8 +240,7 @@ def is_in_ideal(f, params, subst=None):
     if params.r == min(params.m, params.n) and f.space == params.x_space:
         _check_image_degree(f.degree())
         return f.is_zero()
-    if subst is None:
-        subst = shared_substitution(params)
+    subst = shared_substitution(params)
     _check_operand(f, subst)
     _, scaled = clear_denominators(f.packed)
     chart, limit = subst.chart, subst.yz_space.key_limit

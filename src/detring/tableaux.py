@@ -14,7 +14,7 @@ import re
 from functools import cached_property
 from itertools import combinations
 from math import comb
-from operator import attrgetter, ge, lt
+from operator import attrgetter, ge, lt, mul
 
 from .errors import ParameterError, ParseError
 from .kernels import MAX_DEGREE
@@ -274,6 +274,12 @@ def all_minors(params, max_size=None):
     return [d for t in range(1, top + 1) for d in table[None, t]]
 
 
+def _refusal(params, claim, noun="degree"):
+    """The one-line ``ParameterError`` of a query predicted past a budget:
+    ``claim``, the format, and what to lower."""
+    return ParameterError(f"{claim} at m={params.m}, n={params.n}, r={params.r}; lower the {noun}")
+
+
 def _check_degree(value, noun="degree"):
     """Refuse a negative chain degree or degree bound (``noun`` names which),
     and one past the packed limit: the chain walk recurses once per factor, so
@@ -348,14 +354,11 @@ def _chain_batches(params, degree, piece, empty):
     rows, then columns.
     """
     _check_degree(degree)
-    m, n, r = params.m, params.n, params.r
-    bound = comb(m * n + degree - 1, degree)  # the x-monomials of the degree
+    bound = comb(params.m * params.n + degree - 1, degree)  # the x-monomials of the degree
     if bound > BASIS_LIMIT and _hilbert_formula(params, degree) > BASIS_LIMIT:
-        raise ParameterError(
-            f"degree {degree} would list more than {BASIS_LIMIT} standard bitableaux "
-            f"at m={m}, n={n}, r={r}; lower the degree"
-        )
-    return _Tails(params.minor_table, piece, empty).batches(r, degree)
+        raise _refusal(params, f"degree {degree} would list more than {BASIS_LIMIT} "
+                       "standard bitableaux")
+    return _Tails(params.minor_table, piece, empty).batches(params.r, degree)
 
 
 def enumerate_standard(params, degree):
@@ -431,9 +434,37 @@ def _tilde_basis_count(params, d1, d2):
 
 
 def count_standard(params, degree):
-    """``len(enumerate_standard(params, degree))`` without building a bitableau."""
+    """``len(enumerate_standard(params, degree))`` without building a
+    bitableau; past ``COUNT_LIMIT`` predicted tuple pairs it refuses."""
     _check_degree(degree)
+    _check_count(params, degree)
     return _count_pinned(params, "rows", 0, degree)
+
+
+# The most (tuple, next tuple) pairs ``count_standard``'s one-sided walk
+# visits, about 25-55 ns each: 10x10 r5 d12 predicts 2,709,348 (0.29 s in a
+# child process), 11x11 r5 d14 12,744,116 (0.68 s), 12x12 r6 d16 93,015,788
+# (2.4 s), 20x20 r10 d40 about 4.4e14.  The largest test query predicts
+# 2,709,348 (10x10 r5 d12), the benchmark's 140 (4x4 r3 d3).
+COUNT_LIMIT = 20_000_000
+
+
+def _check_count(params, degree):
+    """Refuse past ``COUNT_LIMIT`` pairs.  Per shape sigma, the conjugate of a
+    partition of the degree, and per side of N rows (m, then n), ``_side_count``
+    carries one start tuple, then at most C(N, sigma_i) tuples, each into at
+    most the C(N, sigma_i+1) tuples of the next length; the sum stops once
+    past the limit.  The shapes are counted before they are listed
+    (``_shapes``)."""
+    total = 0
+    for mu in _shapes(params, degree, "count the standard bitableaux"):
+        lengths = _conjugate(mu)
+        for size in (params.m, params.n):
+            tuples = [1] + [comb(size, t) for t in lengths]
+            total += sum(map(mul, tuples, tuples[1:]))
+        if total > COUNT_LIMIT:
+            raise _refusal(params, f"degree {degree} would visit more than {COUNT_LIMIT} "
+                           "tuple pairs")
 
 
 def _conjugate(shape):
@@ -487,21 +518,24 @@ def _partition_count(d, parts):
 FORMULA_LIMIT = 1_000_000
 
 
+def _shapes(params, degree, task):
+    """``_partitions(r, degree)``, refused past ``FORMULA_LIMIT`` partition
+    cells, counted before any partition is listed; ``task`` names the work
+    they were listed for."""
+    count = _partition_count(degree, params.r)
+    if count * degree > FORMULA_LIMIT:
+        raise _refusal(params, f"degree {degree} would {task} over {count} partitions")
+    return _partitions(params.r, degree)
+
+
 def _hilbert_formula(params, degree):
     """``count_standard(params, degree)`` in closed form: the sum of
     s_mu(1^m) * s_mu(1^n) over the partitions mu of the degree with at most r
-    parts.  A standard bitableau's row and column tableaux, transposed, are two
-    semistandard tableaux of one shape mu (De Concini-Eisenbud-Procesi 1980;
-    Bruns-Vetter, LNM 1327, ch. 11).  Past ``FORMULA_LIMIT`` partition cells,
-    counted before any partition is listed, it refuses."""
-    count = _partition_count(degree, params.r)
-    if count * degree > FORMULA_LIMIT:
-        raise ParameterError(
-            f"degree {degree} would sum the hook-content formula over {count} partitions "
-            f"at m={params.m}, n={params.n}, r={params.r}; lower the degree"
-        )
+    parts (``_shapes``).  A standard bitableau's row and column tableaux,
+    transposed, are two semistandard tableaux of one shape mu (De
+    Concini-Eisenbud-Procesi 1980; Bruns-Vetter, LNM 1327, ch. 11)."""
     return sum([_semistandard_count(mu, params.m) * _semistandard_count(mu, params.n)
-                for mu in _partitions(params.r, degree)])
+                for mu in _shapes(params, degree, "sum the hook-content formula")])
 
 
 def generators_gamma(params, side):

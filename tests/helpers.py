@@ -11,7 +11,6 @@ from itertools import combinations, permutations
 
 import detring
 from detring import cone, kernels
-from detring.cone import _monomials_of_degree
 from detring.errors import (
     InternalCheckError,
     NotInSemigroupError,
@@ -44,6 +43,11 @@ def parameter_triples(max_m=3, max_n=3, proper=False):
             for r in range(1, top + 1):
                 out.append((m, n, r))
     return out
+
+
+def _monomials_of_degree(k, d):
+    """Exponent tuples of length k >= 1 with entry sum d, lexicographically largest first."""
+    return cone._fills((0,) * k, None, d)[::-1]
 
 
 def random_monomial(space, rng, degree):
@@ -117,7 +121,7 @@ def straighten_full(f, params, subst=None):
             raise InternalCheckError(
                 f"leading monomial of a substituted polynomial failed to decode: {exc}"
             ) from exc
-        image = eval_bitableau(bitab, params, "YZ", subst)
+        image = eval_bitableau(bitab, params, "YZ")
         kernels.poly_addmul(rest, -lam, image.packed)
         if lead in rest:
             raise InternalCheckError("leading term failed to cancel during straightening")
@@ -134,7 +138,7 @@ def ladder_family(params, delta, d, side):
     for g in all_minors(params):
         if minor_leq(delta, g) or g.size > d:
             continue
-        minor = minor_polynomial(g, params, side, subst).packed
+        minor = minor_polynomial(g, params, side).packed
         for exps in _monomials_of_degree(params.x_space.nvars, d - g.size):
             x_part = {kernels.pack(exps): 1} if side == "X" else monomial_image(subst, exps)
             yield kernels.poly_mul(minor, x_part, limit)
@@ -241,6 +245,13 @@ def closure_cone_layers(params, variant, bound):
     layers = cone._semigroup_layers(cone.generators_semigroup(params, variant), bound)
     joins = (cone._join(params, cone._pairs(variant, params.r, (d,))) for d in range(bound + 1))
     return zip(layers, joins)
+
+
+def lattice_slice(params, d):
+    """The E cone points of y-degree d: those of ``lattice_points`` at bound 2d
+    whose y block sums to d."""
+    yc = params.yz_space.y_count
+    return {v for v in cone.lattice_points(params, "E", 2 * d) if sum(v[:yc]) == d}
 
 
 def cone_membership(v, params, variant="E"):

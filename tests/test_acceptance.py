@@ -46,10 +46,9 @@ def test_standard_product_leading_monomials_follow_closed_form():
     with gate("closed-form leading monomials, exhaustive to degree 4", 60):
         for (m, n, r) in parameter_triples(3, 3):
             params = Parameters(m, n, r)
-            subst = SubstitutionMap(params)
             for d in range(1, 5):
                 for bitab in enumerate_standard(params, d):
-                    e, c = eval_bitableau(bitab, params, "YZ", subst).leading()
+                    e, c = eval_bitableau(bitab, params, "YZ").leading()
                     assert c == 1, (m, n, r, str(bitab))
                     assert e == initial_monomial_closed_form(bitab, params)
 
@@ -78,7 +77,7 @@ def test_random_straightenings_are_exact_with_bounded_iteration_count():
             params = Parameters(m, n, r)
             subst = SubstitutionMap(params)
             f = random_poly(subst.x_space, rng, max_degree=3)
-            comb = straighten(f, params, subst)
+            comb = straighten(f, params)
             assert comb.evaluate("YZ", subst) == phi(f, subst)
             per_degree = {}
             for _, bitab in comb:

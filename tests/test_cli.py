@@ -527,6 +527,28 @@ def test_hilbert_lattice_past_its_budget_exits_one_fast():
                        f"at m={m}, n={n}, r={r}; lower the degree\n")
 
 
+def test_hilbert_bitableaux_past_its_budget_exits_one_fast():
+    # 20x20 r10 d40 walked its 16,928 shapes past 20 s; 12x12 r6 d16 answers
+    # in about 2.4 s.
+    for m, r, d in ((20, 10, 40), (12, 6, 16)):
+        argv = ["hilbert", "--m", str(m), "--n", str(m), "--r", str(r), "--deg", str(d)]
+        seconds, code, err = _refused_in_a_child(argv, cap_mb=1536)
+        assert seconds < 1 and code == 1
+        assert err == (f"error: degree {d} would visit more than 20000000 tuple pairs "
+                       f"at m={m}, n={m}, r={r}; lower the degree\n")
+
+
+def test_ladder_check_past_its_budget_exits_one_fast():
+    # 24,309, 20,348 and 20,474 chains: these took 57.3 s, 17.2 s and 12.2 s.
+    for m, delta, b in ((3, "[2|2]", 8), (4, "[2|2]", 5), (2, "[1|1]", 24)):
+        argv = ["ladder-check", "--m", str(m), "--n", str(m), "--r", str(m), "--delta", delta,
+                "--deg-bound", str(b)]
+        seconds, code, err = _refused_in_a_child(argv, cap_mb=1536)
+        assert seconds < 1 and code == 1
+        assert err == (f"error: degree bound {b} would walk more than 4000 standard chains "
+                       f"at m={m}, n={m}, r={m}; lower the bound\n")
+
+
 def test_tilde_check_past_the_work_limit_exits_one():
     # Every Etilde point up to degree 255 at 3x3 r2 once ran past a 10 s timeout.
     argv = ["tilde-check", "--m", "3", "--n", "3", "--r", "2", "--deg-bound", "255"]

@@ -7,7 +7,6 @@ from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import ceil, comb
-from time import perf_counter
 
 import pytest
 
@@ -17,7 +16,6 @@ from detring.cone import (
     _blocks,
     _cone_report,
     _join,
-    _monomials_of_degree,
     _pairs,
     _shifted_bounds,
     _sides,
@@ -41,9 +39,11 @@ from detring.tableaux import (
     enumerate_standard,
 )
 from helpers import (
+    _monomials_of_degree,
     closure_cone_layers,
     cone_membership,
     cone_system,
+    lattice_slice,
     parameter_triples,
     run_child,
 )
@@ -161,8 +161,30 @@ def test_lattice_slices_match_standard_enumeration():
     for (m, n, r) in parameter_triples(3, 3):
         params = Parameters(m, n, r)
         for d in range(4):
-            pts = lattice_points(params, "E", y_degree=d)
+            pts = lattice_slice(params, d)
             assert len(pts) == len(enumerate_standard(params, d))
+
+
+def test_pairs_are_the_partition_signatures_with_blocks_on_both_sides():
+    # Family (2) gives an alpha side whose column sums are no partition no
+    # block, so those signatures are not paired at all.
+    for m, n, r in parameter_triples(4, 4):
+        params = Parameters(m, n, r)
+        zeros = _zeros(m, r)
+        for d in range(9):
+            for variant in ("E", "Etilde"):
+                every = []  # sa over every r-tuple, as family (5) alone allows
+                for da in range(d + 1):
+                    c, rest = divmod(2 * da - d, r)
+                    if not rest and (c == 0 or variant == "Etilde"):
+                        every += [(sa, tuple(x - c for x in sa))
+                                  for sa in _monomials_of_degree(r, da) if min(sa) >= c]
+                partition = [pair for pair in every if list(pair[0]) == sorted(pair[0], reverse=True)]
+                assert list(_pairs(variant, r, (d,))) == partition, (params, variant, d)
+                assert all(not _blocks(m, r, sa, zeros, zeros)
+                           for sa, _ in every if (sa, _) not in partition), (params, variant, d)
+                for _, _, alphas, betas in _sides(params, _pairs(variant, r, (d,))):
+                    assert alphas and betas, (params, variant, d)
 
 
 def test_semigroup_points_requires_generators():
@@ -299,7 +321,7 @@ def test_lattice_points_match_brute_force_membership():
                 v for v in _box(params, zeros, 2 * d)
                 if sum(v[:yc]) == d and cone_membership(v, params)
             )
-            assert sorted(lattice_points(params, "E", y_degree=d)) == expect, (params, d)
+            assert sorted(lattice_slice(params, d)) == expect, (params, d)
 
 
 def _shifted_points(params, w, bound):
@@ -545,25 +567,11 @@ def test_negative_bounds_are_refused():
     with pytest.raises(ParameterError, match="nonnegative"):
         lattice_points(Parameters(2, 2, 1), "E", bound=-1)
     with pytest.raises(ParameterError, match="nonnegative"):
-        lattice_points(Parameters(2, 2, 1), "E", y_degree=-2)
-    with pytest.raises(ParameterError, match="nonnegative"):
         lattice_points(params, "Etilde", bound=-1)
     with pytest.raises(ParameterError, match="nonnegative"):
         semigroup_vs_cone(params, "E", -1)
     with pytest.raises(ParameterError, match="nonnegative"):
         conic_equality_check(params, 1, Fraction(1, 2), -1)
-
-
-def test_lattice_points_refuses_a_missing_bound_or_an_etilde_slice():
-    params = Parameters(2, 2, 1)
-    with pytest.raises(ParameterError, match="^either bound or y_degree is required$"):
-        lattice_points(params, "E")
-    with pytest.raises(ParameterError, match="^a degree bound is required for the Etilde variant$"):
-        lattice_points(params, "Etilde", y_degree=1)
-    with pytest.raises(ParameterError, match="^y_degree slicing is only supported for variant E$"):
-        lattice_points(params, "Etilde", bound=2, y_degree=1)
-    # E takes the slice and ignores the bound.
-    assert lattice_points(params, "E", bound=0, y_degree=1) == lattice_points(params, y_degree=1)
 
 
 def _closure_report(params, bound):
@@ -702,21 +710,11 @@ def _refusal_in_a_child(call):
 def test_lattice_points_refuses_past_the_work_limit_within_a_second():
     # Both calls ran past an 8 s timeout before lattice_points had a budget.
     for call, bound in [("lattice_points(Parameters(3, 3, 2), 'E', bound=255)", 255),
-                        ("lattice_points(Parameters(3, 3, 2), 'E', y_degree=127)", 254),
                         ("lattice_points(Parameters(3, 3, 2), 'Etilde', bound=60)", 60)]:
         seconds, message = _refusal_in_a_child(call)
         assert seconds < 1, call
         assert message == (f"degree bound {bound} would build more than 1000000 cone points "
                            "at m=3, n=3, r=2; lower the bound\n")
-
-
-def test_lattice_points_budgets_a_slice_by_itself():
-    # The slice holds 22,801 points; budgeted as every degree up to 300 it
-    # was refused.
-    start = perf_counter()
-    points = lattice_points(Parameters(2, 2, 1), "E", y_degree=150)
-    assert perf_counter() - start < 1
-    assert len(points) == 22801 == count_standard(Parameters(2, 2, 1), 150)
 
 
 def test_etilde_library_call_refuses_past_the_work_limit_within_a_second():

@@ -177,6 +177,24 @@ def test_formula_budget_counts_partition_cells(monkeypatch):
         hilbert_function(params, 40, "formula")
 
 
+def test_count_budget_is_never_below_the_pairs_the_walk_reads(monkeypatch):
+    # ``_side_count`` reads each (tuple, next tuple) pair off a list
+    # ``_MinorTable._above`` returns; a limit one below the pairs read refuses.
+    real = tableaux._MinorTable._above
+    for m, n, r, d in ((3, 3, 2, 4), (4, 5, 3, 5), (6, 6, 3, 6), (5, 3, 3, 7), (2, 2, 1, 9)):
+        params, reads = Parameters(m, n, r), []
+        monkeypatch.setattr(tableaux._MinorTable, "_above",
+                            lambda table, low, size: reads.append(len(real(table, low, size)))
+                            or real(table, low, size))
+        assert count_standard(params, d) == hilbert_function(params, d, "formula")
+        monkeypatch.setattr(tableaux, "COUNT_LIMIT", sum(reads) - 1)
+        with pytest.raises(ParameterError, match=f"^degree {d} would visit more than "
+                                                 f"{sum(reads) - 1} tuple pairs at m={m}, n={n}, "
+                                                 f"r={r}; lower the degree$"):
+            count_standard(params, d)
+        monkeypatch.undo()
+
+
 def test_lattice_budget_predicts_the_entries_the_sides_build(monkeypatch):
     # The limit set to the entries ``_sides`` builds admits the query, one
     # less refuses it: the prediction is exact, above the shortcut's bound.

@@ -6,7 +6,6 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from detring.cone import _monomials_of_degree
 from detring.errors import NotInSemigroupError, NotStandardError, ParameterError, SpaceMismatchError
 from detring.generic_point import (
     SubstitutionMap,
@@ -18,8 +17,10 @@ from detring.generic_point import (
     phi,
 )
 from detring.poly import Poly, XSpace, YZSpace, parse_polynomial
+from detring.straighten import StandardCombination
 from detring.tableaux import Minor, Parameters, all_minors, enumerate_standard, parse_bitableau
 from helpers import (
+    _monomials_of_degree,
     det_expand,
     monomial_image,
     parameter_triples,
@@ -73,8 +74,8 @@ def test_minor_images_by_cauchy_binet_equal_the_substituted_minors():
         params = Parameters(m, n, r)
         subst = SubstitutionMap(params)
         for d in all_minors(params):
-            image = minor_polynomial(d, params, "YZ", subst)
-            assert image.space is subst.yz_space
+            image = minor_polynomial(d, params, "YZ")
+            assert image.space is params.yz_space
             assert image == phi(minor_polynomial(d, params, "X"), subst), (m, n, r, d)
 
 
@@ -94,11 +95,10 @@ def test_packed_minors_equal_the_leibniz_expansion():
 def test_oversize_minor_images_vanish():
     for (m, n, r) in parameter_triples(4, 4, proper=True):
         params = Parameters(m, n, r)
-        subst = SubstitutionMap(params)
         for d in all_minors(params, max_size=r + 1):
             if d.size != r + 1:
                 continue
-            assert minor_polynomial(d, params, "YZ", subst).terms == {}
+            assert minor_polynomial(d, params, "YZ").terms == {}
 
 
 def test_images_are_balanced_bidegree():
@@ -184,13 +184,13 @@ def test_x_side_lands_on_the_format_x_space_with_or_without_a_map():
     assert subst.x_space is params.x_space
     minor = Minor((1, 2), (1, 3))
     bitab = parse_bitableau("[1 2|1 3][2|2]")
-    for build in (
-        lambda s: minor_polynomial(minor, params, "X", s),
-        lambda s: eval_bitableau(bitab, params, "X", s),
-    ):
-        plain, mapped = build(None), build(subst)
-        assert plain.space is mapped.space is params.x_space
-        assert plain == mapped
+    combo = StandardCombination(params, ((Fraction(1, 2), bitab),))
+    for side, space in (("X", params.x_space), ("YZ", params.yz_space)):
+        for poly in (minor_polynomial(minor, params, side), eval_bitableau(bitab, params, side)):
+            assert poly.space is space
+        plain, mapped = combo.evaluate(side), combo.evaluate(side, subst)
+        assert plain.space is space and plain == mapped
+    assert subst.yz_space == params.yz_space
 
 
 def test_eval_empty_product_is_one():
@@ -205,7 +205,7 @@ def test_eval_commutes_with_substitution():
     params = Parameters(2, 2, 2)
     subst = SubstitutionMap(params)
     s = parse_bitableau("[1 2|1 2]")
-    direct = eval_bitableau(s, params, "YZ", subst)
+    direct = eval_bitableau(s, params, "YZ")
     assert direct == phi(eval_bitableau(s, params, "X"), subst)
     assert direct.terms
 
@@ -246,10 +246,9 @@ def test_closed_form_rejects_bad_input():
 def test_closed_form_matches_leading_term_small_sweep():
     for (m, n, r) in parameter_triples(2, 3):
         params = Parameters(m, n, r)
-        subst = SubstitutionMap(params)
         for d in range(4):
             for s in enumerate_standard(params, d):
-                e, c = eval_bitableau(s, params, "YZ", subst).leading()
+                e, c = eval_bitableau(s, params, "YZ").leading()
                 assert c == 1
                 assert e == initial_monomial_closed_form(s, params)
 

@@ -13,12 +13,16 @@ elimination, classification or straightening code that moves any payload,
 message or exit code shows up here.
 When a change is meant to move output, print the new digest with
 ``golden_digest(argvs)`` and say why it moved.
+
+Run as a script, ``PYTHONPATH=src python3 tests/test_golden.py``, it needs no
+pytest: it prints whether each digest matches and exits 1 on a mismatch.
 """
 
 import contextlib
 import hashlib
 import io
 import json
+import sys
 
 from detring.cli import run
 from detring.tableaux import Parameters, all_minors
@@ -155,3 +159,14 @@ def test_classification_commands_print_the_recorded_bytes():
 
 def test_straightening_commands_print_the_recorded_bytes():
     assert golden_digest(straighten_argvs()) == GOLDEN_STRAIGHTEN
+
+
+if __name__ == "__main__":
+    grids = (("cone", golden_argvs, GOLDEN), ("tableaux", tableaux_argvs, GOLDEN_TABLEAUX),
+             ("elimination", elimination_argvs, GOLDEN_ELIMINATION),
+             ("classification", classify_argvs, GOLDEN_CLASSIFY),
+             ("straightening", straighten_argvs, GOLDEN_STRAIGHTEN))
+    matches = [golden_digest(argvs()) == digest for _, argvs, digest in grids]
+    for (name, _, _), match in zip(grids, matches):
+        print(f"{name}: {'match' if match else 'MISMATCH'}")
+    sys.exit(0 if all(matches) else 1)

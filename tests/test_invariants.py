@@ -11,7 +11,7 @@ import pytest
 
 from detring import invariants, kernels
 from detring.cli import run
-from detring.cone import lattice_points, semigroup_vs_cone
+from detring.cone import _pairs, _sides, lattice_points, semigroup_vs_cone
 from detring.errors import ParameterError
 from detring.generic_point import initial_monomial_closed_form
 from detring.invariants import (
@@ -22,12 +22,13 @@ from detring.invariants import (
 )
 from detring.linalg import Eliminator
 from detring.poly import YZSpace
-from detring.tableaux import Parameters, all_minors, enumerate_standard, parse_minor
+from detring.tableaux import Parameters, all_minors, count_standard, enumerate_standard, parse_minor
 from helpers import (
     cone_system,
     det_expand,
     ladder_family,
     ladder_pivots_by_all_products,
+    lattice_slice,
     parameter_triples,
     tilde_basis_count_by_listing,
     variable_matrix,
@@ -140,7 +141,7 @@ def test_invariant_semigroup_diagonal_matches_plain_lattice():
     rep = verify_D_tilde(params, 4)
     rows = _bidegree_rows(rep)
     for d in (1, 2):
-        expect = len(lattice_points(params, "E", y_degree=d))
+        expect = len(lattice_slice(params, d))
         assert rows[(d, d)] == (expect, expect)
 
 
@@ -165,6 +166,33 @@ def test_bidegree_counts_equal_the_tuple_lattice():
             rep = verify_D_tilde(params, b)
             got = Counter({key: a for key, (a, _) in _bidegree_rows(rep).items()})
             assert got == expect, (params, b)
+
+
+def test_bidegree_counts_equal_the_block_counts_of_the_sides():
+    # The payload counts by hook-content; ``_sides`` builds the blocks.
+    for m, n, r in parameter_triples(4, 4):
+        params = Parameters(m, n, r)
+        for b in range(7):
+            expect = Counter()
+            for sa, sb, alphas, betas in _sides(params, _pairs("Etilde", r, range(b + 1))):
+                expect[sum(sa), sum(sb)] += len(alphas) * len(betas)
+            rows = _bidegree_rows(verify_D_tilde(params, b))
+            assert {key: a for key, (a, _) in rows.items() if a} == expect, (params, b)
+
+
+def test_ladder_budget_predicts_the_chains_the_walk_visits(monkeypatch):
+    # The limit set to the standard chains of degrees 1..bound admits the
+    # query, one less refuses it.
+    for m, n, delta, b in ((2, 2, "[1|1]", 6), (3, 3, "[2|2]", 4), (2, 3, "[2|3]", 5), (3, 2, "[2|1]", 4)):
+        params = Parameters(m, n, min(m, n))
+        chains = sum(count_standard(params, d) for d in range(1, b + 1))
+        monkeypatch.setattr(invariants, "LADDER_LIMIT", chains)
+        assert verify_ladder(params, parse_minor(delta), b)["ok"]
+        monkeypatch.setattr(invariants, "LADDER_LIMIT", chains - 1)
+        with pytest.raises(ParameterError, match=f"^degree bound {b} would walk more than "
+                                                 f"{chains - 1} standard chains at m={m}, n={n}, "
+                                                 f"r={min(m, n)}; lower the bound$"):
+            verify_ladder(params, parse_minor(delta), b)
 
 
 def test_invariant_semigroup_verification_rank_two():

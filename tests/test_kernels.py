@@ -153,7 +153,7 @@ formats = st.tuples(st.integers(1, 3), st.integers(1, 3)).flatmap(
 def test_straightening_evaluates_to_phi(case):
     params, f = case
     subst = SubstitutionMap(params)
-    assert straighten(f, params, subst).evaluate("YZ", subst) == phi(f, subst)
+    assert straighten(f, params).evaluate("YZ", subst) == phi(f, subst)
 
 
 @SETTINGS

@@ -94,7 +94,7 @@ def test_result_is_standard_ordered_and_sound():
         space = YZSpace(m, r, n)
         for _ in range(6):
             f = random_poly(xs, rng, max_degree=3, max_terms=4)
-            comb = straighten(f, params, subst)
+            comb = straighten(f, params)
             keys = [initial_monomial_closed_form(b, params) for _, b in comb.terms]
             for a, b in zip(keys, keys[1:]):
                 assert compare_monomials(space, a, b) > 0
@@ -419,6 +419,20 @@ def test_shared_maps_keep_interleaved_formats_apart():
     lead = initial_monomial_closed_form(parse_bitableau("[1 2|1 3][3|3]"), Parameters(4, 4, 3))
     assert all(map(operator.is_, decode_standard(lead, Parameters(4, 4, 3)).factors,
                    decode_standard(lead, Parameters(4, 4, 3)).factors))
+
+
+def test_membership_and_straightening_answer_for_their_own_rank():
+    # A map of the other rank of 3 x 3 is built first.  Passed in its place,
+    # it once answered the 2-minor's membership for its own rank instead.
+    for r, other in ((1, 2), (2, 1)):
+        SubstitutionMap(Parameters(3, 3, other))
+        shared_substitution(Parameters(3, 3, other))
+        params = Parameters(3, 3, r)
+        f = parse_polynomial("x[1,1]*x[2,2] - x[1,2]*x[2,1]", params.x_space)
+        assert is_in_ideal(f, params) is (r == 1)
+        combo = straighten(f, params)
+        assert [str(b) for _, b in combo] == ([] if r == 1 else ["[1 2|1 2]"])
+        assert combo.evaluate("YZ") == phi(f, SubstitutionMap(params))
 
 
 def test_the_shared_maps_are_bounded():

@@ -181,7 +181,7 @@ def test_count_budget_is_never_below_the_pairs_the_walk_reads(monkeypatch):
     # ``_side_count`` reads each (tuple, next tuple) pair off a list
     # ``_MinorTable._above`` returns; a limit one below the pairs read refuses.
     real = tableaux._MinorTable._above
-    for m, n, r, d in ((3, 3, 2, 4), (4, 5, 3, 5), (6, 6, 3, 6), (5, 3, 3, 7), (2, 2, 1, 9)):
+    for m, n, r, d in ((3, 4, 2, 1), (3, 3, 2, 4), (4, 5, 3, 5), (6, 6, 3, 6), (5, 3, 3, 7), (2, 2, 1, 9)):
         params, reads = Parameters(m, n, r), []
         monkeypatch.setattr(tableaux._MinorTable, "_above",
                             lambda table, low, size: reads.append(len(real(table, low, size)))

@@ -50,8 +50,9 @@ def _eps(text):
 class _Tally:
     """A list of strings that ``_emit`` writes batch by batch as they arrive,
     counting the items as they pass: ``head + tail`` per tail of each
-    ``(head, tails)`` group in a batch.  JSON writes each as itself in quotes,
-    so none may need escaping, as table minors' texts (``Minor._text``) never do."""
+    ``(head, tails)`` group in a batch.  JSON writes each as itself in quotes
+    and the table writer %-formats each group, so none may need escaping or
+    hold a "%", as table minors' texts (``Minor._text``) never do."""
 
     def __init__(self, batches):
         self.batches, self.count = batches, 0
@@ -247,11 +248,15 @@ def _table(value, out, write, prefix):
         for i, item in enumerate(value):
             _table(item, out, write, f"{prefix}{i}.")
     elif isinstance(value, _Tally):
-        start = 0
+        # One join per group, its separator a line's "\n<prefix>%d = <head>",
+        # then one %-format that writes the indices after the first.
+        start, marked = 0, prefix.replace("%", "%%")
         for batch in value:
             for head, tails in batch:
-                out += [f"{prefix}{i} = {head}{tail}\n" for i, tail in enumerate(tails, start)]
-                start += len(tails)
+                end = start + len(tails)
+                body = f"\n{marked}%d = {head}".join(tails) % tuple(range(start + 1, end))
+                out.append(f"{prefix}{start} = {head}{body}\n")
+                start = end
             _flush(out, write)
     else:
         out.append(f"{prefix[:-1]} = {value}\n")

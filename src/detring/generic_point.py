@@ -24,8 +24,9 @@ from .tableaux import Minor, Parameters, _raw_bitableau, _strictly_increasing, i
 
 class SubstitutionMap:
     """The images of the x variables on the y/z space, for one format, and
-    what straightening reuses in that format: the positions of each tableau
-    column's variables and the format's minors, both read by
+    what straightening reuses in that format: the x images' terms, largest
+    key first, by x rank position (``x_images``), the positions of each
+    tableau column's variables and the format's minors, both read by
     ``decode_standard``, and each minor's image terms, largest key first,
     filled by ``straighten`` when first read.
 
@@ -49,6 +50,7 @@ class SubstitutionMap:
             Poly._raw(yz, {units[yz.y(i, k)] + units[yz.z(k, j)]: 1 for k in ranks})
             for i in rows for j in cols
         ]
+        self.x_images = [sorted(image.packed.items(), reverse=True) for image in self._images]
         self.chart = [{units[yz.z(i, j)]: 1} for i in ranks for j in cols] + [
             image.packed for image in self._images[params.r * params.n:]]
         # The y positions of column j of the left tableau by row index, then

@@ -85,6 +85,10 @@ def verify_D_tilde(params, bound=6):
     cone comparison has checked the bound and before it walks.  A bound
     past ``cone.WORK_LIMIT`` points is refused before any is built.  Returns
     the JSON-ready payload, the cone comparison's nested under ``"cone"``.
+    Its ``"system_difference_ok"`` holds by construction: ``_pairs`` yields
+    the E pairs from the loop that yields the Etilde ones, keeping exactly
+    those with c = 0, which are the Etilde pairs with sa = sb.  The key stays
+    for the payload bytes; it is no check.
     """
     layers = _cone_layers(params, "Etilde", bound)
     degrees = range(bound + 1)
@@ -216,9 +220,9 @@ def verify_ladder(params, delta, d_max=3):
     packed closed-form leads (as in ``cone._chain_layers``; a factor's size
     is at most the degree).  Past ``LADDER_LIMIT`` chains, predicted after
     the packed-limit check, it refuses.  Returns the JSON-ready payload;
-    its ``"prime_ok"`` is always true (an ideal generated by variables is
-    prime, and the degree rows check that generation), so ``"ok"`` is that
-    every degree row matches.
+    its ``"prime_ok"`` holds by construction (an ideal generated by
+    variables is prime, and the degree rows check that generation) and stays
+    for the payload bytes, so ``"ok"`` is that every degree row matches.
 
     Each product is first reduced on the x side, where its row has at most r!
     terms, and only the independent ones are substituted and reduced on the

@@ -91,18 +91,21 @@ def poly_mul(a, b, limit):
     return out
 
 
-def poly_mul_above(a, b, floor):
-    """The terms of a * b whose packed monomial is at least ``floor``.
+def poly_addmul_above(out, scale, a, b, floor):
+    """In place: out += scale * (the terms of a * b whose packed monomial is
+    at least ``floor``).  Mutates and returns out.
 
     ``a`` is a term dict and ``b`` a list of (key, coefficient) pairs, largest
     key first, so each row of the convolution stops at its first product
     below the floor.  Unlike ``poly_mul`` it checks no limit: the caller
     bounds the product's degree.
     """
-    out = {}
+    if not scale:
+        return out
     get = out.get
     for ea, ca in a.items():
         cut = floor - ea
+        ca *= scale
         for eb, cb in b:
             if eb < cut:
                 break

@@ -16,9 +16,12 @@ a candidate, and none lies below the floor, the least candidate lead.  Dropping
 the terms below the floor from phi(f) and from every image is exact: the
 packed order is additive, a truncated sum is the sum of the truncations, and
 the truncated remainder has the full one's lead as long as that lead is at or
-above the floor, which it always is.  The floor comes from one small dynamic
-program per side and content (``_floor``), each image from its factors' images
-cut factor by factor (``_image_above``), and every decoded bitableau's
+above the floor, which it always is.  So phi(f) is never formed in full: each
+term of f, like each bitableau image, is a product of factor images (x
+images, minor images) cut factor by factor at the floor less the largest keys
+of the factors still to come, and its last factor is multiplied straight into
+the remainder (``_addmul_above``).  The floor comes from one small dynamic
+program per side and content (``_floor``), and every decoded bitableau's
 contents are checked against f's.
 """
 
@@ -39,7 +42,6 @@ from .generic_point import (
     decode_standard,
     eval_bitableau,
     minor_polynomial,
-    phi,
     shared_substitution,
 )
 from .linalg import clear_denominators
@@ -87,22 +89,23 @@ def straighten(f, params):
     is bounded by the number of standard bitableaux of that degree.  The
     substituted standard bitableaux are monic with integer coefficients, so
     the loop runs over Z on f times the lcm of its denominators, and the
-    coefficients are divided by that scale at the end.  Every term below the
-    floor of f's contents is dropped (see the module docstring).  The images
-    come from the format's one map, ``shared_substitution(params)``.
+    coefficients are divided by that scale at the end.  Only the terms at or
+    above the floor of f's contents are ever formed (see the module
+    docstring).  The images come from the format's one map,
+    ``shared_substitution(params)``.
     """
     subst = shared_substitution(params)
+    _check_operand(f, subst)
     scale, scaled = clear_denominators(f.packed)
-    # phi's term dict is new, so the loop consumes it.  Every image term of an
-    # x-monomial of degree k has y-degree k and total degree 2k, and the
-    # packed order compares total degree first: the leads come component by
-    # component, highest degree first, and each subtracted image stays in its
-    # own component.
-    rest = phi(Poly._raw(f.space, scaled), subst).packed
-    if rest:
-        contents = _contents(f.space, scaled)
+    contents = _contents(f.space, scaled)
+    # Every image term of an x-monomial of degree k has y-degree k and total
+    # degree 2k, and the packed order compares total degree first: the leads
+    # come component by component, highest degree first, and each subtracted
+    # image stays in its own component.
+    rest = {}
+    if contents:
         floor = _floor(contents, subst.yz_space)
-        rest = {key: c for key, c in rest.items() if key >= floor}
+        rest = _phi_above(contents, floor, subst)
     result = []
     while rest:
         lead = kernels.leading_monomial(rest)
@@ -115,7 +118,7 @@ def straighten(f, params):
             ) from exc
         if _content(bitab, params) not in contents:
             raise InternalCheckError(f"{bitab} has a content no term of the polynomial has")
-        kernels.poly_addmul(rest, -lam, _image_above(bitab, floor, params, subst))
+        _addmul_above(rest, -lam, _factor_images(bitab, params, subst), floor)
         if lead in rest:
             raise InternalCheckError("leading term failed to cancel during straightening")
         result.append((Fraction(lam, scale), bitab))
@@ -200,12 +203,9 @@ def _strips(nu, size):
                   if all(map(le, a[1:], gaps))])
 
 
-def _image_above(bitab, floor, params, subst):
-    """The terms at or above ``floor`` of the bitableau's image.  The map's
-    ``minor_images`` holds each factor minor's image terms, largest first,
-    built when first read.  A partial product is cut at the floor less the
-    largest keys of the factors still to come: no later factor can lift a
-    term by more."""
+def _factor_images(bitab, params, subst):
+    """The image terms of each factor minor of the bitableau, largest key
+    first.  The map's ``minor_images`` holds them, built when first read."""
     images, factors = subst.minor_images, []
     for d in bitab.factors:
         terms = images.get(d)
@@ -213,12 +213,37 @@ def _image_above(bitab, floor, params, subst):
             image = minor_polynomial(d, params, "YZ").packed
             terms = images[d] = sorted(image.items(), reverse=True)
         factors.append(terms)
+    return factors
+
+
+def _phi_above(contents, floor, subst):
+    """The terms at or above ``floor`` of the image of the polynomial whose
+    terms ``contents`` holds (as ``_contents`` groups them), a new term dict:
+    per term, the cut product of its variables' images, by rank position."""
+    rest, x_images = {}, subst.x_images
+    for terms in contents.values():
+        for exps, c in terms:
+            _addmul_above(rest, c, [x_images[p] for p, e in exps.items() for _ in range(e)], floor)
+    return rest
+
+
+_ONE = ((0, 1),)
+
+
+def _addmul_above(rest, scale, factors, floor):
+    """In place: rest += scale times the terms at or above ``floor`` of the
+    product of ``factors``, lists of (key, coefficient) pairs largest key
+    first; no factors is the product 1.  A partial product is cut at the
+    floor less the largest keys of the factors still to come, as no later
+    factor can lift a term by more, and the last factor's products go
+    straight into rest."""
+    *head, last = factors or (_ONE,)
     top = sum([terms[0][0] for terms in factors])
     acc = {0: 1}
-    for terms in factors:
+    for terms in head:
         top -= terms[0][0]
-        acc = kernels.poly_mul_above(acc, terms, floor - top)
-    return acc
+        acc = kernels.poly_addmul_above({}, 1, acc, terms, floor - top)
+    kernels.poly_addmul_above(rest, scale, acc, last, floor)
 
 
 def is_in_ideal(f, params):

@@ -538,6 +538,18 @@ def test_hilbert_bitableaux_past_its_budget_exits_one_fast():
                        f"at m={m}, n={m}, r={r}; lower the degree\n")
 
 
+def test_hilbert_rank_past_its_budget_exits_one_fast():
+    # 6x6 r3 d9 ran past a 10 s timeout; 6x6 r2 d6 answers in about 1.2 s,
+    # 2x2 r1 d127 in about 5.6 s, and 3x12 r1 d20 reaches the counting step.
+    for m, n, r, d in ((6, 6, 3, 9), (6, 6, 2, 6), (2, 2, 1, 127), (3, 12, 1, 20)):
+        argv = ["hilbert", "--m", str(m), "--n", str(n), "--r", str(r), "--deg", str(d),
+                "--method", "rank"]
+        seconds, code, err = _refused_in_a_child(argv, cap_mb=1536)
+        assert seconds < 1 and code == 1
+        assert err == (f"error: degree {d} would expand more than 100000 image terms and row "
+                       f"positions at m={m}, n={n}, r={r}; lower the degree\n")
+
+
 def test_ladder_check_past_its_budget_exits_one_fast():
     # 24,309, 20,348 and 20,474 chains: these took 57.3 s, 17.2 s and 12.2 s.
     for m, delta, b in ((3, "[2|2]", 8), (4, "[2|2]", 5), (2, "[1|1]", 24)):

@@ -2,13 +2,16 @@
 three-way dimension cross-check."""
 
 import gc
+from collections import Counter
+from math import comb, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from detring import cone, tableaux
+from detring import cone, counting, tableaux
 from detring.cone import _pairs, _sides
 from detring.counting import (
+    _sorted_monomials,
     binomial,
     hilbert_function,
     hodge_dim,
@@ -229,6 +232,42 @@ def test_rank_refuses_degrees_whose_images_pass_the_packed_limit():
     for d in (128, 1000):
         with pytest.raises(ParameterError, match="^monomial of degree 256 exceeds"):
             hilbert_function(Parameters(1, 1, 1), d, "rank")
+
+
+def _rank_work(params, d):
+    """What ``_check_rank`` predicts, by listing the rows: per row of
+    ``_sorted_monomials``, prod C(r + e - 1, e) over its variables' exponents
+    plus d, and C(n + d, d) for the row parts."""
+    work = comb(params.n + d, d)
+    for positions, _ in _sorted_monomials(params.m, params.n, d):
+        counts = Counter(positions).values()
+        work += d + prod([comb(params.r + e - 1, e) for e in counts])
+    return work
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4), st.integers(0, 6))
+def test_the_rank_prediction_is_exact(m, n, r, d):
+    # At the limit the query answers, one below it is refused: the first
+    # step's bound is above the work, both lower bounds below it, and the
+    # count equals it.
+    params = Parameters(m, n, min(r, m, n))
+    work = _rank_work(params, d)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(counting, "RANK_LIMIT", work)
+        counting._check_rank(params, d)
+        patch.setattr(counting, "RANK_LIMIT", work - 1)
+        with pytest.raises(ParameterError, match=f"^degree {d} would expand more than {work - 1} "):
+            counting._check_rank(params, d)
+
+
+def test_the_rank_prediction_counts_the_larger_test_queries():
+    # Above the first step's bound, so the count runs; the largest is the
+    # largest rank query of the tests.
+    for (m, n, r, d), work in (((5, 5, 4, 4), 16845), ((4, 4, 3, 4), 5617), ((3, 3, 2, 8), 39710)):
+        params = Parameters(m, n, r)
+        assert _rank_work(params, d) == work
+        assert hilbert_function(params, d, "rank") == count_standard(params, d)
 
 
 def test_rank_leaves_no_reference_cycle():

@@ -8,9 +8,11 @@ byte the elimination commands print (`ladder-check` and `hilbert --method
 rank`) on every format with m, n <= 3.  Two more pin the classification
 commands (`classify`, `mu`, `mult`, `mcm-classes`) on every format with
 m, n <= 4, and `straighten` and `member` over a fixed list of polynomial
-texts on every format with m, n <= 3.  A change to the cone, tableaux,
-elimination, classification or straightening code that moves any payload,
-message or exit code shows up here.
+texts on every format with m, n <= 3.  A sixth pins `straighten` at the
+benchmark's formats (4,4,3), (5,5,3) and (5,5,4) on degree-5 and -6
+polynomials, where the floor window keeps a small part of each image.  A
+change to the cone, tableaux, elimination, classification or straightening
+code that moves any payload, message or exit code shows up here.
 When a change is meant to move output, print the new digest with
 ``golden_digest(argvs)`` and say why it moved.
 
@@ -23,6 +25,7 @@ import hashlib
 import io
 import json
 import sys
+from itertools import combinations, permutations
 
 from detring.cli import run
 from detring.tableaux import Parameters, all_minors
@@ -33,6 +36,7 @@ GOLDEN = "405d3dc06ae4c81786cf6fac603f82fea498c861b9b222f6e1d6f457b442bfbf"
 GOLDEN_ELIMINATION = "a5a6ac16fd57d571d1d002b0f157444a9574e5b9c621f2d03959fafd6a325458"
 GOLDEN_CLASSIFY = "a5ae70e9dc03849dc06452ea50b156629fbe5b87e0d599c88cd89b61cce6c10b"
 GOLDEN_STRAIGHTEN = "b22c1bbce14e58eb7dfbabf3c9782dde17b12a4b7f1db556e8b28e346c5b6076"
+GOLDEN_WINDOW = "f095b4bb583dfbe8b0eba3b5638c28faefceb59e3eac9a44c39fa3a8c5e49461"
 
 # Zero, a constant, rational coefficients, mixed degrees, the 2- and 3-minors
 # [1 2|1 2] and [1 2 3|1 2 3] times a variable, a non-standard product, a
@@ -131,6 +135,43 @@ def straighten_argvs():
             for cmd in ("straighten", "member")]
 
 
+def _minor_terms(coeff, rows, cols, tail):
+    """Text of coeff * [rows|cols] * tail, one term per permutation, each
+    with a leading sign."""
+    terms = []
+    for perm in permutations(cols):
+        odd = sum(a > b for a, b in combinations(perm, 2)) % 2
+        cells = "*".join(f"x[{i},{j}]" for i, j in zip(rows, perm))
+        terms.append(f"{'-' if odd else '+'} {coeff}*{cells}*{tail}")
+    return " ".join(terms)
+
+
+# The benchmark's four stretch monomials at (5,5,4), then degree-5 and -6
+# polynomials of two terms at (4,4,3) and (5,5,3), and at each a minor-built
+# one: an (r+1)-minor multiple, which straightens to nothing, plus a minor of
+# size r times two variables.
+WINDOW_POLYS = (
+    ((5, 5, 4), "-7/3*x[4,5]*x[1,2]*x[5,4]*x[3,4]*x[1,4]*x[1,3]"),
+    ((5, 5, 4), "5/2*x[2,5]*x[1,3]*x[1,4]*x[4,4]*x[4,2]*x[1,4]"),
+    ((5, 5, 4), "-1/7*x[3,2]*x[3,3]*x[5,1]*x[3,3]*x[3,2]*x[1,2]"),
+    ((5, 5, 4), "8/3*x[1,1]*x[3,4]*x[4,3]*x[1,1]*x[2,2]*x[5,4]"),
+    ((4, 4, 3), "3/2*x[1,2]*x[2,1]*x[3,4]*x[4,3]*x[2,2] - 2/3*x[1,1]*x[2,3]*x[4,4]*x[3,2]*x[1,4]"),
+    ((4, 4, 3), "x[4,1]*x[3,2]*x[2,3]*x[1,4]*x[4,4]*x[1,1] - 5/7*x[1,3]^2*x[2,4]*x[3,1]*x[4,2]^2"),
+    ((4, 4, 3), _minor_terms(1, (1, 2, 3, 4), (1, 2, 3, 4), "x[2,3]") + " "
+                + _minor_terms("1/2", (1, 2, 4), (2, 3, 4), "x[4,1]*x[1,2]")),
+    ((5, 5, 3), "x[5,5]*x[1,2]*x[2,1]*x[3,4]*x[4,3] + 4/3*x[1,5]*x[5,1]*x[2,2]*x[3,3]*x[4,4]"),
+    ((5, 5, 3), "x[1,1]*x[2,5]*x[3,2]*x[4,4]*x[5,3]*x[1,3]"
+                " - 1/5*x[5,5]*x[4,1]*x[3,3]*x[2,2]*x[1,4]*x[2,1]"),
+    ((5, 5, 3), _minor_terms(1, (1, 2, 3, 5), (1, 3, 4, 5), "x[2,2]") + " "
+                + _minor_terms("2/3", (2, 4, 5), (1, 2, 5), "x[4,4]*x[3,1]")),
+)
+
+
+def window_argvs():
+    """The grid: `straighten` of ``WINDOW_POLYS`` at (4,4,3), (5,5,3) and (5,5,4)."""
+    return [["straighten", *_space(*f), f"--poly={text}"] for f, text in WINDOW_POLYS]
+
+
 def golden_digest(argvs):
     digest = hashlib.sha256()
     for argv in argvs:
@@ -161,11 +202,16 @@ def test_straightening_commands_print_the_recorded_bytes():
     assert golden_digest(straighten_argvs()) == GOLDEN_STRAIGHTEN
 
 
+def test_straightening_at_the_benchmark_formats_prints_the_recorded_bytes():
+    assert golden_digest(window_argvs()) == GOLDEN_WINDOW
+
+
 if __name__ == "__main__":
     grids = (("cone", golden_argvs, GOLDEN), ("tableaux", tableaux_argvs, GOLDEN_TABLEAUX),
              ("elimination", elimination_argvs, GOLDEN_ELIMINATION),
              ("classification", classify_argvs, GOLDEN_CLASSIFY),
-             ("straightening", straighten_argvs, GOLDEN_STRAIGHTEN))
+             ("straightening", straighten_argvs, GOLDEN_STRAIGHTEN),
+             ("window", window_argvs, GOLDEN_WINDOW))
     matches = [golden_digest(argvs()) == digest for _, argvs, digest in grids]
     for (name, _, _), match in zip(grids, matches):
         print(f"{name}: {'match' if match else 'MISMATCH'}")

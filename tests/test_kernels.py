@@ -107,14 +107,21 @@ def test_poly_mul_matches_tuple_convolution(pair):
 
 @SETTINGS
 @given(st.integers(1, 6).flatmap(
-    lambda n: st.tuples(term_dicts(n), term_dicts(n), exponent_tuples(n, 8))
+    lambda n: st.tuples(term_dicts(n), term_dicts(n), term_dicts(n, 8), exponent_tuples(n, 8),
+                        st.integers(-3, 3))
 ))
-def test_poly_mul_above_keeps_the_product_at_or_above_the_floor(args):
-    a, b, low = args
+def test_poly_addmul_above_adds_the_scaled_product_at_or_above_the_floor(args):
+    a, b, out, low, scale = args
     floor = kernels.pack(low)
-    full = packed(reference_product(a, b))
-    got = kernels.poly_mul_above(packed(a), sorted(packed(b).items(), reverse=True), floor)
-    assert got == {e: c for e, c in full.items() if e >= floor}
+    above = {e: c for e, c in packed(reference_product(a, b)).items() if e >= floor}
+    want = packed(out)
+    for e, c in above.items():
+        want[e] = want.get(e, 0) + scale * c
+    acc = packed(out)
+    got = kernels.poly_addmul_above(acc, scale, packed(a), sorted(packed(b).items(), reverse=True),
+                                    floor)
+    assert got is acc
+    assert got == {e: c for e, c in want.items() if c}
 
 
 @SETTINGS

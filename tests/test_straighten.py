@@ -24,7 +24,15 @@ from detring.generic_point import (
     shared_substitution,
 )
 from detring.poly import Poly, XSpace, YZSpace, parse_polynomial
-from detring.straighten import _content, _floor, is_in_ideal, straighten
+from detring.linalg import clear_denominators
+from detring.straighten import (
+    _content,
+    _contents,
+    _floor,
+    _phi_above,
+    is_in_ideal,
+    straighten,
+)
 from detring.tableaux import Parameters, all_minors, enumerate_standard, parse_bitableau
 from helpers import (
     compare_monomials,
@@ -176,11 +184,12 @@ def test_full_rank_membership_equals_the_substitution_answer():
 
 
 def test_full_rank_membership_does_not_substitute(monkeypatch):
-    def refuse(f, subst):
-        raise AssertionError("expanded phi")
+    def refuse(terms, images, limit):
+        raise AssertionError("expanded the image")
 
     # The package exports the function straighten under the module's name.
-    monkeypatch.setattr(import_module("detring.straighten"), "phi", refuse)
+    monkeypatch.setattr(generic_point, "_horner", refuse)
+    monkeypatch.setattr(import_module("detring.straighten"), "_horner", refuse, raising=False)
     params = Parameters(4, 4, 4)
     f = parse_polynomial("x[1,1]^60*x[2,2]^60", params.x_space)
     assert not is_in_ideal(f, params)
@@ -309,6 +318,53 @@ def test_straighten_equals_the_loop_without_a_window():
     for text in MONOMIALS_554:
         f = parse_polynomial(text, params.x_space)
         assert expansion(straighten(f, params)) == expansion(straighten_full(f, params)), text
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.data())
+def test_the_windowed_image_is_phi_cut_at_the_floor(data):
+    # Random polynomials with denominators, up to degree 4 on formats up to
+    # 4 x 4; a term may repeat another's content, so images can cancel.
+    m, n = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    params = Parameters(m, n, data.draw(st.integers(1, min(m, n))))
+    xs, subst = params.x_space, shared_substitution(params)
+    coeff = st.fractions(-3, 3, max_denominator=4).filter(bool)
+    f = Poly.zero(xs)
+    for c, cells in data.draw(st.lists(st.tuples(coeff, st.lists(st.integers(0, xs.nvars - 1),
+                                                                 max_size=4)), max_size=5)):
+        term = Poly.constant(xs, c)
+        for p in cells:
+            term = term * Poly.variable(xs, p)
+        f = f + term
+    scale, scaled = clear_denominators(f.packed)
+    contents = _contents(xs, scaled)
+    image = {key: c * scale for key, c in phi(f, SubstitutionMap(params)).packed.items()}
+    if not contents:
+        assert not image
+        return
+    floor = _floor(contents, subst.yz_space)
+    assert _phi_above(contents, floor, subst) == {k: c for k, c in image.items() if k >= floor}
+
+
+def test_straighten_never_calls_phi_or_horner(monkeypatch):
+    rng = seeded(41)
+    cases = [(params, f) for params, f in oracle_cases(3, 3, 1)]
+    params = Parameters(4, 4, 3)
+    det = minor_polynomial(all_minors(params, 4)[-1], params, "X")
+    three = minor_polynomial(all_minors(params, 3)[0], params, "X")
+    cases += [(params, det * random_poly(params.x_space, rng, max_degree=1) + three)]
+    params = Parameters(5, 5, 4)
+    cases += [(params, parse_polynomial(MONOMIALS_554[0], params.x_space))]
+    want = [expansion(straighten_full(f, params)) for params, f in cases]
+
+    def refuse(*args):
+        raise AssertionError("formed the full image")
+
+    module = import_module("detring.straighten")
+    for name in ("phi", "_horner"):
+        monkeypatch.setattr(generic_point, name, refuse)
+        monkeypatch.setattr(module, name, refuse, raising=False)
+    assert [expansion(straighten(f, params)) for params, f in cases] == want
 
 
 def compositions(total, parts):

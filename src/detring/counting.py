@@ -119,7 +119,7 @@ def _sorted_monomials(m, n, d):
 # ``_sorted_monomials`` lists; about 1-10 us a unit.  5x5 r3 d5 predicts
 # 85,995 (0.6 s); 6x6 r2 d6 169,738 (1.2 s), 2x2 r1 d127 5,865,536 (5.6 s)
 # and 6x6 r3 d9 over 10^9 are refused.  The largest test query predicts
-# 16,845 (5x5 r4 d4); the benchmark's stay under the bound of the first
+# 39,710 (3x3 r2 d8); the benchmark's stay under the bound of the first
 # step, at most 22,083 (4x4 r3 d3), so they skip the count.
 RANK_LIMIT = 100_000
 

@@ -9,9 +9,7 @@ shape), so the two can be played against each other.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations_with_replacement
 from math import comb, factorial, prod
-from operator import le, sub
 
 from .cone import _check_sides, _pairs, _sides
 from .errors import ParameterError
@@ -93,112 +91,80 @@ def _orbit_contents(size, d):
             for c in _partitions(size, d)]
 
 
-def _sorted_monomials(m, n, d):
-    """(positions, orbit) per degree-d x-monomial whose row content (x-degree
-    per row) and column content are nonincreasing: its rank positions in
+# The most work ``hilbert --method rank`` may do, in image terms plus d per
+# row (its positions, its memoised prefixes), plus a fixed C(n + d, d); about
+# 1-10 us a unit.  5x5 r3 d5 predicts 85,995 (0.6 s); 6x6 r2 d6 169,738 (1.2 s),
+# 2x2 r1 d127 5,865,536 (5.6 s) and 6x6 r3 d9 over 10^9 are refused.  The
+# largest test query tallies 73,482 (3x5 r1 d9), the benchmark's at most 447.
+RANK_LIMIT = 100_000
+
+
+def _rank_rows(params, d):
+    """The rows ``hilbert --method rank`` eliminates, as (positions, orbit)
+    pairs: per degree-d x-monomial whose row content (x-degree per row) and
+    column content are nonincreasing, its rank positions in
     ``_combination_image`` order, and the size of its content's orbit.  At
-    m = n that orbit holds the transposed content too, so rows >= cols only."""
-    # Each way to place degree k in one row: its column degrees and column offsets.
-    parts = [[(tuple(map(js.count, range(n))), js) for js in combinations_with_replacement(range(n), k)]
-             for k in range(d + 1)]
-    col_contents = _orbit_contents(n, d)
+    m = n that orbit holds the transposed content too, so rows >= cols only.
+
+    Each content pair's rows are filled one x row at a time, with the column
+    degrees left as the state (``_row_fills``, memoised by (left, row
+    degree)).  The work is C(n + d, d) plus, per row, d and the most terms
+    its image can have, prod C(r + e - 1, e) over its variables x[i,j]^e;
+    past ``RANK_LIMIT`` it refuses.  Up front on a lower bound: row content
+    (d) has one row per column content and column content (d) one per row
+    content, so the larger side gives p(d, <= max(m, n)) rows, among them
+    x[1,1]^d with C(r + d - 1, d) terms.  During the fill once the finished
+    rows' work plus d + 1 per open partial row passes the limit: every
+    partial fill extends to a row."""
+    m, n, r = params.m, params.n, params.r
+    work = comb(n + d, d)
+    if work + comb(r + d - 1, d) - 1 + (d + 1) * _partition_count(d, max(m, n)) > RANK_LIMIT:
+        raise _rank_refusal(params, d)
+    weight = [comb(r + e - 1, e) for e in range(d + 1)]
+    fills, out, col_contents = {}, [], _orbit_contents(n, d)
     for rows, row_orbit in _orbit_contents(m, d):
         for cols, col_orbit in col_contents:
             if m == n and cols > rows:
                 continue
-            orbit = row_orbit * col_orbit * (2 if m == n and cols != rows else 1)
-            heads = [((), cols)]  # positions so far, and each column's degree left
+            heads = [((), cols, 1)]  # positions so far, each column's degree left, weight
+            cap = (RANK_LIMIT - work) // (d + 1)  # the most open partial rows
             for i, k in enumerate(filter(None, rows)):  # zero rows come last
-                heads = [(x + tuple([i * n + j for j in js]), tuple(map(sub, left, p)))
-                         for x, left in heads for p, js in parts[k] if all(map(le, p, left))]
-            yield from ((x, orbit) for x, _ in heads)
-
-
-# The most work ``hilbert --method rank`` may do, in image terms plus d per
-# row (its positions, its memoised prefixes), plus the C(n + d, d) row parts
-# ``_sorted_monomials`` lists; about 1-10 us a unit.  5x5 r3 d5 predicts
-# 85,995 (0.6 s); 6x6 r2 d6 169,738 (1.2 s), 2x2 r1 d127 5,865,536 (5.6 s)
-# and 6x6 r3 d9 over 10^9 are refused.  The largest test query predicts
-# 39,710 (3x3 r2 d8); the benchmark's stay under the bound of the first
-# step, at most 22,083 (4x4 r3 d3), so they skip the count.
-RANK_LIMIT = 100_000
-
-
-def _check_rank(params, d):
-    """Refuse past ``RANK_LIMIT`` units: per row ``_sorted_monomials`` yields,
-    the most terms its image can have plus its d positions, and C(n + d, d)
-    for the row parts.  A row's image, the product of
-    (y[i,1]*z[1,j] + ... + y[i,r]*z[r,j])^e over its variables x[i,j]^e, has
-    at most prod C(r + e - 1, e) terms.
-
-    No count is made when the bound over all degree-d monomials keeps under
-    the limit: together they have C(mnr + d - 1, d) such terms, the
-    monomials in the y[i,k]*z[k,j].  Two lower bounds come next: the rows are
-    at least one per orbit of rows, columns and, at m = n, transposition,
-    which keep the terms; and row content (d) has one row per column content,
-    x[1,1]^d alone C(r + d - 1, d) terms.  Then the rows of each content
-    pair, the most spread first, are counted by filling x's rows one at a
-    time, with the column degrees left as the state (``_pair_work``).  Every
-    partial fill extends to a row, so the count stops once the fills made so
-    far pass the limit."""
-    m, n, r = params.m, params.n, params.r
-    terms, monomials, parts = comb(m * n * r + d - 1, d), comb(m * n + d - 1, d), comb(n + d, d)
-    if parts + terms + d * monomials <= RANK_LIMIT:
-        return
-    orbit = factorial(m) * factorial(n) * (2 if m == n else 1)
-    total = parts + max(terms // orbit + d * (monomials // orbit),
-                        comb(r + d - 1, d) - 1 + (d + 1) * _partition_count(d, max(m, n)))
-    if total <= RANK_LIMIT:
-        total, fills, col_contents = parts, {}, _partitions(n, d)[::-1]
-        weight = [comb(r + e - 1, e) for e in range(d + 1)]
-        pairs = ((rows, cols) for rows in reversed(_partitions(m, d)) for cols in col_contents
-                 if m != n or cols <= rows)
-        for rows, cols in pairs:
-            total += _pair_work(rows, cols, weight, fills, RANK_LIMIT - total)
-            if total > RANK_LIMIT:
-                break
-    if total > RANK_LIMIT:
-        raise _refusal(params, f"degree {d} would expand more than {RANK_LIMIT} "
-                       "image terms and row positions")
-
-
-def _pair_work(rows, cols, weight, fills, cap):
-    """Image terms plus d per row, over the rows of content (rows, cols), or
-    cap + 1 once that is certain to pass cap: the partial fills made so far
-    bound it from below.  A state carries its fills' (terms, count).
-    ``fills`` memoises ``_row_fills`` by (column degrees left, row degree);
-    caps only shrink from one call to the next."""
-    d, states = sum(rows), {cols: (1, 1)}
-    for k in filter(None, rows):
-        step, made = {}, 0
-        for left, (w, c) in states.items():
-            out = fills.get((left, k), ())
-            if out == ():
-                out = fills[left, k] = _row_fills(left, k, weight, cap)
-            if out is None:
-                return cap + 1
-            made += w * out[1] + d * c * len(out[0])
-            if made > cap:
-                return cap + 1
-            for rest, v in out[0]:
-                t, u = step.get(rest, (0, 0))
-                step[rest] = t + w * v, u + c
-        states = step
-    return sum([t + d * c for t, c in states.values()])
+                step = []
+                for x, left, w in heads:
+                    choices = fills.get((left, k))
+                    if choices is None:
+                        choices = fills[left, k] = _row_fills(left, k, weight, cap)
+                    if choices is None or len(step) + len(choices) > cap:
+                        raise _rank_refusal(params, d)
+                    step += [(x + tuple([i * n + j for j in js]), rest, w * v)
+                             for rest, js, v in choices]
+                heads = step
+            work += sum([d + w for _, _, w in heads])
+            if work > RANK_LIMIT:
+                raise _rank_refusal(params, d)
+            orbit = row_orbit * col_orbit * (2 if m == n and cols != rows else 1)
+            out += [(x, orbit) for x, _, _ in heads]
+    return out
 
 
 def _row_fills(left, k, weight, cap):
-    """([(left - p, prod weight[p_j])], the sum of the weights) over the
-    tuples p <= left entrywise summing to k, or None once there are more
-    than cap."""
-    heads, room = [((), k, 1)], sum(left)
-    for c in left:
+    """(left - p, the column of each unit of p in order, prod weight[p_j])
+    over the tuples p <= left entrywise summing to k, in
+    ``combinations_with_replacement`` order of their columns, or None once
+    there are more than cap: every partial choice extends to such a p."""
+    heads, room = [((), (), k, 1)], sum(left)
+    for j, c in enumerate(left):
         room -= c
-        heads = [(q + (c - x,), s - x, w * weight[x]) for q, s, w in heads
-                 for x in range(max(0, s - room), min(c, s) + 1)]
+        heads = [(q + (c - x,), js + (j,) * x, s - x, w * weight[x]) for q, js, s, w in heads
+                 for x in range(min(c, s), max(0, s - room) - 1, -1)]
         if len(heads) > cap:
             return None
-    return [(q, w) for q, _, w in heads], sum([w for _, _, w in heads])
+    return [(q, js, w) for q, js, _, w in heads]
+
+
+def _rank_refusal(params, d):
+    return _refusal(params, f"degree {d} would expand more than {RANK_LIMIT} "
+                    "image terms and row positions")
 
 
 def hilbert_function(params, d, method="bitableaux"):
@@ -215,7 +181,7 @@ def hilbert_function(params, d, method="bitableaux"):
     or columns (z's) permutes variables, and so does transposing x when m = n;
     images of different contents share no monomial, so it eliminates one
     content per orbit and counts each pivot once per content in that orbit;
-    past ``RANK_LIMIT`` predicted units it refuses (``_check_rank``).
+    past ``RANK_LIMIT`` units of work it refuses (``_rank_rows``).
     """
     if not isinstance(d, int) or d < 0:
         raise ParameterError(f"degree must be a nonnegative integer, got {d!r}")
@@ -226,14 +192,15 @@ def hilbert_function(params, d, method="bitableaux"):
         return count_standard(params, d)
     if method == "lattice":
         _check_sides(params, d)
+        _check_degree(d)
         return sum(len(alphas) * len(betas)
                    for _, _, alphas, betas in _sides(params, _pairs("E", params.r, (2 * d,))))
     if method == "rank":
         _check_image_degree(d)
-        _check_rank(params, d)
+        rows = _rank_rows(params, d)
         subst = shared_substitution(params)
         elim, memo, rank = Eliminator(), {(): {0: 1}}, 0
-        for positions, orbit in _sorted_monomials(params.m, params.n, d):
+        for positions, orbit in rows:
             # A pivot's content is its row's: one Eliminator serves every content.
             if elim.reduce(subst._combination_image(memo, positions)) is not None:
                 rank += orbit

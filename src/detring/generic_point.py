@@ -9,7 +9,6 @@ anything, and ``decode_standard`` inverts it.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, compress, count, permutations
@@ -30,12 +29,12 @@ class SubstitutionMap:
     ``decode_standard``, and each minor's image terms, largest key first,
     filled by ``straighten`` when first read.
 
-    ``chart`` holds the packed images on the open chart Y = [I_r; A] instead,
-    by x rank position: x[i,j] -> z[i,j] for i <= r and sum_k y[i,k]*z[k,j]
-    below, on the same y/z packing.  Every matrix of rank <= r whose first r
-    rows are independent is [Z; AZ], a dense open part of the irreducible
-    rank <= r locus, so an x-polynomial vanishes on the chart exactly when it
-    lies in the prime ideal of (r+1)-minors (Bruns-Vetter, LNM 1327, sec. 2).
+    ``chart`` holds the images on the open chart Y = [I_r; A] instead, in
+    the same form: x[i,j] -> z[i,j] for i <= r, and below row r the lists of
+    ``x_images``.  Every matrix of rank <= r whose first r rows are
+    independent is [Z; AZ], a dense open part of the irreducible rank <= r
+    locus, so an x-polynomial vanishes on the chart exactly when it lies in
+    the prime ideal of (r+1)-minors (Bruns-Vetter, LNM 1327, sec. 2).
     ``is_in_ideal`` decides membership there; it does not give the initial
     monomials that straightening reads, which need the full images."""
 
@@ -51,8 +50,8 @@ class SubstitutionMap:
             for i in rows for j in cols
         ]
         self.x_images = [sorted(image.packed.items(), reverse=True) for image in self._images]
-        self.chart = [{units[yz.z(i, j)]: 1} for i in ranks for j in cols] + [
-            image.packed for image in self._images[params.r * params.n:]]
+        self.chart = [[(units[yz.z(i, j)], 1)] for i in ranks for j in cols] + self.x_images[
+            params.r * params.n:]
         # The y positions of column j of the left tableau by row index, then
         # the z positions of column j of the right one by column index.
         self.columns = [[yz.y(i, j) for i in rows] for j in ranks] + [
@@ -114,81 +113,59 @@ def _check_operand(f, subst):
     _check_image_degree(f.degree())
 
 
-def _term(exps, c):
-    """A ``_horner`` term: {position: exponent} over exps's nonzero entries, and c."""
-    return {p: exps[p] for p in compress(count(), exps)}, c
+def _positions(exps):
+    """The rank positions of a monomial's variables, each once per unit of
+    its exponent, in increasing order."""
+    return tuple([p for p in compress(count(), exps) for _ in range(exps[p])])
 
 
 def phi(f, subst):
     """Image of an x-space polynomial under the substitution; exact.
 
-    Evaluated by a greedy multivariate Horner scheme (Ceberio & Kreinovich,
-    ACM SIGSAM Bull. 38, 2004) that factors out shared variables first.  On a
-    minor that is Laplace expansion through the substitution, so the images
-    cancel while they are small cofactor images rather than after every term
-    has been expanded on its own.
+    Each term is the product of its variables' images (``_image_above`` at
+    floor 0, which cuts nothing).
     """
     _check_operand(f, subst)
-    # Over Z: Fractions would be carried through every product of the scheme.
+    # Over Z: Fractions would be carried through every product.
     # ``straighten`` and ``is_in_ideal`` pass f already scaled to integers.
     scale, scaled = 1, f.packed
     if any(type(c) is not int for c in scaled.values()):
         scale, scaled = clear_denominators(scaled)
     unpack = f.space.unpack
-    terms = [_term(unpack(key), c) for key, c in scaled.items()]
-    images = [image.packed for image in subst._images]
-    out = _horner(terms, images, subst.yz_space.key_limit)
+    out = _image_above([(_positions(unpack(key)), c) for key, c in scaled.items()], subst.x_images, 0)
     if scale > 1:
         out = {key: Fraction(c, scale) for key, c in out.items()}
     return Poly._raw(subst.yz_space, out)
 
 
-def _horner(terms, images, limit):
-    """Packed sum of c * prod images[p]^e over ``terms``, ({p: e}, c) pairs of
-    distinct monomials; the pairs' dicts are consumed.
-
-    While some variable is shared, the one v in the most terms (the lowest
-    position among ties) is taken out: the terms with v^e are evaluated
-    without v, one group per e, and nested in v as
-    (... (g_top * v + g_top-1) * v ...) * v.  The terms free of v go round the
-    loop again rather than into a recursion, so the recursion is at most the
-    degree deep, whatever the number of variables.  What is left shares no
-    variable, and each of its terms is multiplied out on its own.
-    """
+def _image_above(terms, images, floor):
+    """The terms at or above ``floor`` of the sum of c * prod images[p] over
+    ``terms``, (positions, c) pairs, as a new term dict; ``images`` holds
+    (key, coefficient) lists, largest key first, by x rank position."""
     out = {}
-    while len(terms) > 1:
-        counts = Counter(p for exps, _ in terms for p in exps)
-        top = max(counts.values(), default=0)
-        if top < 2:
-            break
-        v = min(p for p, k in counts.items() if k == top)
-        groups = {}
-        rest = []
-        for term in terms:
-            e = term[0].pop(v, 0)
-            if e:
-                groups.setdefault(e, []).append(term)
-            else:
-                rest.append(term)
-        acc = {}
-        for e in range(max(groups), 0, -1):
-            if e in groups:
-                acc = _add(acc, _horner(groups[e], images, limit))
-            acc = kernels.poly_mul(acc, images[v], limit)
-        out = _add(out, acc)
-        terms = rest
-    for exps, c in terms:
-        prod = {0: c}
-        for p, e in exps.items():
-            for _ in range(e):
-                prod = kernels.poly_mul(prod, images[p], limit)
-        out = _add(out, prod)
+    for positions, c in terms:
+        _addmul_above(out, c, [images[p] for p in positions], floor)
     return out
 
 
-def _add(acc, b):
-    """acc + b, in place in acc unless acc is empty; both are owned term dicts."""
-    return kernels.poly_addmul(acc, 1, b) if acc else b
+_ONE = ((0, 1),)
+
+
+def _addmul_above(rest, scale, factors, floor):
+    """In place: rest += scale times the terms at or above ``floor`` of the
+    product of ``factors``, lists of (key, coefficient) pairs largest key
+    first; no factors is the product 1.  A partial product is cut at the
+    floor less the largest keys of the factors still to come, as no later
+    factor can lift a term by more, and the last factor's products go
+    straight into rest.  Floor 0 cuts nothing.  The caller bounds the
+    product's degree."""
+    *head, last = factors or (_ONE,)
+    top = sum([terms[0][0] for terms in factors])
+    acc = {0: 1}
+    for terms in head:
+        top -= terms[0][0]
+        acc = kernels.poly_addmul_above({}, 1, acc, terms, floor - top)
+    kernels.poly_addmul_above(rest, scale, acc, last, floor)
 
 
 def _signed_permutations(t):

@@ -20,25 +20,28 @@ above the floor, which it always is.  So phi(f) is never formed in full: each
 term of f, like each bitableau image, is a product of factor images (x
 images, minor images) cut factor by factor at the floor less the largest keys
 of the factors still to come, and its last factor is multiplied straight into
-the remainder (``_addmul_above``).  The floor comes from one small dynamic
-program per side and content (``_floor``), and every decoded bitableau's
-contents are checked against f's.
+the remainder (``generic_point._addmul_above``, the one cut product, which
+``phi`` and ``is_in_ideal`` run at floor 0).  The floor comes from one small
+dynamic program per side and content (``_floor``), and every decoded
+bitableau's contents are checked against f's.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from itertools import chain
 from operator import add, le, mul, sub
 
 from . import kernels
 from .cone import _fills
 from .errors import InternalCheckError, NotInSemigroupError
 from .generic_point import (
+    _addmul_above,
     _check_image_degree,
     _check_operand,
-    _horner,
-    _term,
+    _image_above,
+    _positions,
     decode_standard,
     eval_bitableau,
     minor_polynomial,
@@ -105,7 +108,7 @@ def straighten(f, params):
     rest = {}
     if contents:
         floor = _floor(contents, subst.yz_space)
-        rest = _phi_above(contents, floor, subst)
+        rest = _image_above(chain.from_iterable(contents.values()), subst.x_images, floor)
     result = []
     while rest:
         lead = kernels.leading_monomial(rest)
@@ -128,14 +131,14 @@ def straighten(f, params):
 def _contents(space, terms):
     """An x-space term dict grouped by content: (row content, column content),
     how many of a term's variables lie in each row and in each column, -> the
-    terms with it, as ``_horner`` terms."""
+    terms with it, as ``_image_above`` terms: (rank positions, coefficient)."""
     m, n = space.m, space.n
     out = {}
     for key, c in terms.items():
         e = space.unpack(key)  # row-major
         content = (tuple([sum(e[i * n:i * n + n]) for i in range(m)]),
                    tuple([sum(e[j::n]) for j in range(n)]))
-        out.setdefault(content, []).append(_term(e, c))
+        out.setdefault(content, []).append((_positions(e), c))
     return out
 
 
@@ -216,36 +219,6 @@ def _factor_images(bitab, params, subst):
     return factors
 
 
-def _phi_above(contents, floor, subst):
-    """The terms at or above ``floor`` of the image of the polynomial whose
-    terms ``contents`` holds (as ``_contents`` groups them), a new term dict:
-    per term, the cut product of its variables' images, by rank position."""
-    rest, x_images = {}, subst.x_images
-    for terms in contents.values():
-        for exps, c in terms:
-            _addmul_above(rest, c, [x_images[p] for p, e in exps.items() for _ in range(e)], floor)
-    return rest
-
-
-_ONE = ((0, 1),)
-
-
-def _addmul_above(rest, scale, factors, floor):
-    """In place: rest += scale times the terms at or above ``floor`` of the
-    product of ``factors``, lists of (key, coefficient) pairs largest key
-    first; no factors is the product 1.  A partial product is cut at the
-    floor less the largest keys of the factors still to come, as no later
-    factor can lift a term by more, and the last factor's products go
-    straight into rest."""
-    *head, last = factors or (_ONE,)
-    top = sum([terms[0][0] for terms in factors])
-    acc = {0: 1}
-    for terms in head:
-        top -= terms[0][0]
-        acc = kernels.poly_addmul_above({}, 1, acc, terms, floor - top)
-    kernels.poly_addmul_above(rest, scale, acc, last, floor)
-
-
 def is_in_ideal(f, params):
     """Membership in the kernel of the substitution (the minor ideal), over Z.
 
@@ -268,6 +241,5 @@ def is_in_ideal(f, params):
     subst = shared_substitution(params)
     _check_operand(f, subst)
     _, scaled = clear_denominators(f.packed)
-    chart, limit = subst.chart, subst.yz_space.key_limit
-    return all(len(terms) > 1 and not _horner(terms, chart, limit)
+    return all(len(terms) > 1 and not _image_above(terms, subst.chart, 0)
                for terms in _contents(f.space, scaled).values())

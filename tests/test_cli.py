@@ -577,6 +577,13 @@ def test_chain_walks_past_the_packed_limit_exit_one(capsys):
         code, out, err = capture(capsys, [cmd, *space, "--deg", str(deg)])
         assert (code, out) == (1, ""), (cmd, deg)
         assert err == f"error: degree {deg} exceeds the packed-exponent limit 255\n", (cmd, deg)
+    # Each walk and the formula share the limit at 2x2 r1 d300, whose lattice
+    # blocks are few.
+    for method in ("formula", "bitableaux", "lattice"):
+        argv = ["hilbert", "--m", "2", "--n", "2", "--r", "1", "--deg", "300", "--method", method]
+        code, out, err = capture(capsys, argv)
+        assert (code, out) == (1, ""), method
+        assert err == "error: degree 300 exceeds the packed-exponent limit 255\n", method
     code, out, _ = capture(capsys, ["hilbert", *space, "--deg", "255"])
     assert code == 0 and json.loads(out) == {"dim": 1}
     code, out, _ = capture(capsys, ["basis", *space, "--deg", "255"])

@@ -3,6 +3,7 @@ three-way dimension cross-check."""
 
 import gc
 from collections import Counter
+from itertools import combinations_with_replacement
 from math import comb, prod
 
 import pytest
@@ -11,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 from detring import cone, counting, tableaux
 from detring.cone import _pairs, _sides
 from detring.counting import (
-    _sorted_monomials,
     binomial,
     hilbert_function,
     hodge_dim,
@@ -234,12 +234,25 @@ def test_rank_refuses_degrees_whose_images_pass_the_packed_limit():
             hilbert_function(Parameters(1, 1, 1), d, "rank")
 
 
+def _brute_rows(m, n, d):
+    """The rank positions of every degree-d x-monomial whose row content and
+    column content are nonincreasing, rows >= cols at m = n, by listing all
+    of them."""
+    out = []
+    for positions in combinations_with_replacement(range(m * n), d):
+        rows = tuple([sum(p // n == i for p in positions) for i in range(m)])
+        cols = tuple([sum(p % n == j for p in positions) for j in range(n)])
+        if (list(rows) == sorted(rows, reverse=True) and list(cols) == sorted(cols, reverse=True)
+                and (m != n or cols <= rows)):
+            out.append(positions)
+    return out
+
+
 def _rank_work(params, d):
-    """What ``_check_rank`` predicts, by listing the rows: per row of
-    ``_sorted_monomials``, prod C(r + e - 1, e) over its variables' exponents
-    plus d, and C(n + d, d) for the row parts."""
+    """The work the rank walk tallies, from the listed rows: C(n + d, d),
+    plus per row d and prod C(r + e - 1, e) over its variables' exponents."""
     work = comb(params.n + d, d)
-    for positions, _ in _sorted_monomials(params.m, params.n, d):
+    for positions in _brute_rows(params.m, params.n, d):
         counts = Counter(positions).values()
         work += d + prod([comb(params.r + e - 1, e) for e in counts])
     return work
@@ -248,22 +261,29 @@ def _rank_work(params, d):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4), st.integers(0, 6))
 def test_the_rank_prediction_is_exact(m, n, r, d):
-    # At the limit the query answers, one below it is refused: the first
-    # step's bound is above the work, both lower bounds below it, and the
-    # count equals it.
+    # At the limit the query answers, one below it is refused: the up-front
+    # bound is below the work, and the walk tallies it exactly.
     params = Parameters(m, n, min(r, m, n))
     work = _rank_work(params, d)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(counting, "RANK_LIMIT", work)
-        counting._check_rank(params, d)
+        counting._rank_rows(params, d)
         patch.setattr(counting, "RANK_LIMIT", work - 1)
         with pytest.raises(ParameterError, match=f"^degree {d} would expand more than {work - 1} "):
-            counting._check_rank(params, d)
+            counting._rank_rows(params, d)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 5))
+def test_the_rank_walk_lists_each_row_once_and_its_orbits_cover_every_monomial(m, n, d):
+    rows = counting._rank_rows(Parameters(m, n, 1), d)
+    assert sorted([positions for positions, _ in rows]) == _brute_rows(m, n, d)
+    assert sum([orbit for _, orbit in rows]) == comb(m * n + d - 1, d)
 
 
 def test_the_rank_prediction_counts_the_larger_test_queries():
-    # Above the first step's bound, so the count runs; the largest is the
-    # largest rank query of the tests.
+    # Tallies past the Hypothesis test's reach.  The largest rank query of the
+    # tests is in the golden rank grid: 3x5 r1 d9 tallies 73,482.
     for (m, n, r, d), work in (((5, 5, 4, 4), 16845), ((4, 4, 3, 4), 5617), ((3, 3, 2, 8), 39710)):
         params = Parameters(m, n, r)
         assert _rank_work(params, d) == work

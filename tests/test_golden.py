@@ -11,8 +11,11 @@ m, n <= 4, and `straighten` and `member` over a fixed list of polynomial
 texts on every format with m, n <= 3.  A sixth pins `straighten` at the
 benchmark's formats (4,4,3), (5,5,3) and (5,5,4) on degree-5 and -6
 polynomials, where the floor window keeps a small part of each image.  A
-change to the cone, tableaux, elimination, classification or straightening
-code that moves any payload, message or exit code shows up here.
+seventh pins `member` at (4,4,3), (5,5,3) and (5,5,4), on those polynomials
+and on minor-built ones, and `hilbert --method rank` on formats up to 12x12,
+refusals included.  A change to the cone, tableaux, elimination,
+classification or straightening code that moves any payload, message or exit
+code shows up here.
 When a change is meant to move output, print the new digest with
 ``golden_digest(argvs)`` and say why it moved.
 
@@ -37,6 +40,7 @@ GOLDEN_ELIMINATION = "a5a6ac16fd57d571d1d002b0f157444a9574e5b9c621f2d03959fafd6a
 GOLDEN_CLASSIFY = "a5ae70e9dc03849dc06452ea50b156629fbe5b87e0d599c88cd89b61cce6c10b"
 GOLDEN_STRAIGHTEN = "b22c1bbce14e58eb7dfbabf3c9782dde17b12a4b7f1db556e8b28e346c5b6076"
 GOLDEN_WINDOW = "f095b4bb583dfbe8b0eba3b5638c28faefceb59e3eac9a44c39fa3a8c5e49461"
+GOLDEN_MEMBER_RANK = "f509a82cc2b77ebce9f2e76e706bb3cdc9f0373b5ea2ee94d922c14d5b30c9c9"
 
 # Zero, a constant, rational coefficients, mixed degrees, the 2- and 3-minors
 # [1 2|1 2] and [1 2 3|1 2 3] times a variable, a non-standard product, a
@@ -172,6 +176,35 @@ def window_argvs():
     return [["straighten", *_space(*f), f"--poly={text}"] for f, text in WINDOW_POLYS]
 
 
+# Sums of (r+1)-minors times a variable, as the benchmark's member queries
+# build them, at (4,4,3) and (5,5,3): in the ideal, and not with a stray term
+# of a content the minor's terms have.
+MEMBER_POLYS = (
+    ((4, 4, 3), _minor_terms(2, (1, 2, 3, 4), (1, 2, 3, 4), "x[3,2]") + " "
+                + _minor_terms("5/3", (1, 2, 3, 4), (1, 2, 3, 4), "x[1,4]")),
+    ((4, 4, 3), _minor_terms("1/2", (1, 2, 3, 4), (1, 2, 3, 4), "x[2,2]")
+                + " + x[1,2]*x[2,1]*x[3,3]*x[4,4]*x[2,2]"),
+    ((5, 5, 3), _minor_terms(3, (1, 2, 3, 5), (1, 3, 4, 5), "x[2,2]") + " "
+                + _minor_terms("1/4", (2, 3, 4, 5), (1, 2, 4, 5), "x[5,1]")),
+    ((5, 5, 3), _minor_terms(1, (1, 2, 4, 5), (2, 3, 4, 5), "x[4,4]")
+                + " - 2*x[1,3]*x[2,2]*x[4,4]*x[5,5]*x[4,4]"),
+)
+
+
+def member_rank_argvs():
+    """The grid: `member` of ``WINDOW_POLYS`` and ``MEMBER_POLYS``, then
+    `hilbert --method rank` on formats with m, n in 1, 2, 3, 5, 12, r in 1,
+    about half of min(m, n) and min(m, n), at degrees whose work answers,
+    passes the rank budget or passes the packed limit."""
+    argvs = [["member", *_space(*f), f"--poly={text}"] for f, text in WINDOW_POLYS + MEMBER_POLYS]
+    for m in (1, 2, 3, 5, 12):
+        for n in (1, 2, 3, 5, 12):
+            for r in sorted({1, max(1, min(m, n) // 2), min(m, n)}):
+                for d in (-1, 0, 3, 6, 9, 127, 128):
+                    argvs.append(["hilbert", *_space(m, n, r), "--deg", str(d), "--method", "rank"])
+    return argvs
+
+
 def golden_digest(argvs):
     digest = hashlib.sha256()
     for argv in argvs:
@@ -206,12 +239,17 @@ def test_straightening_at_the_benchmark_formats_prints_the_recorded_bytes():
     assert golden_digest(window_argvs()) == GOLDEN_WINDOW
 
 
+def test_membership_and_the_rank_method_print_the_recorded_bytes():
+    assert golden_digest(member_rank_argvs()) == GOLDEN_MEMBER_RANK
+
+
 if __name__ == "__main__":
     grids = (("cone", golden_argvs, GOLDEN), ("tableaux", tableaux_argvs, GOLDEN_TABLEAUX),
              ("elimination", elimination_argvs, GOLDEN_ELIMINATION),
              ("classification", classify_argvs, GOLDEN_CLASSIFY),
              ("straightening", straighten_argvs, GOLDEN_STRAIGHTEN),
-             ("window", window_argvs, GOLDEN_WINDOW))
+             ("window", window_argvs, GOLDEN_WINDOW),
+             ("member and rank", member_rank_argvs, GOLDEN_MEMBER_RANK))
     matches = [golden_digest(argvs()) == digest for _, argvs, digest in grids]
     for (name, _, _), match in zip(grids, matches):
         print(f"{name}: {'match' if match else 'MISMATCH'}")

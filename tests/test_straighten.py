@@ -5,7 +5,7 @@ import operator
 import re
 from fractions import Fraction
 from importlib import import_module
-from itertools import product
+from itertools import chain, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +15,7 @@ from detring.errors import InternalCheckError, ParameterError, SpaceMismatchErro
 from detring.generic_point import (
     FORMATS,
     SubstitutionMap,
+    _image_above,
     _shared_map,
     decode_standard,
     eval_bitableau,
@@ -29,7 +30,6 @@ from detring.straighten import (
     _content,
     _contents,
     _floor,
-    _phi_above,
     is_in_ideal,
     straighten,
 )
@@ -184,12 +184,12 @@ def test_full_rank_membership_equals_the_substitution_answer():
 
 
 def test_full_rank_membership_does_not_substitute(monkeypatch):
-    def refuse(terms, images, limit):
+    def refuse(rest, scale, factors, floor):
         raise AssertionError("expanded the image")
 
     # The package exports the function straighten under the module's name.
-    monkeypatch.setattr(generic_point, "_horner", refuse)
-    monkeypatch.setattr(import_module("detring.straighten"), "_horner", refuse, raising=False)
+    monkeypatch.setattr(generic_point, "_addmul_above", refuse)
+    monkeypatch.setattr(import_module("detring.straighten"), "_addmul_above", refuse)
     params = Parameters(4, 4, 4)
     f = parse_polynomial("x[1,1]^60*x[2,2]^60", params.x_space)
     assert not is_in_ideal(f, params)
@@ -235,14 +235,14 @@ def test_membership_by_content_on_the_chart_equals_the_full_substitution(data):
 
 def test_a_one_term_content_answers_without_substituting(monkeypatch):
     calls = []
-    horner = generic_point._horner
+    addmul_above = generic_point._addmul_above
 
-    def spy(terms, images, limit):
-        calls.append(len(terms))
-        return horner(terms, images, limit)
+    def spy(rest, scale, factors, floor):
+        calls.append(len(factors))
+        return addmul_above(rest, scale, factors, floor)
 
-    monkeypatch.setattr(generic_point, "_horner", spy)
-    monkeypatch.setattr(import_module("detring.straighten"), "_horner", spy, raising=False)
+    monkeypatch.setattr(generic_point, "_addmul_above", spy)
+    monkeypatch.setattr(import_module("detring.straighten"), "_addmul_above", spy)
     params = Parameters(3, 3, 2)
     # Each term has a content of its own.
     f = parse_polynomial("x[1,1]^2 - 1/2*x[1,2]*x[2,1] + 3*x[3,3]*x[2,2]*x[1,1]", params.x_space)
@@ -343,10 +343,11 @@ def test_the_windowed_image_is_phi_cut_at_the_floor(data):
         assert not image
         return
     floor = _floor(contents, subst.yz_space)
-    assert _phi_above(contents, floor, subst) == {k: c for k, c in image.items() if k >= floor}
+    windowed = _image_above(chain.from_iterable(contents.values()), subst.x_images, floor)
+    assert windowed == {k: c for k, c in image.items() if k >= floor}
 
 
-def test_straighten_never_calls_phi_or_horner(monkeypatch):
+def test_straighten_never_calls_phi_or_cuts_below_its_floor(monkeypatch):
     rng = seeded(41)
     cases = [(params, f) for params, f in oracle_cases(3, 3, 1)]
     params = Parameters(4, 4, 3)
@@ -360,11 +361,26 @@ def test_straighten_never_calls_phi_or_horner(monkeypatch):
     def refuse(*args):
         raise AssertionError("formed the full image")
 
+    # Every cut product of a straightening is cut at its polynomial's floor.
+    floors = []
+    addmul_above = generic_point._addmul_above
+
+    def spy(rest, scale, factors, floor):
+        if floor != floors[-1]:
+            raise AssertionError("formed the full image")
+        return addmul_above(rest, scale, factors, floor)
+
     module = import_module("detring.straighten")
-    for name in ("phi", "_horner"):
-        monkeypatch.setattr(generic_point, name, refuse)
-        monkeypatch.setattr(module, name, refuse, raising=False)
-    assert [expansion(straighten(f, params)) for params, f in cases] == want
+    monkeypatch.setattr(generic_point, "phi", refuse)
+    monkeypatch.setattr(module, "phi", refuse, raising=False)
+    monkeypatch.setattr(generic_point, "_addmul_above", spy)
+    monkeypatch.setattr(module, "_addmul_above", spy)
+    got = []
+    for params, f in cases:
+        _, scaled = clear_denominators(f.packed)
+        floors.append(_floor(_contents(f.space, scaled), params.yz_space) if scaled else None)
+        got.append(expansion(straighten(f, params)))
+    assert got == want
 
 
 def compositions(total, parts):

@@ -284,22 +284,74 @@ def _emit(payload, fmt):
 
 @functools.cache
 def _parsers():
-    """The parser and each subcommand's parser by name, built once per process."""
+    """The parser, each subcommand's parser by name, and each subcommand's
+    grammar for ``_read``, built once per process.  A grammar is taken from
+    the subcommand's own parser: its store actions by option string, its
+    defaults (``handler`` among them, a string default passed through its
+    type as argparse does) and its required dests.
+    """
     parser = build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return parser, sub.choices
+    grammars = {}
+    for name, p in sub.choices.items():
+        actions = [a for a in p._actions if a.default is not argparse.SUPPRESS]
+        defaults = {**p._defaults, **{
+            a.dest: p._get_value(a, a.default) if isinstance(a.default, str) else a.default
+            for a in actions}}
+        options = {s: a for a in actions if type(a) is argparse._StoreAction and a.nargs is None
+                   for s in a.option_strings}
+        grammars[name] = options, defaults, {a.dest for a in actions if a.required}
+    return parser, sub.choices, grammars
+
+
+def _read(grammar, tokens):
+    """The namespace the subcommand's parser returns for tokens, when they
+    are exact ``--opt value`` or ``--opt=value`` pairs, each value converts
+    and falls in its choices, and every required option is given (the last
+    of a repeated option counts).  Else None, and argparse reads them: an
+    abbreviation, ``--help``, ``--``, a space-form value starting with "-" or
+    a trailing option among them.
+    """
+    options, defaults, required = grammar
+    values, tokens = {}, iter(tokens)
+    for token in tokens:
+        option, eq, value = token.partition("=")
+        if not eq:
+            value = next(tokens, None)
+            if value is None or value[:1] == "-":
+                return None
+        action = options.get(option)
+        if action is None or value == "--":
+            return None
+        try:
+            value = action.type(value) if action.type else value
+        except (TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    if not required <= values.keys():
+        return None
+    return argparse.Namespace(**{**defaults, **values})
 
 
 def run(argv=None):
-    parser, commands = _parsers()
+    """Answer one command line: print its payload, return its exit code.
+
+    What ``_read`` cannot read goes to the subcommand's own parser (the full
+    parser's messages, less work), or to the full parser without one.
+    """
+    parser, commands, grammars = _parsers()
     argv = sys.argv[1:] if argv is None else argv
-    # A named subcommand parses its own arguments: the same messages, less work.
-    direct = commands.get(argv[0]) if argv else None
-    try:
-        args = direct.parse_args(argv[1:]) if direct else parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    name = argv[0] if argv else None
+    args = _read(grammars[name], argv[1:]) if name in grammars else None
+    if args is None:
+        direct = commands.get(name)
+        try:
+            args = direct.parse_args(argv[1:]) if direct else parser.parse_args(argv)
+        except _UsageError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
     try:
         payload, code = args.handler(args)
     except InternalCheckError as exc:

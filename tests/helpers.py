@@ -331,6 +331,26 @@ def tilde_basis_count_by_listing(params, d1, d2):
     return total
 
 
+_SPACE = (("--m", "3"), ("--n", "3"), ("--r", "2"))
+# One well-formed query per subcommand at 3x3, as (option, value) pairs that
+# give every option but --format and --seed.
+SUBCOMMAND_QUERIES = (
+    ("basis", (*_SPACE, ("--deg", "2"))),
+    ("straighten", (*_SPACE, ("--poly", "x[1,2]*x[2,1] - 1/2*x[3,3]"))),
+    ("member", (*_SPACE, ("--poly", "x[1,2]*x[2,1]"))),
+    ("hilbert", (*_SPACE, ("--deg", "3"), ("--method", "rank"))),
+    ("mu", (*_SPACE, ("--ideal", "q"), ("--t", "2"))),
+    ("mult", _SPACE),
+    ("classify", (*_SPACE, ("--ideal", "p"), ("--t", "2"))),
+    ("certify", (*_SPACE, ("--ideal", "p"), ("--t", "1"), ("--eps", "1/3"), ("--deg-bound", "4"))),
+    ("cone-check", (*_SPACE, ("--deg-bound", "3"))),
+    ("tilde-check", (*_SPACE, ("--deg-bound", "3"))),
+    ("ladder-check", (("--m", "3"), ("--n", "3"), ("--r", "3"), ("--delta", "[1|2]"),
+                      ("--deg-bound", "2"))),
+    ("mcm-classes", _SPACE),
+)
+
+
 def seeded(seed):
     return random.Random(seed)
 

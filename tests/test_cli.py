@@ -1,5 +1,6 @@
 """Command-line driver: payloads, exit codes, and deterministic output."""
 
+import argparse
 import contextlib
 import gc
 import io
@@ -9,11 +10,12 @@ import shlex
 import os
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from detring import cli, cone, invariants, tableaux
 from detring.classify import certify, classify
@@ -28,7 +30,7 @@ from detring.tableaux import (
     enumerate_standard,
     parse_minor,
 )
-from helpers import parameter_triples, run_child
+from helpers import SUBCOMMAND_QUERIES, parameter_triples, run_child
 
 
 def capture(capsys, argv):
@@ -254,6 +256,8 @@ def test_subcommands_parse_their_arguments_as_the_full_parser_does(capsys):
         ["hilbert", *space, "--deg", "x"],  # bad int
         ["hilbert", *space, "--deg", "2", "--method", "foo"],  # bad choice
         ["mult", *space, "extra"],  # extra positional
+        ["hilbert", *space, "--deg"],  # trailing option
+        ["ladder-check", *space, "--de", "3"],  # ambiguous abbreviation
     ]
     parser = cli.build_parser()
     for argv in cases:
@@ -261,12 +265,89 @@ def test_subcommands_parse_their_arguments_as_the_full_parser_does(capsys):
             parser.parse_args(argv)
         assert run(argv) == 1
         assert capsys.readouterr() == ("", f"error: {full.value}\n"), argv
+    # Spellings argparse accepts: each answers as its plain form does.
+    accepted = [
+        (["hilbert", *space, "--de", "3"], ["hilbert", *space, "--deg", "3"]),
+        (["hilbert", *space, "--deg", "-1"], ["hilbert", *space, "--deg=-1"]),
+        (["mult", "--m", "3", *space, "--m", "4"], ["mult", *space, "--m=4"]),
+    ]
+    for argv, plain in accepted:
+        assert vars(parser.parse_args(argv)) == vars(parser.parse_args(plain))
+        assert capture(capsys, argv) == capture(capsys, plain), argv
     with pytest.raises(SystemExit):
         parser.parse_args(["hilbert", "--help"])
     expected = capsys.readouterr().out
     assert expected.startswith("usage: detring hilbert")
     assert main(["hilbert", "--help"]) == 0
     assert capsys.readouterr().out == expected
+
+
+def test_a_well_formed_command_line_answers_without_argparse(monkeypatch, capsys):
+    # An option that the grammar cannot read sends every command line that
+    # uses it to argparse; this refuses that.
+    def refuse(*args, **kwargs):
+        raise AssertionError("argparse parsed a well-formed command line")
+
+    _, commands, _ = cli._parsers()
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+    assert [name for name, _ in SUBCOMMAND_QUERIES] == list(commands)
+    for name, pairs in SUBCOMMAND_QUERIES:
+        argv = [name, *(t for pair in pairs for t in pair), "--format", "table", "--seed=7"]
+        parser = commands[name]
+        given_options = {token.partition("=")[0] for token in argv if token.startswith("--")}
+        options = {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
+        assert given_options == options, name
+        assert capture(capsys, argv)[0] == 0, argv
+
+
+def _usage(name):
+    """Tokens for the subcommand name's parser: options, their prefixes and
+    ``=`` forms, good, negative and malformed values, ``--help``, ``--``."""
+    parser = cli._parsers()[1][name]
+    options = sorted({s for a in parser._actions for s in a.option_strings})
+    values = st.sampled_from(["0", "1", "2", "3", "-1", "x", "2.5", "", " 2", "+1", "--", "-",
+                              "p", "q", "r", "json", "table", "rank", "formula", "1/3",
+                              "x[1,2]*x[2,1] - 1/2", "-x[1,1]", "x[1,1]=2", "[1|1]", "[1 2|1 2]"])
+    option = st.sampled_from(options) | st.sampled_from(options).flatmap(
+        lambda s: st.integers(2, len(s) - 1).map(lambda k: s[:k]) if len(s) > 3 else st.just(s))
+    exact = st.tuples(st.sampled_from(options), values).map(list)
+    group = (exact | exact | st.tuples(option, values).map(list)
+             | st.tuples(option, values).map(lambda p: [f"{p[0]}={p[1]}"])
+             | option.map(lambda s: [s]) | values.map(lambda v: [v]))
+    valid = {"--r": "1", "--ideal": "p", "--poly": "x[1,1]", "--delta": "[1|1]"}
+    required = [[s, valid.get(s, "2")] for a in parser._actions if a.required
+                for s in a.option_strings]
+    return st.tuples(st.lists(group, max_size=3), st.permutations(required),
+                     st.lists(group, max_size=3)).map(
+        lambda t: [token for part in t for group in part for token in group])
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(cli._parsers()[1])).flatmap(
+    lambda name: st.tuples(st.just(name), _usage(name))))
+@example(("straighten", ["--m", "3", "--n", "3", "--r", "2", "--poly=--"]))
+@example(("certify", ["--m", "3", "--n", "3", "--r", "2", "--t", "1", "--ideal", "p", "--eps=--"]))
+def test_the_grammar_reads_what_argparse_reads(case):
+    name, tokens = case
+    _, commands, grammars = cli._parsers()
+    args = cli._read(grammars[name], tokens)
+    if args is not None:
+        assert args == commands[name].parse_args(tokens)
+
+    def answer():
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main([name, *tokens])
+            except Exception as exc:
+                # argparse reads "--poly=--" as an empty list, which no
+                # handler takes: both paths must fail alike.
+                code = type(exc).__name__
+        return code, out.getvalue(), err.getvalue()
+
+    direct = answer()
+    with mock.patch.object(cli, "_read", lambda grammar, tokens: None):
+        assert answer() == direct
 
 
 def test_mu_and_basis_leave_no_cyclic_garbage(capsys):
@@ -539,9 +620,11 @@ def test_hilbert_bitableaux_past_its_budget_exits_one_fast():
 
 
 def test_hilbert_rank_past_its_budget_exits_one_fast():
-    # 6x6 r3 d9 ran past a 10 s timeout; 6x6 r2 d6 answers in about 1.2 s,
-    # 2x2 r1 d127 in about 5.6 s, and 3x12 r1 d20 reaches the counting step.
-    for m, n, r, d in ((6, 6, 3, 9), (6, 6, 2, 6), (2, 2, 1, 127), (3, 12, 1, 20)):
+    # 6x6 r3 d9 ran past a 10 s timeout; 6x6 r2 d6 answered in about 1.2 s
+    # and 2x2 r1 d127 in about 5.6 s.  3x12 r1 d20 is refused up front, by
+    # C(32, 20) = 225,792,840 alone; 4x5 r1 d9 passes the up-front tally
+    # (2,232) and is refused while its rows are filled.
+    for m, n, r, d in ((6, 6, 3, 9), (6, 6, 2, 6), (2, 2, 1, 127), (3, 12, 1, 20), (4, 5, 1, 9)):
         argv = ["hilbert", "--m", str(m), "--n", str(n), "--r", str(r), "--deg", str(d),
                 "--method", "rank"]
         seconds, code, err = _refused_in_a_child(argv, cap_mb=1536)

@@ -13,9 +13,12 @@ benchmark's formats (4,4,3), (5,5,3) and (5,5,4) on degree-5 and -6
 polynomials, where the floor window keeps a small part of each image.  A
 seventh pins `member` at (4,4,3), (5,5,3) and (5,5,4), on those polynomials
 and on minor-built ones, and `hilbert --method rank` on formats up to 12x12,
-refusals included.  A change to the cone, tableaux, elimination,
-classification or straightening code that moves any payload, message or exit
-code shows up here.
+refusals included.  An eighth pins how command lines are read: one query per
+subcommand in every spelling argparse accepts, usage errors and ``--help``
+(at 80 columns; argparse's messages and help text are those of the Python
+that runs it, here 3.11).  A change to the cone, tableaux, elimination,
+classification or straightening code, or to the command line, that moves any
+payload, message or exit code shows up here.
 When a change is meant to move output, print the new digest with
 ``golden_digest(argvs)`` and say why it moved.
 
@@ -27,12 +30,15 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import sys
 from itertools import combinations, permutations
+from unittest import mock
 
-from detring.cli import run
+from detring import cli
+from detring.cli import main
 from detring.tableaux import Parameters, all_minors
-from helpers import parameter_triples
+from helpers import SUBCOMMAND_QUERIES, parameter_triples
 
 GOLDEN_TABLEAUX = "717fb8a07c7b3b5458e9a7c5af5c3838721ff901ca71beb206bdcb64a6859478"
 GOLDEN = "405d3dc06ae4c81786cf6fac603f82fea498c861b9b222f6e1d6f457b442bfbf"
@@ -41,6 +47,7 @@ GOLDEN_CLASSIFY = "a5ae70e9dc03849dc06452ea50b156629fbe5b87e0d599c88cd89b61cce6c
 GOLDEN_STRAIGHTEN = "b22c1bbce14e58eb7dfbabf3c9782dde17b12a4b7f1db556e8b28e346c5b6076"
 GOLDEN_WINDOW = "f095b4bb583dfbe8b0eba3b5638c28faefceb59e3eac9a44c39fa3a8c5e49461"
 GOLDEN_MEMBER_RANK = "f509a82cc2b77ebce9f2e76e706bb3cdc9f0373b5ea2ee94d922c14d5b30c9c9"
+GOLDEN_PARSING = "8113ef5333931458f160392397b1701815826a3d2b04658d7128ad8a03087020"
 
 # Zero, a constant, rational coefficients, mixed degrees, the 2- and 3-minors
 # [1 2|1 2] and [1 2 3|1 2 3] times a variable, a non-standard product, a
@@ -205,13 +212,63 @@ def member_rank_argvs():
     return argvs
 
 
+def _abbreviation(option, options):
+    """The shortest prefix of option that is a prefix of no other option."""
+    return next(option[:k] for k in range(3, len(option) + 1) if k == len(option)
+                or not any(o != option and o.startswith(option[:k]) for o in options))
+
+
+def parsing_argvs():
+    """The grid: each of ``SUBCOMMAND_QUERIES`` in every spelling argparse
+    accepts (space and ``=`` forms, reordered,
+    repeated with an earlier other value, abbreviated, ``--format table``,
+    ``--seed``), then usage errors, spellings that argparse alone reads and
+    ``--help``."""
+    argvs = []
+    for name, pairs in SUBCOMMAND_QUERIES:
+        options = [s for a in cli._parsers()[1][name]._actions for s in a.option_strings]
+        space = [t for pair in pairs for t in pair]
+        spellings = (
+            space,
+            [f"{o}={v}" for o, v in pairs],
+            [t for pair in pairs[::-1] for t in pair],
+            ["--m", "9", "--n", "9", *space],
+            [t for o, v in pairs for t in (_abbreviation(o, options), v)],
+            [*space, "--format", "table"],
+            [*space, "--seed", "7", "--format=json"],
+        )
+        argvs += [[name, *tokens] for tokens in spellings]
+        first, value = pairs[-1]
+        argvs += [
+            [name, *space[:-1]],  # a trailing option
+            [name, *space[:2]],  # options missing
+            [name, *space, "--frob", "1"],  # an unknown option
+            [name, *space, "extra"],  # an extra positional
+            [name, *space, "--m", "x"],  # a bad int
+            [name, *space, "--format", "yaml"],  # a bad choice
+            [name, *space, "--de", "3"],  # an abbreviation, ambiguous or not
+            [name, *space, "--m", "-1"],  # a negative space-form value
+            [name, *space, "--m=-1"],
+            [name, *space, "--", first, value],
+            [name, *space, "--seed", "--format"],
+            [name, *space, "--help"],
+            [name, "-h"],
+        ]
+    argvs += [[], ["frob"], ["--help"], ["straighten", "--m", "3", "--n", "3", "--r", "2",
+                                          "--poly", "-x[1,1]"]]
+    return argvs
+
+
 def golden_digest(argvs):
+    """Digest of each argv with the exit code ``main`` returns and the text it
+    writes to stdout and stderr, help at 80 columns."""
     digest = hashlib.sha256()
-    for argv in argvs:
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = run(argv)
-        digest.update(json.dumps([argv, code, out.getvalue(), err.getvalue()]).encode() + b"\n")
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        for argv in argvs:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            digest.update(json.dumps([argv, code, out.getvalue(), err.getvalue()]).encode() + b"\n")
     return digest.hexdigest()
 
 
@@ -243,13 +300,18 @@ def test_membership_and_the_rank_method_print_the_recorded_bytes():
     assert golden_digest(member_rank_argvs()) == GOLDEN_MEMBER_RANK
 
 
+def test_every_spelling_and_usage_error_prints_the_recorded_bytes():
+    assert golden_digest(parsing_argvs()) == GOLDEN_PARSING
+
+
 if __name__ == "__main__":
     grids = (("cone", golden_argvs, GOLDEN), ("tableaux", tableaux_argvs, GOLDEN_TABLEAUX),
              ("elimination", elimination_argvs, GOLDEN_ELIMINATION),
              ("classification", classify_argvs, GOLDEN_CLASSIFY),
              ("straightening", straighten_argvs, GOLDEN_STRAIGHTEN),
              ("window", window_argvs, GOLDEN_WINDOW),
-             ("member and rank", member_rank_argvs, GOLDEN_MEMBER_RANK))
+             ("member and rank", member_rank_argvs, GOLDEN_MEMBER_RANK),
+             ("parsing", parsing_argvs, GOLDEN_PARSING))
     matches = [golden_digest(argvs()) == digest for _, argvs, digest in grids]
     for (name, _, _), match in zip(grids, matches):
         print(f"{name}: {'match' if match else 'MISMATCH'}")

@@ -34,6 +34,12 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
 
+    def _get_values(self, action, arg_strings):
+        # Python 3.11 drops the "--" of "--poly=--" and stores an empty list.
+        if action.nargs is None and arg_strings == ["--"]:
+            raise argparse.ArgumentError(action, "expected one argument")
+        return super()._get_values(action, arg_strings)
+
 
 def _params(args):
     return Parameters(args.m, args.n, args.r)

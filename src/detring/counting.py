@@ -1,9 +1,10 @@
 """Numerology: minimal generator counts, multiplicity, Hilbert function.
 
-All values are exact integers.  The binomial determinants are evaluated
-fraction-free; the direct route recounts the same numbers as standard chains
-of pinned minors, one side at a time (row tuples times column tuples, shape by
-shape), so the two can be played against each other.
+All values are exact integers.  The generator counts and the multiplicity are
+plane-partition counts in a box, by MacMahon's product (``_box``); the direct
+route recounts the generator counts as standard chains of pinned minors, one
+side at a time (row tuples times column tuples, shape by shape), so the two
+can be played against each other.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from math import comb, factorial, prod
 from .cone import _check_sides, _pairs, _sides
 from .errors import ParameterError
 from .generic_point import _check_image_degree, shared_substitution
-from .linalg import Eliminator, det_bareiss
+from .linalg import Eliminator
 from .tableaux import (
     _check_degree,
     _count_pinned,
@@ -45,21 +46,54 @@ def _check_t(t):
         raise ParameterError(f"power t must be a nonnegative integer, got {t!r}")
 
 
-def mu_power(params, ideal, t):
-    """Minimal generators of the t-th symbolic power, by binomial determinant.
+# Python's default limit (3.11) on the digits of an int it prints; ``_box``
+# refuses a count past it.  2^_CAP_BITS > _DIGIT_CAP.
+DIGIT_LIMIT = 4300
+_DIGIT_CAP = 10 ** DIGIT_LIMIT
+_CAP_BITS = _DIGIT_CAP.bit_length()
 
-    Row-pinned side ('p'): det[ C(t+n-j, n-i) ] over 1 <= i, j <= r, which is
-    ``hodge_dim(r, n, t)``; the column-pinned side swaps m for n.
-    """
+
+def _box(a, b, c, params=None, noun="power"):
+    """The plane partitions in an a x b x c box (MacMahon; Stanley, EC2
+    7.20-7.21), one layer of the smallest side at a time: with sides
+    p <= q <= s, PP(i, q, s) = PP(i - 1, q, s) * C(s+i+q-1, q) / C(i+q-1, q).
+    Each partial product is a box count, so each division is exact and the
+    count never falls.  Past DIGIT_LIMIT digits it refuses (by ``_refusal``
+    given the format): up front when the first layer, C(s+q, q) >=
+    max(2, (s+q)/q)^q, must pass it (which needs s+q > _CAP_BITS, as
+    C(s+q, q) < 2^(s+q)), else as soon as the count does."""
+    p, q, s = sorted((a, b, c))
+    if (p and s + q > _CAP_BITS
+            and q * max(1, (s + q).bit_length() - q.bit_length() - 1) >= _CAP_BITS):
+        raise _digit_refusal(params, noun)
+    v = 1
+    for i in range(1, p + 1):
+        v = v * comb(s + i + q - 1, q) // comb(i + q - 1, q)
+        if v >= _DIGIT_CAP:
+            raise _digit_refusal(params, noun)
+    return v
+
+
+def _digit_refusal(params, noun):
+    claim = f"the count would have more than {DIGIT_LIMIT} digits"
+    return _refusal(params, claim, noun) if params else ParameterError(f"{claim}; lower the {noun}")
+
+
+def mu_power(params, ideal, t):
+    """Minimal generators of the t-th symbolic power: the plane partitions in
+    the r x (n - r) x t box for the row-pinned side ('p'), which is
+    ``hodge_dim(r, n, t)``; the column-pinned side swaps m for n.  At the
+    boundary t = m - r ('p') the box is the multiplicity's, turned."""
     params.require_proper_rank()
     _check_ideal(ideal)
-    return hodge_dim(params.r, params.n if ideal == "p" else params.m, t)
+    _check_t(t)
+    return _box(params.r, (params.n if ideal == "p" else params.m) - params.r, t, params)
 
 
 def mu_power_direct(params, ideal, t):
-    """Same count without the determinant: the standard chains of t generators
-    [1..r|C_1] <= ... <= [1..r|C_t] (``generators_gamma``; columns pinned for
-    'q'), counted one side at a time by ``_count_pinned``."""
+    """Same count without the product formula: the standard chains of t
+    generators [1..r|C_1] <= ... <= [1..r|C_t] (``generators_gamma``; columns
+    pinned for 'q'), counted one side at a time by ``_count_pinned``."""
     params.require_proper_rank()
     _check_ideal(ideal)
     _check_t(t)
@@ -67,20 +101,21 @@ def mu_power_direct(params, ideal, t):
 
 
 def multiplicity(params):
-    """Multiplicity of the ring: det[ C(m+n-i-j, n-j) ] over 1 <= i, j <= r."""
+    """Multiplicity of the ring: the plane partitions in the
+    (m - r) x (n - r) x r box, the paper's det[ C(m+n-i-j, n-j) ]."""
     params.require_proper_rank()
-    m, n, r = params.m, params.n, params.r
-    rows = [[binomial(m + n - i - j, n - j) for j in range(1, r + 1)] for i in range(1, r + 1)]
-    return det_bareiss(rows)
+    r = params.r
+    return _box(params.m - r, params.n - r, r, params, "matrix size")
 
 
 def hodge_dim(r, n, t):
-    """Dimension of the degree-t piece of the Grassmannian coordinate ring."""
+    """Dimension of the degree-t piece of the Grassmannian coordinate ring:
+    the plane partitions in the r x (n - r) x t box, the paper's
+    det[ C(t+n-j, n-i) ] over 1 <= i, j <= r."""
     if not (isinstance(r, int) and isinstance(n, int) and 1 <= r <= n):
         raise ParameterError(f"need 1 <= r <= n, got r={r!r}, n={n!r}")
     _check_t(t)
-    rows = [[binomial(t + n - j, n - i) for j in range(1, r + 1)] for i in range(1, r + 1)]
-    return det_bareiss(rows)
+    return _box(r, n - r, t)
 
 
 def _orbit_contents(size, d):

@@ -1,4 +1,4 @@
-"""Exact linear algebra helpers: integer determinants and sparse elimination.
+"""Exact linear algebra helpers: clearing denominators and sparse elimination.
 
 The elimination routine reduces sparse rows (dicts keyed by packed monomial)
 against pivots chosen as the largest key.  That pivot choice is load-bearing:
@@ -14,32 +14,6 @@ from __future__ import annotations
 from math import lcm
 
 from . import kernels
-
-
-def det_bareiss(rows):
-    """Exact determinant of a square integer matrix (fraction-free Bareiss)."""
-    t = len(rows)
-    for row in rows:
-        if len(row) != t:
-            raise ValueError("matrix is not square")
-    if t == 0:
-        return 1
-    a = [list(map(int, row)) for row in rows]
-    sign = 1
-    prev = 1
-    for k in range(t - 1):
-        if a[k][k] == 0:
-            pivot = next((i for i in range(k + 1, t) if a[i][k] != 0), None)
-            if pivot is None:
-                return 0
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        for i in range(k + 1, t):
-            for j in range(k + 1, t):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[t - 1][t - 1]
 
 
 def clear_denominators(terms):

@@ -11,6 +11,7 @@ from itertools import combinations, permutations
 
 import detring
 from detring import cone, kernels
+from detring.counting import binomial
 from detring.errors import (
     InternalCheckError,
     NotInSemigroupError,
@@ -304,6 +305,46 @@ def chain_ends(universe_size, r, length):
             for s in subsets
         }
     return counts
+
+
+def det_bareiss(rows):
+    """Exact determinant of a square integer matrix (fraction-free Bareiss)."""
+    t = len(rows)
+    for row in rows:
+        if len(row) != t:
+            raise ValueError("matrix is not square")
+    if t == 0:
+        return 1
+    a = [list(map(int, row)) for row in rows]
+    sign = 1
+    prev = 1
+    for k in range(t - 1):
+        if a[k][k] == 0:
+            pivot = next((i for i in range(k + 1, t) if a[i][k] != 0), None)
+            if pivot is None:
+                return 0
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        for i in range(k + 1, t):
+            for j in range(k + 1, t):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[t - 1][t - 1]
+
+
+@cache
+def hodge_dim_by_determinant(r, n, t):
+    """The paper's determinant for the degree-t piece of the Grassmannian
+    coordinate ring (and mu_power): det[ C(t+n-j, n-i) ] over 1 <= i, j <= r."""
+    rows = [[binomial(t + n - j, n - i) for j in range(1, r + 1)] for i in range(1, r + 1)]
+    return det_bareiss(rows)
+
+
+def multiplicity_by_determinant(m, n, r):
+    """The paper's determinant for the multiplicity: det[ C(m+n-i-j, n-j) ]."""
+    rows = [[binomial(m + n - i - j, n - j) for j in range(1, r + 1)] for i in range(1, r + 1)]
+    return det_bareiss(rows)
 
 
 def tilde_basis_count_by_listing(params, d1, d2):

@@ -3,11 +3,14 @@
 import argparse
 import contextlib
 import gc
+import importlib
 import io
 import json
+import math
 import re
 import shlex
 import os
+import time
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -818,3 +821,83 @@ def test_reference_examples_print_what_the_docs_show(capsys):
         assert (code, out) == (0, payload + "\n"), command
         checked += 1
     assert checked >= 9
+
+
+@pytest.mark.parametrize("argv", [
+    ["straighten", "--m", "3", "--n", "3", "--r", "2", "--poly=--"],
+    ["member", "--m", "3", "--n", "3", "--r", "2", "--poly=--"],
+    ["ladder-check", "--m", "3", "--n", "3", "--r", "3", "--delta=--"],
+    ["certify", "--m", "3", "--n", "3", "--r", "2", "--t", "1", "--ideal", "p", "--eps=--"],
+])
+def test_an_equals_dash_dash_value_is_a_usage_error_on_both_paths(capsys, argv):
+    # Python 3.11's argparse reads "--poly=--" as an empty list, which every
+    # handler met with a TypeError or AttributeError traceback.
+    option = argv[-1][:-3]
+    expect = (1, "", f"error: argument {option}: expected one argument\n")
+    assert capture(capsys, argv) == expect
+    with mock.patch.object(cli, "_read", lambda grammar, tokens: None):
+        assert capture(capsys, argv) == expect
+
+
+def _least_refused_power():
+    """The least t at 3x4 r2 whose column-pinned mu = C(t + 2, 2) has more
+    than 4300 digits, by bisection."""
+    lo, hi = 0, 10**2200
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if math.comb(mid + 2, 2) < 10**4300 else (lo, mid)
+    return hi
+
+
+def test_counts_past_the_printable_digits_exit_one_with_one_line(capsys):
+    space = ["--m", "3", "--n", "4", "--r", "2", "--ideal", "q"]
+    refusal = ("error: the count would have more than 4300 digits at m=3, n=4, r=2; "
+               "lower the power\n")
+    for command in ("mu", "classify"):
+        # A 2501-digit t raised ValueError in the JSON writer, past run's try.
+        assert capture(capsys, [command, *space, "--t", str(10**2500)]) == (1, "", refusal)
+    code, out, _ = capture(capsys, ["mu", *space, "--t", str(10**1500)])
+    assert code == 0 and len(out) == 3013
+    t = _least_refused_power()
+    mu = math.comb(t + 1, 2)  # at t - 1: 4300 digits
+    assert 10**4299 <= mu < 10**4300
+    assert capture(capsys, ["mu", *space, "--t", str(t - 1)]) == (0, f'{{\n  "mu": {mu}\n}}\n', "")
+    assert capture(capsys, ["mu", *space, "--t", str(t)]) == (1, "", refusal)
+
+
+@pytest.mark.parametrize("argv, noun", [
+    (["mult", "--m", "2000", "--n", "2000", "--r", "1000"], "matrix size"),
+    (["mult", "--m", "400", "--n", "400", "--r", "200"], "matrix size"),
+    (["mult", "--m", "300", "--n", "300", "--r", "150"], "matrix size"),
+    (["classify", "--m", "300", "--n", "300", "--r", "150", "--t", "200", "--ideal", "p"], "power"),
+    (["mu", "--m", "100000", "--n", "100000", "--r", "50000", "--t", "1", "--ideal", "p"],
+     "power"),
+])
+def test_counts_past_the_digit_limit_refuse_within_a_second(argv, noun):
+    # Each ran past 4 s by r x r determinant, mult 300x300 r150 past 100 s.
+    seconds, code, err = _refused_in_a_child(argv, cap_mb=1536)
+    m, n, r = argv[2], argv[4], argv[6]
+    assert seconds < 1 and code == 1
+    assert err == (f"error: the count would have more than 4300 digits at m={m}, n={n}, "
+                   f"r={r}; lower the {noun}\n")
+
+
+def test_large_box_counts_answer_within_a_second(capsys):
+    for argv in (["mu", "--m", "200", "--n", "200", "--r", "100", "--t", "50", "--ideal", "p"],
+                 ["mult", "--m", "120", "--n", "120", "--r", "60"],
+                 ["mult", "--m", "2", "--n", "1000000000", "--r", "1"]):
+        start = time.perf_counter()
+        code, out, err = capture(capsys, argv)
+        assert time.perf_counter() - start < 1 and (code, err) == (0, ""), argv
+    assert out == '{\n  "e": 1000000000\n}\n'
+
+
+def test_classify_exits_two_when_mu_meets_e_below_the_boundary(monkeypatch, capsys):
+    # Below the boundary a Cohen-Macaulay class that is not Ulrich has mu < e.
+    module = importlib.import_module("detring.classify")
+    monkeypatch.setattr(module, "mu_power", lambda params, ideal, t: module.multiplicity(params))
+    argv = ["classify", "--m", "4", "--n", "5", "--r", "2", "--ideal", "p"]
+    assert capture(capsys, [*argv, "--t", "1"]) == (2, "", (
+        "internal check failed: power 1 with boundary 2 should have mu < e, got mu=50, e=50\n"))
+    assert capture(capsys, [*argv, "--t", "0"])[0] == 2
+    assert capture(capsys, [*argv, "--t", "2"])[0] == 0

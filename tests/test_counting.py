@@ -1,7 +1,8 @@
-"""Determinant counting formulas against direct enumeration, and the
-three-way dimension cross-check."""
+"""Box counting formulas against the paper's determinants and direct
+enumeration, and the three-way dimension cross-check."""
 
 import gc
+import inspect
 from collections import Counter
 from itertools import combinations_with_replacement
 from math import comb, prod
@@ -20,9 +21,14 @@ from detring.counting import (
     multiplicity,
 )
 from detring.errors import ParameterError
-from detring.linalg import det_bareiss
 from detring.tableaux import Parameters, _partition_count, _partitions, count_standard
-from helpers import chain_ends, parameter_triples
+from helpers import (
+    chain_ends,
+    det_bareiss,
+    hodge_dim_by_determinant,
+    multiplicity_by_determinant,
+    parameter_triples,
+)
 
 
 def test_binomial_convention_outside_range():
@@ -119,6 +125,68 @@ def test_grassmannian_dimension_formula():
     assert hodge_dim(2, 4, 0) == 1
     with pytest.raises(ParameterError):
         hodge_dim(3, 2, 1)
+
+
+def _first_box_mismatch():
+    """The first count that differs from the paper's determinant, or None:
+    the multiplicity (ideal None) and mu_power on every m, n <= 12,
+    1 <= r < min(m, n), t <= 10, both ideals, then hodge_dim at r = n."""
+    for m in range(2, 13):
+        for n in range(2, 13):
+            for r in range(1, min(m, n)):
+                params = Parameters(m, n, r)
+                if multiplicity(params) != multiplicity_by_determinant(m, n, r):
+                    return m, n, r, None, None
+                for ideal, side in (("p", n), ("q", m)):
+                    for t in range(11):
+                        if mu_power(params, ideal, t) != hodge_dim_by_determinant(r, side, t):
+                            return m, n, r, ideal, t
+    for n in range(1, 13):
+        for t in range(11):
+            if hodge_dim(n, n, t) != hodge_dim_by_determinant(n, n, t):
+                return n, n, n, "hodge", t
+    return None
+
+
+def test_box_counts_equal_the_determinant_oracles():
+    assert _first_box_mismatch() is None
+    # Past the grid: a 31-digit power.
+    t = 10**30 + 7
+    assert hodge_dim(3, 5, t) == hodge_dim_by_determinant(3, 5, t)
+    # The 6 x 6 x 6 box: 1478619421136 plane partitions (OEIS A008793).
+    assert multiplicity(Parameters(12, 12, 6)) == multiplicity_by_determinant(12, 12, 6)
+    assert multiplicity(Parameters(12, 12, 6)) == 1478619421136
+
+
+@pytest.mark.parametrize("old, new", [
+    ("sorted((a, b, c))", "sorted((a + 1, b, c))"),
+    ("sorted((a, b, c))", "sorted((a, b + 1, c))"),
+    ("sorted((a, b, c))", "sorted((a, b, c + 1))"),
+    ("range(1, p + 1)", "range(1, p)"),
+])
+def test_a_box_off_by_one_fails_the_oracle_grid(monkeypatch, old, new):
+    source = inspect.getsource(counting._box)
+    assert source.count(old) == 1
+    namespace = dict(vars(counting))
+    exec(source.replace(old, new), namespace)
+    monkeypatch.setattr(counting, "_box", namespace["_box"])
+    assert _first_box_mismatch() is not None
+
+
+def test_box_counts_refuse_past_the_printable_digits():
+    # hodge_dim(2, 3, t) = C(t + 2, 2) reaches 4300 digits at a 2151-digit t.
+    with pytest.raises(ParameterError) as refused:
+        hodge_dim(2, 3, 10**2200)
+    assert str(refused.value) == "the count would have more than 4300 digits; lower the power"
+    with pytest.raises(ParameterError, match="at m=400, n=400, r=200; lower the matrix size"):
+        multiplicity(Parameters(400, 400, 200))
+    # The first layer alone refuses: C(t + 10000, 10000) has about 40 million digits.
+    with pytest.raises(ParameterError, match="; lower the power"):
+        mu_power(Parameters(20000, 20000, 10000), "p", 10**4000)
+    # An empty side is one partition however long the others are.
+    assert mu_power(Parameters(20000, 20000, 10000), "p", 0) == hodge_dim(10**6, 10**6, 10**9) == 1
+    assert multiplicity(Parameters(2, 10**9, 1)) == 10**9
+    assert len(str(multiplicity(Parameters(120, 120, 60)))) == 1227
 
 
 def test_dimension_of_degree_slices():
